@@ -48,21 +48,45 @@ class RunAggregate:
                 "mean": self.mean, "std": self.std, "max": self.max}
 
 
-def model_logits(model, streams: dict[str, np.ndarray]) -> np.ndarray:
-    """Per-frame logits for one preprocessed utterance."""
+SCORE_CHUNK = 32  # utterances per forward pass when scoring
+
+
+def model_logits(model, chunk: list[dict[str, np.ndarray]]) -> list[np.ndarray]:
+    """Per-frame logits [T, K] for each preprocessed utterance of a chunk.
+
+    The chunk runs as one batch through the model's forward pass.
+    """
     if isinstance(model, SingleStreamModel):
-        logits, _ = stream_forward_batch(model, [streams[model.net.stream_kind]])
+        logits, _ = stream_forward_batch(model, [s[model.net.stream_kind] for s in chunk])
     elif isinstance(model, FusionModel):
-        logits, _ = fusion_forward_batch(model, {"raw": [streams["raw"]],
-                                                 "diff": [streams["diff"]]})
+        logits, _ = fusion_forward_batch(model, {"raw": [s["raw"] for s in chunk],
+                                                 "diff": [s["diff"] for s in chunk]})
     else:
         raise TypeError(f"cannot evaluate {type(model).__name__}")
-    return logits
+    lengths = [next(iter(s.values())).shape[0] for s in chunk]
+    return np.split(logits, np.cumsum(lengths)[:-1])
+
+
+def predict_labels(model, utterances: list[dict[str, np.ndarray]]) -> list[int]:
+    """Majority-vote label of each preprocessed utterance.
+
+    Utterances are scored SCORE_CHUNK at a time in the order given; callers
+    sort by length so a chunk carries little padding.
+    """
+    labels = []
+    for start in range(0, len(utterances), SCORE_CHUNK):
+        chunk = utterances[start:start + SCORE_CHUNK]
+        labels += [predict_label(logits) for logits in model_logits(model, chunk)]
+    return labels
 
 
 def evaluate(model, utts: list[LoadedUtterance], n_classes: int,
              split: str = "", checkpoint: str = "") -> EvalReport:
-    """Score a model over a split's utterances."""
+    """Score a model over a split's utterances.
+
+    Utterances are preprocessed and scored chunk by chunk in (length, path)
+    order, so the report does not depend on the order of utts.
+    """
     if not utts:
         raise ValueError("cannot evaluate an empty split")
     if model.classes != n_classes:
@@ -73,12 +97,15 @@ def evaluate(model, utts: list[LoadedUtterance], n_classes: int,
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     subj_total: dict[str, int] = {}
     subj_correct: dict[str, int] = {}
-    for u in utts:
-        streams = {k: stream_features(u.frames, k, dtype) for k in kinds}
-        pred = predict_label(model_logits(model, streams))
-        confusion[u.label, pred] += 1
-        subj_total[u.subject] = subj_total.get(u.subject, 0) + 1
-        subj_correct[u.subject] = subj_correct.get(u.subject, 0) + int(pred == u.label)
+    ordered = sorted(utts, key=lambda u: (u.frames.shape[0], u.path))
+    for start in range(0, len(ordered), SCORE_CHUNK):
+        chunk = ordered[start:start + SCORE_CHUNK]
+        preds = predict_labels(model, [{k: stream_features(u.frames, k, dtype) for k in kinds}
+                                       for u in chunk])
+        for u, pred in zip(chunk, preds):
+            confusion[u.label, pred] += 1
+            subj_total[u.subject] = subj_total.get(u.subject, 0) + 1
+            subj_correct[u.subject] = subj_correct.get(u.subject, 0) + int(pred == u.label)
     accuracy = float(np.trace(confusion)) / len(utts)
     per_subject = {s: {"n_utterances": subj_total[s],
                        "accuracy": subj_correct[s] / subj_total[s]}

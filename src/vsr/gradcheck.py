@@ -96,21 +96,22 @@ def check_delta(rng: Rng) -> float:
     return worst
 
 
-def check_lstm(rng: Rng) -> float:
-    t_len, d_in, hidden = 4, 3, 4
+def _lstm_error(rng: Rng, seq_shape: tuple[int, ...], lengths, hidden: int) -> float:
+    """Both directions over one [T, D] sequence or a [T, B, D] batch."""
+    d_in = seq_shape[-1]
     worst = 0.0
     for reverse in (False, True):
         p = LstmParams(wx=_randn(rng, 4 * hidden, d_in),
                        wh=0.5 * _randn(rng, 4 * hidden, hidden),
                        b=_randn(rng, 4 * hidden))
-        seq = _randn(rng, t_len, d_in)
-        proj = _randn(rng, t_len, hidden)
+        seq = _randn(rng, *seq_shape)
+        proj = _randn(rng, *seq_shape[:-1], hidden)
 
         def loss(wx, wh, b, s):
-            h, _ = lstm_forward(LstmParams(wx, wh, b), s, reverse=reverse)
+            h, _ = lstm_forward(LstmParams(wx, wh, b), s, reverse=reverse, lengths=lengths)
             return float((h * proj).sum())
 
-        h, cache = lstm_forward(p, seq, reverse=reverse)
+        h, cache = lstm_forward(p, seq, reverse=reverse, lengths=lengths)
         d_seq, grads = lstm_backward(p, cache, proj)
         worst = max(
             worst,
@@ -120,6 +121,15 @@ def check_lstm(rng: Rng) -> float:
             max_rel_err(grads["b"], numerical_grad(lambda v: loss(p.wx, p.wh, v, seq), p.b)),
         )
     return worst
+
+
+def check_lstm(rng: Rng) -> float:
+    return _lstm_error(rng, (4, 3), None, hidden=4)
+
+
+def check_lstm_batch(rng: Rng) -> float:
+    """Three unequal sequences, padded one frame past the longest."""
+    return _lstm_error(rng, (5, 3, 3), [4, 2, 3], hidden=3)
 
 
 def check_blstm(rng: Rng) -> float:
@@ -205,56 +215,76 @@ def _tiny_stream(rng: Rng, input_dim: int, classes: int):
     return model
 
 
-def check_stream(rng: Rng) -> float:
-    from .model import named_params, stream_backward, stream_forward
-    t_len, input_dim, classes = 4, 4, 3
+def _stream_error(rng: Rng, lengths: tuple[int, ...]) -> float:
+    from .model import named_params, stream_backward_batch, stream_forward_batch
+    input_dim, classes = 4, 3
     model = _tiny_stream(rng, input_dim, classes)
-    seq = _randn(rng, t_len, input_dim)
-    labels = rng.integers(classes, (t_len,))
-    mask = np.ones(t_len)
+    seqs = [_randn(rng, t_len, input_dim) for t_len in lengths]
+    labels = rng.integers(classes, (sum(lengths),))
+    mask = np.ones(sum(lengths))
 
-    logits, cache = stream_forward(model, seq)
+    logits, cache = stream_forward_batch(model, seqs)
     _, d_logits = softmax_xent(logits, labels, mask)
-    grads = stream_backward(model, cache, d_logits)
+    grads = stream_backward_batch(model, cache, d_logits)
 
     def loss_fn():
-        out, _ = stream_forward(model, seq)
+        out, _ = stream_forward_batch(model, seqs)
         return softmax_xent(out, labels, mask)[0]
 
     return _check_params(named_params(model), grads, loss_fn)
 
 
-def check_fusion(rng: Rng) -> float:
-    from .model import build_fusion, fusion_backward, fusion_forward, named_params
-    t_len, input_dim, classes = 4, 4, 3
+def _fusion_error(rng: Rng, lengths: tuple[int, ...]) -> float:
+    from .model import build_fusion, fusion_backward_batch, fusion_forward_batch, named_params
+    input_dim, classes = 4, 3
     raw = _tiny_stream(rng, input_dim, classes)
     diff = _tiny_stream(rng, input_dim, classes)
     diff.net.stream_kind = "diff"
     model = build_fusion(raw, diff, hidden=2, rng=rng, dtype=np.float64)
     _jitter_biases(model, rng)
-    seqs = {"raw": _randn(rng, t_len, input_dim), "diff": _randn(rng, t_len, input_dim)}
-    labels = rng.integers(classes, (t_len,))
-    mask = np.ones(t_len)
+    seqs = {kind: [_randn(rng, t_len, input_dim) for t_len in lengths]
+            for kind in ("raw", "diff")}
+    labels = rng.integers(classes, (sum(lengths),))
+    mask = np.ones(sum(lengths))
 
-    logits, cache = fusion_forward(model, seqs)
+    logits, cache = fusion_forward_batch(model, seqs)
     _, d_logits = softmax_xent(logits, labels, mask)
-    grads = fusion_backward(model, cache, d_logits)
+    grads = fusion_backward_batch(model, cache, d_logits)
 
     def loss_fn():
-        out, _ = fusion_forward(model, seqs)
+        out, _ = fusion_forward_batch(model, seqs)
         return softmax_xent(out, labels, mask)[0]
 
     return _check_params(named_params(model), grads, loss_fn)
+
+
+def check_stream(rng: Rng) -> float:
+    return _stream_error(rng, (4,))
+
+
+def check_stream_batch(rng: Rng) -> float:
+    return _stream_error(rng, (4, 2, 3))
+
+
+def check_fusion(rng: Rng) -> float:
+    return _fusion_error(rng, (4,))
+
+
+def check_fusion_batch(rng: Rng) -> float:
+    return _fusion_error(rng, (4, 2, 3))
 
 
 CHECKS: dict[str, Callable[[Rng], float]] = {
     "fc": check_fc,
     "delta": check_delta,
     "lstm": check_lstm,
+    "lstm_batch": check_lstm_batch,
     "blstm": check_blstm,
     "softmax_xent": check_softmax_xent,
     "stream": check_stream,
+    "stream_batch": check_stream_batch,
     "fusion": check_fusion,
+    "fusion_batch": check_fusion_batch,
 }
 
 

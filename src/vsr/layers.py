@@ -6,7 +6,12 @@ gradients. Layers never mutate their inputs, so concurrent evaluation on
 distinct sequences is safe.
 
 Shapes follow the conventions: frame batches are [N, D] with one row per
-frame, sequences are [T, D] in time order, weight sheets are [out, in].
+frame, weight sheets are [out, in]. Sequence layers (deltas, LSTM, BLSTM)
+take a time-major batch [T, B, D] plus per-sequence `lengths` (sequence b
+fills its first lengths[b] frames; None means all T), or a single [T, D]
+sequence, which runs the same code as a batch of one. Rows past a
+sequence's end are padding: zero in sequence-layer outputs and input
+gradients, ignored in upstream gradients.
 """
 
 from __future__ import annotations
@@ -55,8 +60,11 @@ def fc_forward(layer: FcLayer, x: np.ndarray):
     return y, (x, y)
 
 
-def fc_backward(layer: FcLayer, cache, d_out: np.ndarray):
-    """Returns (d_x, d_w, d_b). relu'(0) is taken as 0."""
+def fc_backward(layer: FcLayer, cache, d_out: np.ndarray, input_grad: bool = True):
+    """Returns (d_x, d_w, d_b); d_x is None when input_grad is False.
+
+    relu'(0) is taken as 0.
+    """
     x, y = cache
     if layer.activation == "relu":
         d_pre = d_out * (y > 0)
@@ -68,8 +76,39 @@ def fc_backward(layer: FcLayer, cache, d_out: np.ndarray):
     else:
         d_w = d_pre.T @ x
         d_b = d_pre.sum(axis=0)
-    d_x = d_pre @ layer.w
+    d_x = d_pre @ layer.w if input_grad else None
     return d_x, d_w, d_b
+
+
+# ---------------------------------------------------------------------------
+# batches of sequences
+# ---------------------------------------------------------------------------
+
+def _as_batch(seq: np.ndarray, lengths=None):
+    """View [T, D] as a batch of one [T, 1, D]; check lengths against [T, B, D].
+
+    Returns (x, lengths) with lengths an int array, all T when None is given.
+    """
+    x = seq[:, None] if seq.ndim == 2 else seq
+    if x.ndim != 3:
+        raise ValueError(f"expected [T, D] or [T, B, D], got shape {seq.shape}")
+    t_len, batch = x.shape[:2]
+    if t_len < 1 or batch < 1:
+        raise ValueError("a batch needs at least one frame and one sequence")
+    if lengths is None:
+        return x, np.full(batch, t_len)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > t_len:
+        raise ValueError(f"lengths {lengths.tolist()} do not fit {batch} sequences "
+                         f"of at most {t_len} frames")
+    return x, lengths
+
+
+def _padding_mask(lengths: np.ndarray, t_len: int):
+    """[T, B] True on frames past each sequence's end; None if there are none."""
+    if lengths.min() == t_len:
+        return None
+    return np.arange(t_len)[:, None] >= lengths
 
 
 # ---------------------------------------------------------------------------
@@ -86,56 +125,77 @@ class DeltaWindow:
         if self.theta < 1:
             raise ValueError(f"delta window must be >= 1, got {self.theta}")
 
+    @property
+    def denom(self) -> float:
+        return 2.0 * sum(k * k for k in range(1, self.theta + 1))
 
-def delta_forward(seq: np.ndarray, win: DeltaWindow) -> np.ndarray:
+
+def delta_forward(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
     """d_t = sum_k k*(c_{t+k} - c_{t-k}) / (2*sum_k k^2), edges replicated.
 
-    A constant sequence maps to exactly zero: every term is a difference of
-    identical values.
+    seq is one [T, D] sequence or a time-major [T, B, D] batch; frame
+    indices clamp into each sequence's own lengths[b] frames, and rows past
+    a sequence's end come out zero. A constant sequence maps to exactly
+    zero: every term is a difference of identical values.
     """
-    t_len = seq.shape[0]
-    if t_len < 1:
-        raise ValueError("delta_forward needs at least one frame")
-    denom = 2.0 * sum(k * k for k in range(1, win.theta + 1))
-    idx = np.arange(t_len)
-    out = np.zeros_like(seq)
-    for k in range(1, win.theta + 1):
-        fwd = np.minimum(idx + k, t_len - 1)
-        bwd = np.maximum(idx - k, 0)
-        out += (k / denom) * (seq[fwd] - seq[bwd])
-    return out
+    x, lengths = _as_batch(seq, lengths)
+    t_len, theta = x.shape[0], win.theta
+    # ext[s] is frame s - theta clamped into its own sequence, so every
+    # shifted window below is a plain slice
+    src = np.clip(np.arange(-theta, t_len + theta)[:, None], 0, lengths - 1)
+    ext = x[src, np.arange(x.shape[1])]
+    out = np.zeros_like(x)
+    for k in range(1, theta + 1):
+        out += (k / win.denom) * (ext[theta + k:theta + k + t_len]
+                                  - ext[theta - k:theta - k + t_len])
+    pad = _padding_mask(lengths, t_len)
+    if pad is not None:
+        out[pad] = 0.0
+    return out.reshape(seq.shape)
 
 
-def delta_backward(d_out: np.ndarray, win: DeltaWindow) -> np.ndarray:
-    """Adjoint of delta_forward (the map is linear)."""
-    t_len = d_out.shape[0]
-    denom = 2.0 * sum(k * k for k in range(1, win.theta + 1))
-    idx = np.arange(t_len)
-    d_seq = np.zeros_like(d_out)
-    for k in range(1, win.theta + 1):
-        coeff = k / denom
-        fwd = np.minimum(idx + k, t_len - 1)
-        bwd = np.maximum(idx - k, 0)
-        np.add.at(d_seq, fwd, coeff * d_out)
-        np.add.at(d_seq, bwd, -coeff * d_out)
-    return d_seq
+def delta_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
+    """Adjoint of delta_forward (the map is linear); padded rows are ignored."""
+    d, lengths = _as_batch(d_out, lengths)
+    t_len, batch = d.shape[:2]
+    theta = win.theta
+    pad = _padding_mask(lengths, t_len)
+    if pad is not None:
+        d = d.copy()
+        d[pad] = 0.0
+    d_ext = np.zeros((t_len + 2 * theta, *d.shape[1:]), dtype=d.dtype)
+    for k in range(1, theta + 1):
+        coeff = k / win.denom
+        d_ext[theta + k:theta + k + t_len] += coeff * d
+        d_ext[theta - k:theta - k + t_len] -= coeff * d
+    # ext rows map one to one onto frames, except the theta rows beyond
+    # either end of a sequence, which all read its edge frame
+    cols = np.arange(batch)
+    head = d_ext[:theta].sum(axis=0)
+    tail = d_ext[lengths + theta + np.arange(theta)[:, None], cols].sum(axis=0)
+    d_seq = d_ext[theta:theta + t_len]
+    d_seq[0] += head
+    d_seq[lengths - 1, cols] += tail
+    if pad is not None:
+        d_seq[pad] = 0.0
+    return d_seq.reshape(d_out.shape)
 
 
-def append_deltas(seq: np.ndarray, win: DeltaWindow) -> np.ndarray:
-    """[T, D] -> [T, 3D]: the sequence with delta and delta-delta appended."""
-    d1 = delta_forward(seq, win)
-    d2 = delta_forward(d1, win)
-    return np.concatenate([seq, d1, d2], axis=1)
+def append_deltas(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
+    """[T, (B,) D] -> [T, (B,) 3D]: the sequence with delta and delta-delta appended."""
+    d1 = delta_forward(seq, win, lengths)
+    d2 = delta_forward(d1, win, lengths)
+    return np.concatenate([seq, d1, d2], axis=-1)
 
 
-def append_deltas_backward(d_out: np.ndarray, win: DeltaWindow) -> np.ndarray:
-    width = d_out.shape[1]
+def append_deltas_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
+    width = d_out.shape[-1]
     if width % 3 != 0:
         raise ValueError(f"append_deltas output width {width} not divisible by 3")
     d = width // 3
-    d_seq = d_out[:, :d].copy()
-    d_seq += delta_backward(d_out[:, d:2 * d], win)
-    d_seq += delta_backward(delta_backward(d_out[:, 2 * d:], win), win)
+    d_seq = d_out[..., :d].copy()
+    d_seq += delta_backward(d_out[..., d:2 * d], win, lengths)
+    d_seq += delta_backward(delta_backward(d_out[..., 2 * d:], win, lengths), win, lengths)
     return d_seq
 
 
@@ -166,84 +226,138 @@ def lstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE,
     return LstmParams(wx=wx, wh=wh, b=b)
 
 
-def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False):
-    """Run the LSTM recurrence over [T, D]; returns ([T, H], cache).
+def _recurrence_slots(lengths: np.ndarray, steps: int, reverse: bool):
+    """Valid frames in recurrence order, or None when all run every step.
 
-    With reverse=True the recurrence runs over the time-reversed sequence
-    and the output is re-reversed, so output row t still describes frame t.
+    Returns ((step, col), (time, col)) index arrays: the recurrence slot of
+    each valid frame and the input frame it reads, ordered by step then
+    sequence. Reversed sequences read lengths[b] - 1 - step.
     """
-    t_len = seq.shape[0]
-    if t_len < 1:
-        raise ValueError("lstm_forward needs at least one frame")
-    if seq.shape[1] != p.wx.shape[1]:
-        raise ValueError(f"lstm input width {seq.shape[1]} != weight width {p.wx.shape[1]}")
-    hidden = p.hidden
-    x = seq[::-1] if reverse else seq
-    xz = x @ p.wx.T  # input contribution for all steps at once
-    gates = np.empty((t_len, 4 * hidden), dtype=seq.dtype)
-    c_seq = np.empty((t_len, hidden), dtype=seq.dtype)
-    tc_seq = np.empty((t_len, hidden), dtype=seq.dtype)
-    h_seq = np.empty((t_len, hidden), dtype=seq.dtype)
-    h_prev = np.zeros(hidden, dtype=seq.dtype)
-    c_prev = np.zeros(hidden, dtype=seq.dtype)
-    for t in range(t_len):
-        z = xz[t] + p.wh @ h_prev + p.b
-        i = sigmoid(z[:hidden])
-        f = sigmoid(z[hidden:2 * hidden])
-        g = np.tanh(z[2 * hidden:3 * hidden])
-        o = sigmoid(z[3 * hidden:])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[t, :hidden] = i
-        gates[t, hidden:2 * hidden] = f
-        gates[t, 2 * hidden:3 * hidden] = g
-        gates[t, 3 * hidden:] = o
-        c_seq[t] = c
-        tc_seq[t] = tc
-        h_seq[t] = h
-        h_prev, c_prev = h, c
+    if lengths.min() == steps:
+        return None
+    step, col = np.nonzero(np.arange(steps)[:, None] < lengths)
+    time = lengths[col] - 1 - step if reverse else step
+    return (step, col), (time, col)
+
+
+def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=None):
+    """Run the LSTM recurrence over a time-major batch; returns (h, cache).
+
+    seq is [T, B, D] with sequence b in its first lengths[b] frames (all T
+    when lengths is None), or a single [T, D] sequence; h is [T, B, H] or
+    [T, H] to match. Once a sequence ends its h and c hold still, and its
+    output rows past the end are zero. With reverse=True each sequence runs
+    backward over its own frames and the output is flipped back, so output
+    row t still describes frame t.
+
+    Only valid frames enter the input projection (gathered, projected,
+    scattered back), and the recurrence stops at the longest sequence, so
+    the padding length changes no bit of the result.
+    """
+    x, lengths = _as_batch(seq, lengths)
+    if x.shape[2] != p.wx.shape[1]:
+        raise ValueError(f"lstm input width {x.shape[2]} != weight width {p.wx.shape[1]}")
+    t_len, batch, _ = x.shape
+    hidden, dtype = p.hidden, x.dtype
+    steps = int(lengths.max())
+    slots = _recurrence_slots(lengths, steps, reverse)
+    if slots is None:
+        rows = (x[steps - 1::-1] if reverse else x[:steps]).reshape(steps * batch, -1)
+        xz = (rows @ p.wx.T + p.b).reshape(steps, batch, 4 * hidden)
+    else:
+        rows = x[slots[1]]
+        xz = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
+        xz[slots[0]] = rows @ p.wx.T + p.b
+    gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
+    c_seq = np.empty((steps, batch, hidden), dtype=dtype)
+    tc_seq = np.empty_like(c_seq)
+    h_seq = np.empty_like(c_seq)
+    h = np.zeros((batch, hidden), dtype=dtype)
+    c = np.zeros_like(h)
+    live = None if slots is None else (np.arange(steps)[:, None] < lengths)[..., None]
+    wh_t = p.wh.T
+    cand = slice(2 * hidden, 3 * hidden)
+    for t in range(steps):
+        z = xz[t] + h @ wh_t
+        a = gates[t]
+        a[...] = sigmoid(z)
+        a[:, cand] = np.tanh(z[:, cand])
+        i, f, g, o = a[:, :hidden], a[:, hidden:2 * hidden], a[:, cand], a[:, 3 * hidden:]
+        c_t = np.multiply(f, c, out=c_seq[t])
+        c_t += i * g
+        np.tanh(c_t, out=tc_seq[t])
+        np.multiply(o, tc_seq[t], out=h_seq[t])
+        if live is None:
+            h, c = h_seq[t], c_t
+        else:
+            h = np.where(live[t], h_seq[t], h)
+            c = np.where(live[t], c_t, c)
     require_finite(h_seq, "lstm activations")
-    cache = (x, gates, c_seq, tc_seq, h_seq, reverse)
-    return (h_seq[::-1].copy() if reverse else h_seq), cache
+    out = np.zeros((t_len, batch, hidden), dtype=dtype)
+    if slots is None:
+        out[:steps] = h_seq[::-1] if reverse else h_seq
+    else:
+        out[slots[1]] = h_seq[slots[0]]
+    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, reverse, t_len)
+    return out.reshape(*seq.shape[:-1], hidden), cache
 
 
 def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
-    """Full backpropagation through time.
+    """Full backpropagation through time over the batch.
 
-    Returns (d_seq, grads) with grads = {"wx", "wh", "b"}.
+    d_h_seq has the forward output's shape; its rows past a sequence's end
+    are ignored. Returns (d_seq, grads) with grads = {"wx", "wh", "b"}
+    summed over the batch; d_seq rows past a sequence's end are zero.
     """
-    x, gates, c_seq, tc_seq, h_seq, reverse = cache
-    t_len, hidden = h_seq.shape
-    d_h_seq = d_h_seq[::-1] if reverse else d_h_seq
-    dz_seq = np.empty((t_len, 4 * hidden), dtype=h_seq.dtype)
-    dh_next = np.zeros(hidden, dtype=h_seq.dtype)
-    dc_next = np.zeros(hidden, dtype=h_seq.dtype)
-    wh_t = p.wh.T
-    for t in range(t_len - 1, -1, -1):
-        i = gates[t, :hidden]
-        f = gates[t, hidden:2 * hidden]
-        g = gates[t, 2 * hidden:3 * hidden]
-        o = gates[t, 3 * hidden:]
+    rows, gates, c_seq, tc_seq, h_seq, slots, reverse, t_len = cache
+    steps, batch, hidden = h_seq.shape
+    d_h = d_h_seq[:, None] if d_h_seq.ndim == 2 else d_h_seq
+    if slots is None:
+        d_rec = d_h[steps - 1::-1] if reverse else d_h[:steps]
+    else:
+        d_rec = np.zeros_like(h_seq)
+        d_rec[slots[0]] = d_h[slots[1]]
+    # a padded slot has zero upstream gradient and comes after its
+    # sequence's last step, so its dz is exactly zero without masking
+    dz_seq = np.empty_like(gates)
+    dh_next = np.zeros((batch, hidden), dtype=h_seq.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for t in range(steps - 1, -1, -1):
+        i = gates[t, :, :hidden]
+        f = gates[t, :, hidden:2 * hidden]
+        g = gates[t, :, 2 * hidden:3 * hidden]
+        o = gates[t, :, 3 * hidden:]
         tc = tc_seq[t]
         c_prev = c_seq[t - 1] if t > 0 else 0.0
-        dh = d_h_seq[t] + dh_next
+        dh = d_rec[t] + dh_next
         dc = dh * o * (1.0 - tc * tc) + dc_next
         dz = dz_seq[t]
-        dz[:hidden] = dc * g * i * (1.0 - i)
-        dz[hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
-        dz[2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
-        dz[3 * hidden:] = dh * tc * o * (1.0 - o)
-        dh_next = wh_t @ dz
+        dz[:, :hidden] = dc * g * i * (1.0 - i)
+        dz[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
+        dz[:, 3 * hidden:] = dh * tc * o * (1.0 - o)
+        dh_next = dz @ p.wh
         dc_next = dc * f
-    d_wx = dz_seq.T @ x
-    # initial h is zero, so step 0 contributes nothing to wh
-    d_wh = dz_seq[1:].T @ h_seq[:-1] if t_len > 1 else np.zeros_like(p.wh)
-    d_b = dz_seq.sum(axis=0)
-    d_x = dz_seq @ p.wx
-    if reverse:
-        d_x = d_x[::-1].copy()
-    return d_x, {"wx": d_wx, "wh": d_wh, "b": d_b}
+    # reductions run over valid slots only; the initial h is zero, so
+    # first steps contribute nothing to wh
+    if slots is None:
+        dz_rows = dz_seq.reshape(steps * batch, -1)
+        d_wh = dz_seq[1:].reshape(-1, 4 * hidden).T @ h_seq[:-1].reshape(-1, hidden)
+    else:
+        dz_rows = dz_seq[slots[0]]
+        step, col = slots[0]
+        later = step > 0
+        d_wh = dz_seq[step[later], col[later]].T @ h_seq[step[later] - 1, col[later]]
+    d_wx = dz_rows.T @ rows
+    d_b = dz_rows.sum(axis=0)
+    d_rows = dz_rows @ p.wx
+    d_x = np.zeros((t_len, batch, d_rows.shape[1]), dtype=d_rows.dtype)
+    if slots is None:
+        d_steps = d_rows.reshape(steps, batch, -1)
+        d_x[:steps] = d_steps[::-1] if reverse else d_steps
+    else:
+        d_x[slots[1]] = d_rows
+    return d_x.reshape(*d_h_seq.shape[:-1], -1), {"wx": d_wx, "wh": d_wh, "b": d_b}
 
 
 @dataclass
@@ -262,18 +376,18 @@ def blstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> Bl
                  bwd=lstm_init(input_dim, hidden, rng, dtype))
 
 
-def blstm_forward(bl: Blstm, seq: np.ndarray):
-    """[T, D] -> [T, 2H]: forward-time and reverse-time states concatenated."""
-    h_f, cache_f = lstm_forward(bl.fwd, seq)
-    h_b, cache_b = lstm_forward(bl.bwd, seq, reverse=True)
-    return np.concatenate([h_f, h_b], axis=1), (cache_f, cache_b)
+def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None):
+    """[T, (B,) D] -> [T, (B,) 2H]: forward-time and reverse-time states concatenated."""
+    h_f, cache_f = lstm_forward(bl.fwd, seq, lengths=lengths)
+    h_b, cache_b = lstm_forward(bl.bwd, seq, reverse=True, lengths=lengths)
+    return np.concatenate([h_f, h_b], axis=-1), (cache_f, cache_b)
 
 
 def blstm_backward(bl: Blstm, cache, d_out: np.ndarray):
     cache_f, cache_b = cache
     hidden = bl.hidden
-    d_seq_f, grads_f = lstm_backward(bl.fwd, cache_f, d_out[:, :hidden])
-    d_seq_b, grads_b = lstm_backward(bl.bwd, cache_b, d_out[:, hidden:])
+    d_seq_f, grads_f = lstm_backward(bl.fwd, cache_f, d_out[..., :hidden])
+    d_seq_b, grads_b = lstm_backward(bl.bwd, cache_b, d_out[..., hidden:])
     return d_seq_f + d_seq_b, {"fwd": grads_f, "bwd": grads_b}
 
 

@@ -6,8 +6,11 @@ result. Single-stream models put a linear classifier head on the BLSTM
 output; the fusion model concatenates the two stream BLSTM outputs per
 frame, runs a further BLSTM, and classifies per frame.
 
-Training-path entry points operate on lists of sequences so the frame
-encoder can run as one matrix product over every valid frame in the batch.
+Entry points take a list of variable-length sequences. The frame encoder
+runs as one matrix product over the concatenated valid frames; its output
+is then zero-padded into a time-major [T_max, B, D] batch with per-sequence
+lengths, and the deltas and every BLSTM run once over the whole batch.
+Logits come back stacked [sum(T), K] in the order of the input list.
 """
 
 from __future__ import annotations
@@ -199,74 +202,80 @@ def _encoder_forward(layers: list[FcLayer], frames: np.ndarray):
 
 
 def _encoder_backward(layers: list[FcLayer], caches, d_out: np.ndarray,
-                      grads: dict[str, np.ndarray], prefix: str):
+                      grads: dict[str, np.ndarray], prefix: str) -> None:
     d = d_out
     for k in range(len(layers) - 1, -1, -1):
-        d, d_w, d_b = fc_backward(layers[k], caches[k], d)
+        # nothing consumes the gradient of the input frames
+        d, d_w, d_b = fc_backward(layers[k], caches[k], d, input_grad=k > 0)
         grads[f"{prefix}enc{k}.w"] = d_w
         grads[f"{prefix}enc{k}.b"] = d_b
-    return d
 
 
-def _net_tail_forward(net: StreamNet, bottleneck_seqs: list[np.ndarray]):
-    """Delta append + BLSTM, per sequence, over encoder outputs."""
-    outs, caches = [], []
-    for seq in bottleneck_seqs:
-        feat = append_deltas(seq, net.delta)
-        out, cache = blstm_forward(net.blstm, feat)
-        outs.append(out)
-        caches.append(cache)
-    return outs, caches
-
-
-def _net_forward(net: StreamNet, seqs: list[np.ndarray]):
-    """Encoder over all frames at once, then per-sequence delta + BLSTM."""
-    lengths = [s.shape[0] for s in seqs]
-    frames = np.concatenate(seqs, axis=0)
-    enc_out, enc_caches = _encoder_forward(net.encoder, frames)
-    splits = np.cumsum(lengths)[:-1]
-    outs, tail_caches = _net_tail_forward(net, np.split(enc_out, splits))
-    return outs, (lengths, enc_caches, tail_caches)
-
-
-def _net_backward(net: StreamNet, cache, d_outs: list[np.ndarray],
-                  grads: dict[str, np.ndarray], prefix: str = ""):
-    lengths, enc_caches, tail_caches = cache
-    d_enc_rows = []
-    bl_grads = None
-    for tail_cache, d_out in zip(tail_caches, d_outs):
-        d_feat, g = blstm_backward(net.blstm, tail_cache, d_out)
-        d_enc_rows.append(append_deltas_backward(d_feat, net.delta))
-        if bl_grads is None:
-            bl_grads = g
-        else:
-            for half in ("fwd", "bwd"):
-                for name in ("wx", "wh", "b"):
-                    bl_grads[half][name] += g[half][name]
+def _blstm_grads(grads: dict[str, np.ndarray], prefix: str, g) -> None:
     for half in ("fwd", "bwd"):
         for name in ("wx", "wh", "b"):
-            grads[f"{prefix}blstm.{half}.{name}"] = bl_grads[half][name]
-    return _encoder_backward(net.encoder, enc_caches, np.concatenate(d_enc_rows, axis=0),
-                             grads, prefix)
+            grads[f"{prefix}.{half}.{name}"] = g[half][name]
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where the frames of a list of sequences sit in a time-major batch."""
+
+    lengths: np.ndarray  # [B]
+    slots: tuple[np.ndarray, np.ndarray]  # (time, sequence) of each concatenated frame
+
+    def pad(self, rows: np.ndarray) -> np.ndarray:
+        """[sum(T), D] concatenated frames -> zero-padded [T_max, B, D]."""
+        out = np.zeros((int(self.lengths.max()), len(self.lengths), rows.shape[1]),
+                       dtype=rows.dtype)
+        out[self.slots] = rows
+        return out
+
+
+def _layout(seqs: list[np.ndarray]) -> _Layout:
+    if not seqs:
+        raise ValueError("a batch needs at least one sequence")
+    lengths = np.array([s.shape[0] for s in seqs], dtype=np.intp)
+    slots = (np.concatenate([np.arange(n) for n in lengths]),
+             np.repeat(np.arange(len(lengths)), lengths))
+    return _Layout(lengths, slots)
+
+
+def _net_forward(net: StreamNet, seqs: list[np.ndarray], layout: _Layout):
+    """Encoder over all frames at once, then delta + BLSTM over the padded batch.
+
+    Returns the BLSTM output as a time-major [T_max, B, 2H] batch.
+    """
+    enc_out, enc_caches = _encoder_forward(net.encoder, np.concatenate(seqs, axis=0))
+    feat = append_deltas(layout.pad(enc_out), net.delta, layout.lengths)
+    out, bl_cache = blstm_forward(net.blstm, feat, layout.lengths)
+    return out, (enc_caches, bl_cache)
+
+
+def _net_backward(net: StreamNet, cache, layout: _Layout, d_out: np.ndarray,
+                  grads: dict[str, np.ndarray], prefix: str = "") -> None:
+    enc_caches, bl_cache = cache
+    d_feat, g = blstm_backward(net.blstm, bl_cache, d_out)
+    _blstm_grads(grads, f"{prefix}blstm", g)
+    d_enc = append_deltas_backward(d_feat, net.delta, layout.lengths)[layout.slots]
+    _encoder_backward(net.encoder, enc_caches, d_enc, grads, prefix)
 
 
 def stream_forward_batch(model: SingleStreamModel, seqs: list[np.ndarray]):
     """Logits for every frame of every sequence, stacked [sum(T), K]."""
-    outs, net_cache = _net_forward(model.net, seqs)
-    bl_all = np.concatenate(outs, axis=0)
-    logits, head_cache = fc_forward(model.head, bl_all)
+    layout = _layout(seqs)
+    out, net_cache = _net_forward(model.net, seqs, layout)
+    logits, head_cache = fc_forward(model.head, out[layout.slots])
     require_finite(logits, "stream logits")
-    return logits, (net_cache, head_cache)
+    return logits, (layout, net_cache, head_cache)
 
 
 def stream_backward_batch(model: SingleStreamModel, cache,
                           d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    net_cache, head_cache = cache
-    lengths = net_cache[0]
+    layout, net_cache, head_cache = cache
     grads: dict[str, np.ndarray] = {}
     d_bl, grads["head.w"], grads["head.b"] = fc_backward(model.head, head_cache, d_logits)
-    d_outs = np.split(d_bl, np.cumsum(lengths)[:-1])
-    _net_backward(model.net, net_cache, d_outs, grads)
+    _net_backward(model.net, net_cache, layout, layout.pad(d_bl), grads)
     return grads
 
 
@@ -280,8 +289,8 @@ def stream_backward(model: SingleStreamModel, cache, d_logits: np.ndarray):
 
 def net_forward_single(net: StreamNet, seq: np.ndarray) -> np.ndarray:
     """BLSTM output [T, 2H] for one sequence (inference only, no cache kept)."""
-    outs, _ = _net_forward(net, [seq])
-    return outs[0]
+    out, _ = _net_forward(net, [seq], _layout([seq]))
+    return out[:, 0]
 
 
 def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]]):
@@ -292,44 +301,26 @@ def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]]):
     for r, d in zip(raw_seqs, diff_seqs):
         if r.shape[0] != d.shape[0]:
             raise ValueError(f"stream length mismatch: raw {r.shape[0]} vs diff {d.shape[0]}")
-    raw_outs, raw_cache = _net_forward(model.raw, raw_seqs)
-    diff_outs, diff_cache = _net_forward(model.diff, diff_seqs)
-    fused = [np.concatenate([r, d], axis=1) for r, d in zip(raw_outs, diff_outs)]
-    fb_outs, fb_caches = [], []
-    for seq in fused:
-        out, cache = blstm_forward(model.fusion_blstm, seq)
-        fb_outs.append(out)
-        fb_caches.append(cache)
-    logits, out_cache = fc_forward(model.out, np.concatenate(fb_outs, axis=0))
+    layout = _layout(raw_seqs)
+    raw_out, raw_cache = _net_forward(model.raw, raw_seqs, layout)
+    diff_out, diff_cache = _net_forward(model.diff, diff_seqs, layout)
+    fused = np.concatenate([raw_out, diff_out], axis=2)
+    fb_out, fb_cache = blstm_forward(model.fusion_blstm, fused, layout.lengths)
+    logits, out_cache = fc_forward(model.out, fb_out[layout.slots])
     require_finite(logits, "fusion logits")
-    lengths = [s.shape[0] for s in raw_seqs]
-    return logits, (lengths, raw_cache, diff_cache, fb_caches, out_cache)
+    return logits, (layout, raw_cache, diff_cache, fb_cache, out_cache)
 
 
 def fusion_backward_batch(model: FusionModel, cache,
                           d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    lengths, raw_cache, diff_cache, fb_caches, out_cache = cache
+    layout, raw_cache, diff_cache, fb_cache, out_cache = cache
     grads: dict[str, np.ndarray] = {}
     d_fb, grads["out.w"], grads["out.b"] = fc_backward(model.out, out_cache, d_logits)
-    d_fb_seqs = np.split(d_fb, np.cumsum(lengths)[:-1])
+    d_fused, g = blstm_backward(model.fusion_blstm, fb_cache, layout.pad(d_fb))
+    _blstm_grads(grads, "fusion_blstm", g)
     width = 2 * model.raw.blstm.hidden
-    d_raw_outs, d_diff_outs = [], []
-    fb_grads = None
-    for fb_cache, d_out in zip(fb_caches, d_fb_seqs):
-        d_fused, g = blstm_backward(model.fusion_blstm, fb_cache, d_out)
-        d_raw_outs.append(d_fused[:, :width])
-        d_diff_outs.append(d_fused[:, width:])
-        if fb_grads is None:
-            fb_grads = g
-        else:
-            for half in ("fwd", "bwd"):
-                for name in ("wx", "wh", "b"):
-                    fb_grads[half][name] += g[half][name]
-    for half in ("fwd", "bwd"):
-        for name in ("wx", "wh", "b"):
-            grads[f"fusion_blstm.{half}.{name}"] = fb_grads[half][name]
-    _net_backward(model.raw, raw_cache, d_raw_outs, grads, "raw.")
-    _net_backward(model.diff, diff_cache, d_diff_outs, grads, "diff.")
+    _net_backward(model.raw, raw_cache, layout, d_fused[..., :width], grads, "raw.")
+    _net_backward(model.diff, diff_cache, layout, d_fused[..., width:], grads, "diff.")
     return grads
 
 

@@ -1,10 +1,13 @@
 """Two-stage training: single streams end to end, then fusion fine-tuning.
 
-Batches hold zero-padded sequence tensors with 0/1 frame masks; the padded
-region never reaches the network (valid frames are gathered by length
-before the forward pass), so padding length cannot influence a single bit
-of the result. Early stopping watches validation utterance accuracy and
-restores the best epoch's weights.
+Batches hold zero-padded sequence tensors with 0/1 frame masks. A step
+hands the model each sequence's valid frames; the model runs its encoder
+over those frames and its BLSTMs over a time-major batch padded only to
+the longest sequence, with masks keeping padded frames out of every
+result, so the batch's padding length cannot influence a single bit.
+Validation scores through the same chunked path as evaluation. Early
+stopping watches validation utterance accuracy and restores the best
+epoch's weights.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import LoadedUtterance, stream_features
+from .evaluation import predict_labels
 from .model import (FusionModel, SingleStreamModel, astype_model, build_fusion,
                     clip_group, fusion_forward_batch, fusion_backward_batch,
-                    named_params, predict_label, stream_backward_batch,
-                    stream_forward_batch)
+                    named_params, stream_backward_batch, stream_forward_batch)
 from .numerics import Adam, NonFiniteError, Rng, clip_global_norm
 from .layers import softmax_xent
 
@@ -200,23 +203,14 @@ def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> flo
     return total_loss / total_frames
 
 
-def _model_logits(model, sample: SeqSample) -> np.ndarray:
-    if isinstance(model, SingleStreamModel):
-        kind = model.net.stream_kind
-        logits, _ = stream_forward_batch(model, [sample.streams[kind]])
-    else:
-        logits, _ = fusion_forward_batch(
-            model, {"raw": [sample.streams["raw"]], "diff": [sample.streams["diff"]]})
-    return logits
-
-
 def _validation_accuracy(model, samples: list[SeqSample]) -> float:
-    """Utterance accuracy by per-frame majority vote. Stubbed in some tests."""
-    correct = 0
-    for sample in samples:
-        if predict_label(_model_logits(model, sample)) == sample.label:
-            correct += 1
-    return correct / len(samples)
+    """Utterance accuracy by per-frame majority vote. Stubbed in some tests.
+
+    Scores through evaluation.predict_labels, shortest utterances first.
+    """
+    ordered = sorted(samples, key=lambda s: next(iter(s.streams.values())).shape[0])
+    preds = predict_labels(model, [s.streams for s in ordered])
+    return sum(pred == s.label for pred, s in zip(preds, ordered)) / len(samples)
 
 
 def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -243,10 +243,11 @@ def test_09_metrics_match_hand_computed_values(monkeypatch):
                                                      ["sa", "sa", "sb"]))]
     preds = [0, 1, 1]
 
-    def scripted(model, streams):
-        row = np.zeros((1, 2))
-        row[0, preds.pop(0)] = 10.0
-        return row
+    def scripted(model, chunk):
+        rows = [np.zeros((1, 2)) for _ in chunk]
+        for row in rows:
+            row[0, preds.pop(0)] = 10.0
+        return rows
 
     monkeypatch.setattr(evaluation, "model_logits", scripted)
     model = build_stream(input_dim=16, classes=2, hidden=2, rng=Rng(0),

@@ -34,11 +34,13 @@ def scripted_logits(predictions):
     """Replacement for evaluation.model_logits: plays back fixed predictions."""
     queue = list(predictions)
 
-    def fake(model, streams):
-        k = queue.pop(0)
-        row = np.zeros((1, model.classes))
-        row[0, k] = 10.0
-        return row
+    def fake(model, chunk):
+        rows = []
+        for _ in chunk:
+            row = np.zeros((1, model.classes))
+            row[0, queue.pop(0)] = 10.0
+            rows.append(row)
+        return rows
 
     return fake
 
