@@ -133,18 +133,30 @@ def save_manifest(root, manifest: DatasetManifest) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _manifest_object(path, lineno: int, line: str, keys: tuple[str, ...]) -> dict:
+    """Parse one manifest line as a JSON object holding every one of keys."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} line {lineno}: expected a JSON object, "
+                         f"got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{path} line {lineno}: missing key {key!r}")
+    return obj
+
+
 def load_manifest(root) -> DatasetManifest:
     path = os.path.join(root, MANIFEST_NAME)
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty manifest at {path}")
-    header = json.loads(lines[0])
+    header = _manifest_object(path, *lines[0], ("classes", "height", "width"))
     classes = header["classes"]
     records = []
     seen_paths = set()
-    for ln in lines[1:]:
-        obj = json.loads(ln)
+    for lineno, ln in lines[1:]:
+        obj = _manifest_object(path, lineno, ln, ("path", "subject", "label"))
         rec = UtteranceRecord(path=obj["path"], subject=obj["subject"],
                               label=int(obj["label"]))
         if not rec.subject:

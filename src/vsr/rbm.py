@@ -50,12 +50,26 @@ def rbm_init(visible: int, hidden: int, hidden_kind: str, rng: Rng,
                        hbias=np.zeros(hidden, dtype=dtype), hidden_kind=hidden_kind)
 
 
-def hidden_mean(rbm: GaussianRbm, v: np.ndarray) -> np.ndarray:
-    """Mean hidden activity for visibles [visible] or a batch [B, visible]."""
+def _preactivation(rbm: GaussianRbm, v: np.ndarray) -> np.ndarray:
     if v.shape[-1] != rbm.w.shape[1]:
         raise ValueError(f"visible width {v.shape[-1]} != rbm visible {rbm.w.shape[1]}")
-    a = v @ rbm.w.T + rbm.hbias
+    return v @ rbm.w.T + rbm.hbias
+
+
+def _mean_from(rbm: GaussianRbm, a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0) if rbm.hidden_kind == "rectified" else a
+
+
+def _sample_from(rbm: GaussianRbm, a: np.ndarray, rng: Rng) -> np.ndarray:
+    noise = rng.normal(a.shape).astype(a.dtype)
+    if rbm.hidden_kind == "rectified":
+        return np.maximum(a + np.sqrt(sigmoid(a)) * noise, 0)
+    return a + noise
+
+
+def hidden_mean(rbm: GaussianRbm, v: np.ndarray) -> np.ndarray:
+    """Mean hidden activity for visibles [visible] or a batch [B, visible]."""
+    return _mean_from(rbm, _preactivation(rbm, v))
 
 
 def sample_hidden(rbm: GaussianRbm, v: np.ndarray, rng: Rng) -> np.ndarray:
@@ -64,11 +78,7 @@ def sample_hidden(rbm: GaussianRbm, v: np.ndarray, rng: Rng) -> np.ndarray:
     Rectified units: max(0, a + eps), eps ~ Normal(0, sigmoid(a)).
     Linear units: a + Normal(0, 1).
     """
-    a = v @ rbm.w.T + rbm.hbias
-    noise = rng.normal(a.shape).astype(a.dtype)
-    if rbm.hidden_kind == "rectified":
-        return np.maximum(a + np.sqrt(sigmoid(a)) * noise, 0)
-    return a + noise
+    return _sample_from(rbm, _preactivation(rbm, v), rng)
 
 
 def reconstruct_visible(rbm: GaussianRbm, h: np.ndarray) -> np.ndarray:
@@ -91,17 +101,24 @@ def cd1_update(rbm: GaussianRbm, batch: np.ndarray, cfg: PretrainConfig,
     if batch.ndim != 2 or batch.shape[0] < 1:
         raise ValueError("cd1_update expects a non-empty [B, visible] batch")
     b = batch.shape[0]
-    h_pos = hidden_mean(rbm, batch)
-    h_sample = sample_hidden(rbm, batch, rng)
+    a_pos = _preactivation(rbm, batch)
+    h_pos = _mean_from(rbm, a_pos)
+    h_sample = _sample_from(rbm, a_pos, rng)
     v_neg = reconstruct_visible(rbm, h_sample)
     h_neg = hidden_mean(rbm, v_neg)
     require_finite(v_neg, "rbm reconstruction")
 
-    d_w = (h_pos.T @ batch - h_neg.T @ v_neg) / b - cfg.l2 * rbm.w
-    rbm.w += cfg.lr * d_w.astype(rbm.w.dtype)
-    rbm.vbias += cfg.lr * (batch - v_neg).mean(axis=0).astype(rbm.vbias.dtype)
+    d_w = h_pos.T @ batch
+    d_w -= h_neg.T @ v_neg
+    d_w /= b
+    d_w -= cfg.l2 * rbm.w
+    d_w = d_w.astype(rbm.w.dtype, copy=False)
+    d_w *= cfg.lr
+    rbm.w += d_w
+    resid = batch - v_neg
+    rbm.vbias += cfg.lr * resid.mean(axis=0).astype(rbm.vbias.dtype)
     rbm.hbias += cfg.lr * (h_pos - h_neg).mean(axis=0).astype(rbm.hbias.dtype)
-    return float(np.mean((batch - v_neg) ** 2))
+    return float(np.mean(resid ** 2))
 
 
 def train_rbm(rbm: GaussianRbm, frames: np.ndarray, cfg: PretrainConfig,

@@ -194,10 +194,13 @@ def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> flo
         if not np.isfinite(loss):
             raise TrainingDiverged(f"training loss became non-finite in batch {b_idx}")
         clip_names = clip_group(grads)
-        clipped, _ = clip_global_norm([grads[n] for n in clip_names], cfg.clip_threshold)
-        for name, g in zip(clip_names, clipped):
-            grads[name] = g
-        opt.step(trainable, {n: grads[n] for n in trainable}, cfg.lr)
+        try:
+            clipped, _ = clip_global_norm([grads[n] for n in clip_names], cfg.clip_threshold)
+            for name, g in zip(clip_names, clipped):
+                grads[name] = g
+            opt.step(trainable, {n: grads[n] for n in trainable}, cfg.lr)
+        except NonFiniteError as exc:
+            raise TrainingDiverged(f"non-finite gradient in batch {b_idx}: {exc}") from exc
         total_loss += loss * n_frames
         total_frames += n_frames
     return total_loss / total_frames

@@ -62,3 +62,19 @@ def ref_mean_std(values):
         m2 += d * (v - mean)
     std = (m2 / (n - 1)) ** 0.5 if n > 1 else 0.0
     return mean, std
+
+
+def ref_adam(param, grad, state, lr):
+    """The textbook Adam step, whole-tensor numpy expressions (mutates in place)."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * np.square(grad)
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    denom = np.sqrt(state.v / bc2)
+    denom += state.eps
+    param -= (lr / bc1) * state.m / denom
+    return param, state

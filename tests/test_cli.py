@@ -355,6 +355,21 @@ def test_evaluate_empty_split_is_an_error(dataset, raw_ckpt, capsys):
     assert "defines no val utterances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, named", [
+    ({"height": 8, "width": 9}, "missing key 'classes'"),
+    ([3, 8, 9], "expected a JSON object, got list"),
+])
+def test_evaluate_malformed_manifest_header_exits_2(dataset, raw_ckpt, tmp_path, capsys,
+                                                    header, named):
+    lines = (Path(dataset) / "manifest.jsonl").read_text().splitlines()
+    (tmp_path / "manifest.jsonl").write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    rc = main(["evaluate", "--model", str(raw_ckpt), "--data", str(tmp_path), *PROTO_ARGS])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"line 1: {named}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # repeat
 # ---------------------------------------------------------------------------

@@ -134,6 +134,36 @@ def test_manifest_rejects_empty_subject(tmp_path):
         load_manifest(tmp_path)
 
 
+@pytest.mark.parametrize("key", ["classes", "height", "width"])
+def test_manifest_header_missing_key_is_named(tmp_path, key):
+    header = {"classes": ["a"], "height": 2, "width": 2}
+    del header[key]
+    lines = [json.dumps(header), json.dumps({"path": "x.vsru", "subject": "s0", "label": 0})]
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 1: missing key '{key}'"):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["path", "subject", "label"])
+def test_manifest_record_missing_key_is_named(tmp_path, key):
+    rec = {"path": "x.vsru", "subject": "s0", "label": 0}
+    del rec[key]
+    lines = [json.dumps({"classes": ["a"], "height": 2, "width": 2}), "",
+             json.dumps({"path": "y.vsru", "subject": "s1", "label": 0}), json.dumps(rec)]
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 4: missing key '{key}'"):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "\"classes\"", "7", "null"])
+def test_manifest_lines_must_be_objects(tmp_path, line):
+    good = json.dumps({"classes": ["a"], "height": 2, "width": 2})
+    for lines, lineno in (([line], 1), ([good, line], 2)):
+        (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {lineno}: expected a JSON object"):
+            load_manifest(tmp_path)
+
+
 def test_load_utterances_selects_and_validates(tmp_path):
     frames = np.zeros((3, 4, 5), dtype=np.uint8)
     for i in range(3):

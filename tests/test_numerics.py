@@ -1,7 +1,19 @@
+import copy
+import os
+import sys
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import ref_adam
 
+import vsr.numerics as numerics
 from vsr.numerics import (
+    ADAM_BLOCK,
     Adam,
     AdamState,
     NonFiniteError,
@@ -113,6 +125,170 @@ def test_adam_rejects_shape_mismatch():
     st = AdamState.for_param(p)
     with pytest.raises(ValueError):
         adam_step(p, np.zeros(4), st, lr=0.1)
+
+
+# one element, exactly one block, one block plus one, several blocks, 0-d, 2-d
+ADAM_SHAPES = [(1,), (ADAM_BLOCK,), (ADAM_BLOCK + 1,), (3 * ADAM_BLOCK + 5,), (),
+               (4, 7), (300, 700)]
+
+
+def random_tensors(rng, shapes, dtype):
+    return {f"p{i}": np.asarray(rng.normal(shape), dtype=dtype)
+            for i, shape in enumerate(shapes)}
+
+
+def assert_same_state(opt_state, ref_state):
+    for name, ref in ref_state.items():
+        got = opt_state[name]
+        assert got.t == ref.t, name
+        assert np.array_equal(got.m, ref.m), name
+        assert np.array_equal(got.v, ref.v), name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       shapes=st.lists(st.sampled_from(ADAM_SHAPES), min_size=1, max_size=4),
+       steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       lr=st.sampled_from([0.0, 1e-4, 3e-3, 0.5]), workers=st.integers(1, 5))
+def test_adam_matches_reference_bit_for_bit(dtype, shapes, steps, seed, lr, workers):
+    """Adam.step and adam_step equal the textbook update exactly, for any
+    split of the blocks over workers."""
+    rng = Rng(seed)
+    params = random_tensors(rng, shapes, dtype)
+    ref = copy.deepcopy(params)
+    single = copy.deepcopy(params)
+    ref_state = {n: AdamState.for_param(p) for n, p in ref.items()}
+    single_state = copy.deepcopy(ref_state)
+    opt = Adam()
+    with mock.patch.object(numerics, "ADAM_WORKERS", workers):
+        for _ in range(steps):
+            grads = random_tensors(rng, shapes, dtype)
+            opt.step(params, grads, lr)
+            for name, g in grads.items():
+                ref_adam(ref[name], g, ref_state[name], lr)
+                adam_step(single[name], g, single_state[name], lr)
+    for name in params:
+        assert params[name].dtype == dtype
+        assert np.array_equal(params[name], ref[name]), name
+        assert np.array_equal(single[name], ref[name]), name
+    assert_same_state(opt.state, ref_state)
+    assert_same_state(single_state, ref_state)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_non_finite_last_gradient_changes_nothing(bad, dtype):
+    rng = Rng(5)
+    shapes = [(3 * ADAM_BLOCK + 5,), (4, 7), ()]
+    params = random_tensors(rng, shapes, dtype)
+    opt = Adam()
+    opt.step(params, random_tensors(rng, shapes, dtype), lr=0.01)
+    params["late"] = np.ones(6, dtype=dtype)  # no moments yet
+    before = copy.deepcopy(params)
+    state_before = copy.deepcopy(opt.state)
+    grads = random_tensors(rng, shapes, dtype)
+    grads["late"] = np.ones(6, dtype=dtype)
+    grads["late"][4] = bad
+    with pytest.raises(NonFiniteError, match="'late'"):
+        opt.step(params, grads, lr=0.01)
+    for name in params:
+        assert np.array_equal(params[name], before[name]), name
+    assert set(opt.state) == set(state_before)
+    assert_same_state(opt.state, state_before)
+
+
+def test_adam_screen_passes_a_finite_gradient_whose_sum_overflows():
+    p = np.zeros(4, dtype=np.float32)
+    st_ = AdamState.for_param(p)
+    with np.errstate(over="ignore"):
+        adam_step(p, np.full(4, 3e38, dtype=np.float32), st_, lr=0.1)
+    assert np.all(np.isfinite(p)) and st_.t == 1
+
+
+def test_adam_rejects_dtype_mismatch():
+    p = np.zeros(3, dtype=np.float32)
+    st_ = AdamState.for_param(p)
+    with pytest.raises(ValueError, match="dtype"):
+        adam_step(p, np.zeros(3), st_, lr=0.1)
+    assert st_.t == 0
+
+
+def test_adam_non_contiguous_param_is_updated_in_place():
+    base = Rng(2).normal((ADAM_BLOCK // 64, 130))
+    p = base[:, ::2]  # a strided view: updated as one block, still in place
+    ref = p.copy()
+    g = Rng(3).normal(p.shape)
+    opt = Adam()
+    opt.step({"p": p}, {"p": g}, lr=0.01)
+    ref_adam(ref, g, AdamState.for_param(ref), lr=0.01)
+    assert np.array_equal(base[:, ::2], ref)
+
+
+def test_adam_concurrent_callers_share_the_pool():
+    """More callers than cores, frequent thread switches: every caller still
+    gets the reference result."""
+    shapes = [(2 * ADAM_BLOCK + 3,), (50, 9)]
+    results, errors = {}, []
+
+    def run(k):
+        try:
+            rng = Rng(100 + k)
+            params = random_tensors(rng, shapes, np.float32)
+            ref = copy.deepcopy(params)
+            ref_state = {n: AdamState.for_param(p) for n, p in ref.items()}
+            opt = Adam()
+            for _ in range(3):
+                grads = random_tensors(rng, shapes, np.float32)
+                opt.step(params, grads, lr=0.01)
+                for name, g in grads.items():
+                    ref_adam(ref[name], g, ref_state[name], lr=0.01)
+            results[k] = all(np.array_equal(params[n], ref[n]) for n in params)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results == {k: True for k in range(6)}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_adam_runs_in_a_forked_child():
+    """The pool is rebuilt after fork, so a child does not wait on threads
+    it never inherited."""
+    shapes = [(3 * ADAM_BLOCK,)]
+    params = random_tensors(Rng(0), shapes, np.float32)
+    grads = random_tensors(Rng(1), shapes, np.float32)
+    with mock.patch.object(numerics, "ADAM_WORKERS", 2):
+        Adam().step(params, grads, lr=0.01)  # parent's pool threads now exist
+        pid = os.fork()
+        if pid == 0:  # child
+            code = 1
+            try:
+                Adam().step(params, grads, lr=0.01)
+                code = 0
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("Adam step in a forked child did not finish")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_clip_scales_above_threshold():

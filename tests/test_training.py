@@ -3,7 +3,7 @@ import pytest
 
 import vsr.training as training
 from vsr.layers import softmax_xent
-from vsr.model import build_stream, named_params, stream_forward_batch
+from vsr.model import build_stream, clip_group, named_params, stream_forward_batch
 from vsr.numerics import Adam, Rng
 from vsr.training import (
     Batch,
@@ -172,6 +172,31 @@ def test_train_epoch_diverges_loudly():
     cfg = TrainConfig.for_stream()
     with pytest.raises(TrainingDiverged):
         train_epoch(model, make_batches(samples, 6, Rng(8)), Adam(), cfg)
+
+
+@pytest.mark.parametrize("clipped", [False, True])
+def test_train_epoch_non_finite_gradient_names_the_batch(monkeypatch, clipped):
+    """A NaN gradient with a finite loss stops training before the step,
+    whether the clip (recurrent weights) or Adam (the head) finds it."""
+    real = training._forward_backward
+    calls = []
+
+    def poisoned(model, batch):
+        loss, grads, n = real(model, batch)
+        calls.append(None)
+        if len(calls) == 2:
+            name = clip_group(grads)[0] if clipped else "head.b"
+            grads[name][...] = np.nan
+        return loss, grads, n
+
+    monkeypatch.setattr(training, "_forward_backward", poisoned)
+    model = tiny_model()
+    samples = toy_samples(6)
+    cfg = TrainConfig.for_stream(clip_threshold=np.inf)
+    opt = Adam()
+    with pytest.raises(TrainingDiverged, match="non-finite gradient in batch 1"):
+        train_epoch(model, make_batches(samples, 3, Rng(8)), opt, cfg)
+    assert {st.t for st in opt.state.values()} == {1}
 
 
 def test_masking_padded_frames_change_nothing():
