@@ -164,25 +164,40 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-TRAIN_STREAM_DEFAULTS = {"data": None, "protocol": None, "stream": "raw",
-                         "encoder": None, "hidden": 250, "lr": 0.0003,
-                         "batch_utts": 10, "patience": 5, "clip_threshold": 5.0,
-                         "max_epochs": 200, "seed": 0, "precision": "f32",
-                         "encoder_sizes": "2000,1000,500", "bottleneck": 50,
-                         "theta": 2, "out": None, "history": None,
-                         "track_train_accuracy": None, "train_subjects": None,
-                         "val_subjects": None, "test_subjects": None}
+_FIT_DEFAULTS = {"data": None, "protocol": None, "batch_utts": 10, "patience": 5,
+                 "clip_threshold": 5.0, "max_epochs": 200, "seed": 0, "precision": "f32",
+                 "out": None, "history": None, "track_train_accuracy": None,
+                 "train_subjects": None, "val_subjects": None, "test_subjects": None}
+TRAIN_DEFAULTS = {
+    "stream": {**_FIT_DEFAULTS, "stream": "raw", "encoder": None, "hidden": 250,
+               "lr": 0.0003, "encoder_sizes": "2000,1000,500", "bottleneck": 50,
+               "theta": 2},
+    "fusion": {**_FIT_DEFAULTS, "raw": None, "diff": None, "hidden": None, "lr": 0.0001,
+               "freeze_streams": None},
+}
 
 
-def _run_stream_training(cfg: dict):
-    """Shared by train-stream and repeat so reruns match run for run."""
+def _run_training(cfg: dict, stage: str):
+    """Shared by train-stream, train-fusion and repeat so reruns match run for run."""
     manifest = load_manifest(cfg["data"])
     rng = Rng(int(cfg["seed"]))
     split = _split_for(manifest, cfg, rng, need_val=True)
-    kind = cfg["stream"]
-    train_utts = load_utterances(cfg["data"], manifest, split.train)
-    val_utts = load_utterances(cfg["data"], manifest, split.val)
-    tcfg = _train_config(cfg, "stream")
+    if stage == "fusion":
+        raw, diff = load_checkpoint(cfg["raw"]), load_checkpoint(cfg["diff"])
+        for name, m, kind in (("--raw", raw, "raw"), ("--diff", diff, "diff")):
+            if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
+                raise ValueError(f"{name} checkpoint is not a trained {kind} stream")
+    tcfg = _train_config(cfg, stage)
+    kinds = ("raw", "diff") if stage == "fusion" else (cfg["stream"],)
+    train_utts, val_utts = (load_utterances(cfg["data"], manifest, paths)
+                            for paths in (split.train, split.val))
+    train_samples = samples_from_utterances(train_utts, kinds, tcfg.dtype)
+    val_samples = samples_from_utterances(val_utts, kinds, tcfg.dtype)
+    if stage == "fusion":
+        hidden = int(cfg["hidden"]) if cfg["hidden"] else None
+        model, history = train_fusion(raw, diff, train_samples, val_samples, tcfg,
+                                      hidden=hidden)
+        return model, history, split, manifest, val_utts
     encoder_init = None
     if cfg["encoder"]:
         stack = load_checkpoint(cfg["encoder"])
@@ -191,20 +206,21 @@ def _run_stream_training(cfg: dict):
         encoder_init = stack.layers
     model = build_stream(input_dim=manifest.frame_dim,
                          classes=len(manifest.classes), hidden=int(cfg["hidden"]),
-                         rng=rng, stream_kind=kind, encoder_init=encoder_init,
+                         rng=rng, stream_kind=cfg["stream"], encoder_init=encoder_init,
                          encoder_sizes=_parse_sizes(cfg["encoder_sizes"]),
                          bottleneck=int(cfg["bottleneck"]), theta=int(cfg["theta"]),
                          dtype=tcfg.dtype)
-    train_samples = samples_from_utterances(train_utts, (kind,), tcfg.dtype)
-    val_samples = samples_from_utterances(val_utts, (kind,), tcfg.dtype)
     model, history = train_stream(model, train_samples, val_samples, tcfg)
     return model, history, split, manifest, val_utts
 
 
-def cmd_train_stream(args) -> int:
-    cfg = resolve_config(args, TRAIN_STREAM_DEFAULTS)
-    _require(cfg, ["data", "protocol", "out"], "train-stream")
-    model, history, split, manifest, val_utts = _run_stream_training(cfg)
+def cmd_train(args) -> int:
+    """train-stream or train-fusion, as the subparser set args.stage."""
+    stage = args.stage
+    cfg = resolve_config(args, TRAIN_DEFAULTS[stage])
+    inputs = ["raw", "diff"] if stage == "fusion" else []
+    _require(cfg, ["data", "protocol", *inputs, "out"], f"train-{stage}")
+    model, history, split, manifest, val_utts = _run_training(cfg, stage)
     history.config.update(cfg)
     save_checkpoint(cfg["out"], model,
                     extra_meta={"config": _canon(cfg), "seed": str(cfg["seed"])})
@@ -212,53 +228,8 @@ def cmd_train_stream(args) -> int:
     report = evaluate(model, val_utts, len(manifest.classes), split="val",
                       checkpoint=os.path.basename(cfg["out"]))
     _write(cfg["out"] + ".val.json", render_report(report, "json"))
-    print(f"trained {cfg['stream']} stream: best epoch {history.best_epoch}, "
-          f"val accuracy {history.best_val_accuracy:.4f} "
-          f"({history.stop_reason}) -> {cfg['out']}")
-    return 0
-
-
-TRAIN_FUSION_DEFAULTS = {"data": None, "protocol": None, "raw": None,
-                         "diff": None, "hidden": None, "lr": 0.0001,
-                         "batch_utts": 10, "patience": 5, "clip_threshold": 5.0,
-                         "max_epochs": 200, "seed": 0, "precision": "f32",
-                         "freeze_streams": None, "out": None, "history": None,
-                         "track_train_accuracy": None, "train_subjects": None,
-                         "val_subjects": None, "test_subjects": None}
-
-
-def _run_fusion_training(cfg: dict):
-    manifest = load_manifest(cfg["data"])
-    rng = Rng(int(cfg["seed"]))
-    split = _split_for(manifest, cfg, rng, need_val=True)
-    raw = load_checkpoint(cfg["raw"])
-    diff = load_checkpoint(cfg["diff"])
-    for name, m, kind in (("--raw", raw, "raw"), ("--diff", diff, "diff")):
-        if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
-            raise ValueError(f"{name} checkpoint is not a trained {kind} stream")
-    tcfg = _train_config(cfg, "fusion")
-    train_utts = load_utterances(cfg["data"], manifest, split.train)
-    val_utts = load_utterances(cfg["data"], manifest, split.val)
-    train_samples = samples_from_utterances(train_utts, ("raw", "diff"), tcfg.dtype)
-    val_samples = samples_from_utterances(val_utts, ("raw", "diff"), tcfg.dtype)
-    hidden = int(cfg["hidden"]) if cfg["hidden"] else None
-    model, history = train_fusion(raw, diff, train_samples, val_samples, tcfg,
-                                  hidden=hidden)
-    return model, history, split, manifest, val_utts
-
-
-def cmd_train_fusion(args) -> int:
-    cfg = resolve_config(args, TRAIN_FUSION_DEFAULTS)
-    _require(cfg, ["data", "protocol", "raw", "diff", "out"], "train-fusion")
-    model, history, split, manifest, val_utts = _run_fusion_training(cfg)
-    history.config.update(cfg)
-    save_checkpoint(cfg["out"], model,
-                    extra_meta={"config": _canon(cfg), "seed": str(cfg["seed"])})
-    _write(cfg["history"] or cfg["out"] + ".history.json", history.to_json())
-    report = evaluate(model, val_utts, len(manifest.classes), split="val",
-                      checkpoint=os.path.basename(cfg["out"]))
-    _write(cfg["out"] + ".val.json", render_report(report, "json"))
-    print(f"trained fusion model: best epoch {history.best_epoch}, "
+    trained = "fusion model" if stage == "fusion" else f"{cfg['stream']} stream"
+    print(f"trained {trained}: best epoch {history.best_epoch}, "
           f"val accuracy {history.best_val_accuracy:.4f} "
           f"({history.stop_reason}) -> {cfg['out']}")
     return 0
@@ -300,7 +271,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-REPEAT_DEFAULTS = {**TRAIN_STREAM_DEFAULTS, "pipeline": "stream", "runs": 10,
+REPEAT_DEFAULTS = {**TRAIN_DEFAULTS["stream"], "pipeline": "stream", "runs": 10,
                    "raw": None, "diff": None, "fusion_lr": 0.0001,
                    "freeze_streams": None}
 
@@ -339,12 +310,12 @@ def cmd_repeat(args) -> int:
 def _repeat_one(cfg: dict) -> float:
     """One pipeline run; returns test-split utterance accuracy."""
     if cfg["pipeline"] == "stream":
-        model, _, split, manifest, _ = _run_stream_training(cfg)
+        model, _, split, manifest, _ = _run_training(cfg, "stream")
     elif cfg["pipeline"] == "fusion":
         fcfg = dict(cfg)
         fcfg["lr"] = cfg["fusion_lr"]
         _require(fcfg, ["raw", "diff"], "repeat --pipeline fusion")
-        model, _, split, manifest, _ = _run_fusion_training(fcfg)
+        model, _, split, manifest, _ = _run_training(fcfg, "fusion")
     else:
         raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")
     test_utts = load_utterances(cfg["data"], manifest, split.test)
@@ -450,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bottleneck", type=int)
     p.add_argument("--theta", type=int)
     p.add_argument("--out", help="model checkpoint path")
-    p.set_defaults(func=cmd_train_stream)
+    p.set_defaults(func=cmd_train, stage="stream")
 
     p = sub.add_parser("train-fusion", help="fuse two trained streams and fine-tune")
     _add_common(p)
@@ -461,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int)
     p.add_argument("--freeze-streams", dest="freeze_streams", action=BoolFlag)
     p.add_argument("--out", help="model checkpoint path")
-    p.set_defaults(func=cmd_train_fusion)
+    p.set_defaults(func=cmd_train, stage="fusion")
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a split")
     _add_common(p)

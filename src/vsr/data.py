@@ -133,15 +133,34 @@ def save_manifest(root, manifest: DatasetManifest) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _manifest_object(path, lineno: int, line: str, keys: tuple[str, ...]) -> dict:
-    """Parse one manifest line as a JSON object holding every one of keys."""
-    obj = json.loads(line)
+def _is_int(v) -> bool:
+    return type(v) is int  # a JSON integer; bool is an int subclass and is refused
+
+
+_POSITIVE = (lambda v: _is_int(v) and v > 0, "a positive integer")
+_NAME = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+# key -> (test, what the value must be), for the header and for each record
+_HEADER_KEYS = {"classes": (lambda v: isinstance(v, list)
+                            and all(isinstance(c, str) for c in v), "a list of strings"),
+                "height": _POSITIVE, "width": _POSITIVE}
+_RECORD_KEYS = {"path": _NAME, "subject": _NAME, "label": (_is_int, "an integer")}
+
+
+def _manifest_object(path, lineno: int, line: str, keys: dict) -> dict:
+    """Parse one manifest line as a JSON object holding a valid value for every key."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} line {lineno}: not JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path} line {lineno}: expected a JSON object, "
                          f"got {type(obj).__name__}")
-    for key in keys:
+    for key, (valid, what) in keys.items():
         if key not in obj:
             raise ValueError(f"{path} line {lineno}: missing key {key!r}")
+        if not valid(obj[key]):
+            raise ValueError(f"{path} line {lineno}: {key!r} must be {what}, "
+                             f"got {json.dumps(obj[key])}")
     return obj
 
 
@@ -151,16 +170,13 @@ def load_manifest(root) -> DatasetManifest:
         lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"empty manifest at {path}")
-    header = _manifest_object(path, *lines[0], ("classes", "height", "width"))
+    header = _manifest_object(path, *lines[0], _HEADER_KEYS)
     classes = header["classes"]
     records = []
     seen_paths = set()
     for lineno, ln in lines[1:]:
-        obj = _manifest_object(path, lineno, ln, ("path", "subject", "label"))
-        rec = UtteranceRecord(path=obj["path"], subject=obj["subject"],
-                              label=int(obj["label"]))
-        if not rec.subject:
-            raise ValueError(f"manifest record {rec.path!r} has an empty subject")
+        obj = _manifest_object(path, lineno, ln, _RECORD_KEYS)
+        rec = UtteranceRecord(path=obj["path"], subject=obj["subject"], label=obj["label"])
         if not 0 <= rec.label < len(classes):
             raise ValueError(f"manifest record {rec.path!r} label {rec.label} "
                              f"outside [0, {len(classes)})")
@@ -168,8 +184,8 @@ def load_manifest(root) -> DatasetManifest:
             raise ValueError(f"manifest repeats path {rec.path!r}")
         seen_paths.add(rec.path)
         records.append(rec)
-    return DatasetManifest(classes=classes, height=int(header["height"]),
-                           width=int(header["width"]), records=records)
+    return DatasetManifest(classes=classes, height=header["height"],
+                           width=header["width"], records=records)
 
 
 def load_utterances(root, manifest: DatasetManifest,

@@ -11,6 +11,14 @@ runs as one matrix product over the concatenated valid frames; its output
 is then zero-padded into a time-major [T_max, B, D] batch with per-sequence
 lengths, and the deltas and every BLSTM run once over the whole batch.
 Logits come back stacked [sum(T), K] in the order of the input list.
+
+`_layers(model)` is the one place that knows how each model kind is laid
+out and named: it lists every parameterised layer of a single-stream model,
+a fusion model or an encoder stack by name, in checkpoint order. Parameter
+names (`named_params`), the checkpoint's `*.activation` metadata and the
+dtype cast (`astype_model`) are all derived from it. Loading checks every
+tensor's shape along the encoder -> BLSTM -> head chain and refuses a
+tensor the table does not list.
 """
 
 from __future__ import annotations
@@ -148,39 +156,39 @@ def build_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
 # parameter naming
 # ---------------------------------------------------------------------------
 
-def _net_params(net: StreamNet, prefix: str = "") -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for k, layer in enumerate(net.encoder):
-        params[f"{prefix}enc{k}.w"] = layer.w
-        params[f"{prefix}enc{k}.b"] = layer.b
-    for half, lp in (("fwd", net.blstm.fwd), ("bwd", net.blstm.bwd)):
-        params[f"{prefix}blstm.{half}.wx"] = lp.wx
-        params[f"{prefix}blstm.{half}.wh"] = lp.wh
-        params[f"{prefix}blstm.{half}.b"] = lp.b
-    return params
+def _blstm_layers(prefix: str, bl: Blstm):
+    return [(f"{prefix}.fwd", bl.fwd), (f"{prefix}.bwd", bl.bwd)]
+
+
+def _net_layers(net: StreamNet, prefix: str = ""):
+    return [*((f"{prefix}enc{k}", layer) for k, layer in enumerate(net.encoder)),
+            *_blstm_layers(f"{prefix}blstm", net.blstm)]
+
+
+def _layers(model) -> list[tuple[str, FcLayer | LstmParams]]:
+    """Every parameterised layer of a model by name, in checkpoint order."""
+    if isinstance(model, SingleStreamModel):
+        return [*_net_layers(model.net), ("head", model.head)]
+    if isinstance(model, FusionModel):
+        return [*_net_layers(model.raw, "raw."), *_net_layers(model.diff, "diff."),
+                *_blstm_layers("fusion_blstm", model.fusion_blstm), ("out", model.out)]
+    if isinstance(model, EncoderStack):
+        return [(f"enc{k}", layer) for k, layer in enumerate(model.layers)]
+    raise TypeError(f"no parameters for {type(model).__name__}")
+
+
+# the tensor fields of each layer type, in checkpoint order
+_FIELDS = {FcLayer: ("w", "b"), LstmParams: ("wx", "wh", "b")}
 
 
 def named_params(model) -> dict[str, np.ndarray]:
-    """Flat name -> live array view of every trainable parameter."""
-    if isinstance(model, SingleStreamModel):
-        params = _net_params(model.net)
-        params["head.w"] = model.head.w
-        params["head.b"] = model.head.b
-        return params
-    if isinstance(model, FusionModel):
-        params = _net_params(model.raw, "raw.")
-        params.update(_net_params(model.diff, "diff."))
-        for half, lp in (("fwd", model.fusion_blstm.fwd), ("bwd", model.fusion_blstm.bwd)):
-            params[f"fusion_blstm.{half}.wx"] = lp.wx
-            params[f"fusion_blstm.{half}.wh"] = lp.wh
-            params[f"fusion_blstm.{half}.b"] = lp.b
-        params["out.w"] = model.out.w
-        params["out.b"] = model.out.b
-        return params
-    if isinstance(model, EncoderStack):
-        return {f"enc{k}.{n}": getattr(layer, n)
-                for k, layer in enumerate(model.layers) for n in ("w", "b")}
-    raise TypeError(f"no parameters for {type(model).__name__}")
+    """Flat "{layer}.{field}" -> live array of every trainable parameter.
+
+    Names and order come from the layer table, so they are the tensor names
+    and the tensor order of the model's checkpoint.
+    """
+    return {f"{name}.{field}": getattr(layer, field)
+            for name, layer in _layers(model) for field in _FIELDS[type(layer)]}
 
 
 def clip_group(names) -> list[str]:
@@ -279,20 +287,6 @@ def stream_backward_batch(model: SingleStreamModel, cache,
     return grads
 
 
-def stream_forward(model: SingleStreamModel, seq: np.ndarray):
-    return stream_forward_batch(model, [seq])
-
-
-def stream_backward(model: SingleStreamModel, cache, d_logits: np.ndarray):
-    return stream_backward_batch(model, cache, d_logits)
-
-
-def net_forward_single(net: StreamNet, seq: np.ndarray) -> np.ndarray:
-    """BLSTM output [T, 2H] for one sequence (inference only, no cache kept)."""
-    out, _ = _net_forward(net, [seq], _layout([seq]))
-    return out[:, 0]
-
-
 def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]]):
     """Logits for matched raw/diff sequence lists, stacked [sum(T), K]."""
     raw_seqs, diff_seqs = seqs["raw"], seqs["diff"]
@@ -322,14 +316,6 @@ def fusion_backward_batch(model: FusionModel, cache,
     _net_backward(model.raw, raw_cache, layout, d_fused[..., :width], grads, "raw.")
     _net_backward(model.diff, diff_cache, layout, d_fused[..., width:], grads, "diff.")
     return grads
-
-
-def fusion_forward(model: FusionModel, seqs: dict[str, np.ndarray]):
-    return fusion_forward_batch(model, {"raw": [seqs["raw"]], "diff": [seqs["diff"]]})
-
-
-def fusion_backward(model: FusionModel, cache, d_logits: np.ndarray):
-    return fusion_backward_batch(model, cache, d_logits)
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +365,14 @@ def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> No
     Metadata pairs are written sorted by key; tensors follow named_params
     order. Values are stored as little-endian float32.
     """
-    meta = dict(model.meta)
-    if extra_meta:
-        meta.update(extra_meta)
+    layers = _layers(model)
+    meta = ({"kind": "encoder"} if isinstance(model, EncoderStack)
+            else {"classes": str(model.classes)})
+    meta.update(model.meta)
+    meta.update(extra_meta or {})
+    meta.update({f"{name}.activation": layer.activation
+                 for name, layer in layers if isinstance(layer, FcLayer)})
     params = named_params(model)
-    if isinstance(model, SingleStreamModel):
-        meta.setdefault("classes", str(model.classes))
-        meta["head.activation"] = model.head.activation
-        for k, layer in enumerate(model.net.encoder):
-            meta[f"enc{k}.activation"] = layer.activation
-    elif isinstance(model, FusionModel):
-        meta.setdefault("classes", str(model.classes))
-        meta["out.activation"] = model.out.activation
-        for prefix, net in (("raw.", model.raw), ("diff.", model.diff)):
-            for k, layer in enumerate(net.encoder):
-                meta[f"{prefix}enc{k}.activation"] = layer.activation
-    elif isinstance(model, EncoderStack):
-        meta.setdefault("kind", "encoder")
-        for k, layer in enumerate(model.layers):
-            meta[f"enc{k}.activation"] = layer.activation
-    else:
-        raise TypeError(f"cannot checkpoint {type(model).__name__}")
 
     chunks = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
     chunks.append(struct.pack("<I", len(meta)))
@@ -457,6 +430,8 @@ def _read_raw(path):
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
         name = reader.string()
+        if name in tensors:
+            raise CheckpointError(f"checkpoint repeats tensor {name!r}")
         rank = reader.u32()
         shape = tuple(reader.u32() for _ in range(rank))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
@@ -467,45 +442,52 @@ def _read_raw(path):
     return meta, tensors
 
 
-def _tensor(tensors: dict[str, np.ndarray], name: str) -> np.ndarray:
+def _tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """The named tensor, checked against shape (None matches any width)."""
     if name not in tensors:
         raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+    got = tensors[name].shape
+    if len(got) != len(shape) or any(w not in (None, g) for g, w in zip(got, shape)):
+        want = "x".join("?" if w is None else str(w) for w in shape)
+        raise CheckpointError(f"checkpoint tensor {name!r} has shape "
+                              f"{'x'.join(map(str, got)) or 'scalar'}, expected {want}")
     return tensors[name]
 
 
+def _read_fc(meta, tensors, name: str, activation: str, d_in: int | None) -> FcLayer:
+    act = meta.get(f"{name}.activation", activation)
+    if act not in ACTIVATIONS:
+        raise CheckpointError(f"unknown activation {act!r} for {name}")
+    w = _tensor(tensors, f"{name}.w", (None, d_in))
+    return FcLayer(w, _tensor(tensors, f"{name}.b", (w.shape[0],)), act)
+
+
 def _read_encoder(meta, tensors, prefix: str = "") -> list[FcLayer]:
-    layers = []
-    k = 0
-    while f"{prefix}enc{k}.w" in tensors:
-        act = meta.get(f"{prefix}enc{k}.activation", "relu")
-        if act not in ACTIVATIONS:
-            raise CheckpointError(f"unknown activation {act!r} for {prefix}enc{k}")
-        w = _tensor(tensors, f"{prefix}enc{k}.w")
-        b = _tensor(tensors, f"{prefix}enc{k}.b")
-        if b.shape != (w.shape[0],):
-            raise CheckpointError(f"{prefix}enc{k} weight/bias shapes disagree: "
-                                  f"{w.shape} vs {b.shape}")
-        layers.append(FcLayer(w, b, act))
-        k += 1
+    """Each layer's input width must be the previous layer's output width."""
+    layers: list[FcLayer] = []
+    while f"{prefix}enc{len(layers)}.w" in tensors:
+        layers.append(_read_fc(meta, tensors, f"{prefix}enc{len(layers)}", "relu",
+                               layers[-1].w.shape[0] if layers else None))
     if not layers:
         raise CheckpointError(f"checkpoint has no {prefix}enc0.w tensor")
     return layers
 
 
-def _read_blstm(tensors, prefix: str) -> Blstm:
-    halves = {}
-    for half in ("fwd", "bwd"):
-        halves[half] = LstmParams(wx=_tensor(tensors, f"{prefix}.{half}.wx"),
-                                  wh=_tensor(tensors, f"{prefix}.{half}.wh"),
-                                  b=_tensor(tensors, f"{prefix}.{half}.b"))
-    return Blstm(fwd=halves["fwd"], bwd=halves["bwd"])
+def _read_blstm(tensors, prefix: str, d_in: int) -> Blstm:
+    """Both halves must take d_in-wide input at the forward half's width H."""
+    h = _tensor(tensors, f"{prefix}.fwd.wh", (None, None)).shape[1]
+    shapes = {"wh": (4 * h, h), "wx": (4 * h, d_in), "b": (4 * h,)}
+    halves = {half: LstmParams(**{field: _tensor(tensors, f"{prefix}.{half}.{field}", shape)
+                                  for field, shape in shapes.items()})
+              for half in ("fwd", "bwd")}
+    return Blstm(**halves)
 
 
 def _read_net(meta, tensors, stream_kind: str, prefix: str = "") -> StreamNet:
     encoder = _read_encoder(meta, tensors, prefix)
     theta = int(meta.get("theta", "2"))
     return StreamNet(encoder=encoder, delta=DeltaWindow(theta),
-                     blstm=_read_blstm(tensors, f"{prefix}blstm"),
+                     blstm=_read_blstm(tensors, f"{prefix}blstm", 3 * encoder[-1].w.shape[0]),
                      stream_kind=stream_kind)
 
 
@@ -524,54 +506,37 @@ def load_checkpoint(path, expect: dict[str, str] | None = None):
                 raise CheckpointError(f"checkpoint metadata mismatch: {key} is {got!r}, "
                                       f"expected {want!r}")
     if kind == "encoder":
-        return EncoderStack(layers=_read_encoder(meta, tensors), meta=meta)
-    if kind == "stream":
-        stream_kind = meta.get("stream", "raw")
-        net = _read_net(meta, tensors, stream_kind)
-        head = FcLayer(_tensor(tensors, "head.w"), _tensor(tensors, "head.b"),
-                       meta.get("head.activation", "linear"))
-        if head.w.shape[1] != 2 * net.blstm.hidden:
-            raise CheckpointError(f"head width {head.w.shape[1]} does not match "
-                                  f"BLSTM output width {2 * net.blstm.hidden}")
-        return SingleStreamModel(net=net, head=head, meta=meta)
-    if kind == "fusion":
+        model = EncoderStack(layers=_read_encoder(meta, tensors), meta=meta)
+    elif kind == "stream":
+        net = _read_net(meta, tensors, meta.get("stream", "raw"))
+        head = _read_fc(meta, tensors, "head", "linear", 2 * net.blstm.hidden)
+        model = SingleStreamModel(net=net, head=head, meta=meta)
+    elif kind == "fusion":
         raw = _read_net(meta, tensors, "raw", "raw.")
         diff = _read_net(meta, tensors, "diff", "diff.")
-        out = FcLayer(_tensor(tensors, "out.w"), _tensor(tensors, "out.b"),
-                      meta.get("out.activation", "linear"))
-        return FusionModel(raw=raw, diff=diff,
-                           fusion_blstm=_read_blstm(tensors, "fusion_blstm"),
-                           out=out, meta=meta)
-    raise CheckpointError(f"checkpoint kind {kind!r} is not one of encoder/stream/fusion")
+        fusion_blstm = _read_blstm(tensors, "fusion_blstm",
+                                   2 * raw.blstm.hidden + 2 * diff.blstm.hidden)
+        out = _read_fc(meta, tensors, "out", "linear", 2 * fusion_blstm.hidden)
+        model = FusionModel(raw=raw, diff=diff, fusion_blstm=fusion_blstm, out=out, meta=meta)
+    else:
+        raise CheckpointError(f"checkpoint kind {kind!r} is not one of encoder/stream/fusion")
+    unknown = sorted(set(tensors) - set(named_params(model)))
+    if unknown:
+        raise CheckpointError(f"checkpoint holds tensors a {kind} model does not have: {unknown}")
+    if kind != "encoder" and meta.get("classes", str(model.classes)) != str(model.classes):
+        raise CheckpointError(f"checkpoint metadata says {meta['classes']} classes, but "
+                              f"{_layers(model)[-1][0]}.w has {model.classes} rows")
+    return model
 
 
 def astype_model(model, dtype):
-    """Deep-copy a model with every parameter cast to dtype (for 64-bit runs)."""
+    """Deep-copy a model with every parameter cast to dtype (for 64-bit runs).
+
+    Each layer in the table gets its cast arrays rebound on it, so the copy
+    shares no array with the source.
+    """
     clone = copy.deepcopy(model)
-    for arr in named_params(clone).values():
-        arr_cast = arr.astype(dtype)
-        if arr_cast.dtype == arr.dtype:
-            continue
-        # named_params hands back live views; replace contents in place is
-        # impossible across dtypes, so rebind on the owning dataclass
-        _rebind_param(clone, arr, arr_cast)
+    for _, layer in _layers(clone):
+        for field in _FIELDS[type(layer)]:
+            setattr(layer, field, getattr(layer, field).astype(dtype, copy=False))
     return clone
-
-
-def _rebind_param(model, old: np.ndarray, new: np.ndarray) -> None:
-    candidates = []
-    if isinstance(model, SingleStreamModel):
-        candidates = [*model.net.encoder, model.net.blstm.fwd, model.net.blstm.bwd,
-                      model.head]
-    elif isinstance(model, FusionModel):
-        candidates = [*model.raw.encoder, model.raw.blstm.fwd, model.raw.blstm.bwd,
-                      *model.diff.encoder, model.diff.blstm.fwd, model.diff.blstm.bwd,
-                      model.fusion_blstm.fwd, model.fusion_blstm.bwd, model.out]
-    elif isinstance(model, EncoderStack):
-        candidates = list(model.layers)
-    for obj in candidates:
-        for name in vars(obj):
-            if getattr(obj, name) is old:
-                setattr(obj, name, new)
-                return
-    raise ValueError("parameter to rebind not found on model")

@@ -226,11 +226,16 @@ def _restore(params: dict[str, np.ndarray], snap: dict[str, np.ndarray]) -> None
 
 
 def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
-         cfg: TrainConfig) -> TrainHistory:
+         cfg: TrainConfig):
+    """Cast model and samples to cfg's precision, then fit; returns (model, history)."""
     if not train_samples:
         raise ValueError("training set is empty")
     if not val_samples:
         raise ValueError("early stopping needs a non-empty validation set")
+    if any(p.dtype != cfg.dtype for p in named_params(model).values()):
+        model = astype_model(model, cfg.dtype)
+    train_samples = _cast_samples(train_samples, cfg.dtype)
+    val_samples = _cast_samples(val_samples, cfg.dtype)
     rng = Rng(cfg.seed)
     opt = Adam(beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     params = named_params(model)
@@ -257,7 +262,7 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
             break
     _restore(params, best_snap)
     history.best_val_accuracy = float(max(best_acc, 0.0)) if history.best_epoch else 0.0
-    return history
+    return model, history
 
 
 def train_stream(model: SingleStreamModel, train_samples: list[SeqSample],
@@ -265,11 +270,7 @@ def train_stream(model: SingleStreamModel, train_samples: list[SeqSample],
     """Train a single-stream model in place; returns (model, history)."""
     if cfg.stage != "stream":
         raise ValueError(f"train_stream got a {cfg.stage!r}-stage config")
-    model = _match_precision(model, cfg)
-    train_samples = _cast_samples(train_samples, cfg.dtype)
-    val_samples = _cast_samples(val_samples, cfg.dtype)
-    history = _fit(model, train_samples, val_samples, cfg)
-    return model, history
+    return _fit(model, train_samples, val_samples, cfg)
 
 
 def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
@@ -285,18 +286,7 @@ def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
     if hidden is None:
         hidden = raw.net.blstm.hidden
     model = build_fusion(raw, diff, hidden=hidden, rng=Rng(cfg.seed), dtype=cfg.dtype)
-    model = _match_precision(model, cfg)
-    train_samples = _cast_samples(train_samples, cfg.dtype)
-    val_samples = _cast_samples(val_samples, cfg.dtype)
-    history = _fit(model, train_samples, val_samples, cfg)
-    return model, history
-
-
-def _match_precision(model, cfg: TrainConfig):
-    params = named_params(model)
-    if any(p.dtype != cfg.dtype for p in params.values()):
-        return astype_model(model, cfg.dtype)
-    return model
+    return _fit(model, train_samples, val_samples, cfg)
 
 
 def _cast_samples(samples: list[SeqSample], dtype) -> list[SeqSample]:

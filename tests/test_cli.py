@@ -370,6 +370,22 @@ def test_evaluate_malformed_manifest_header_exits_2(dataset, raw_ckpt, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, change, named", [
+    (0, {"classes": 5}, "line 1: 'classes' must be a list of strings, got 5"),
+    (2, {"label": None}, "line 3: 'label' must be an integer, got null"),
+])
+def test_evaluate_malformed_manifest_value_exits_2(dataset, raw_ckpt, tmp_path, capsys,
+                                                   line, change, named):
+    lines = (Path(dataset) / "manifest.jsonl").read_text().splitlines()
+    lines[line] = json.dumps({**json.loads(lines[line]), **change})
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    rc = main(["evaluate", "--model", str(raw_ckpt), "--data", str(tmp_path), *PROTO_ARGS])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # repeat
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -152,6 +153,53 @@ def test_manifest_record_missing_key_is_named(tmp_path, key):
              json.dumps({"path": "y.vsru", "subject": "s1", "label": 0}), json.dumps(rec)]
     (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"line 4: missing key '{key}'"):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("classes", 5, "a list of strings"),
+    ("classes", ["a", 1], "a list of strings"),
+    ("classes", None, "a list of strings"),
+    ("height", "2", "a positive integer"),
+    ("height", 0, "a positive integer"),
+    ("width", -2, "a positive integer"),
+    ("width", 2.0, "a positive integer"),
+    ("width", True, "a positive integer"),
+])
+def test_manifest_header_value_types_are_named(tmp_path, key, value, what):
+    header = {"classes": ["a", "b"], "height": 2, "width": 2, key: value}
+    lines = [json.dumps(header), json.dumps({"path": "x.vsru", "subject": "s0", "label": 0})]
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 1: '{key}' must be {what}, "
+                                         f"got {re.escape(json.dumps(value))}$"):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("label", None, "an integer"),
+    ("label", True, "an integer"),
+    ("label", 1.7, "an integer"),
+    ("label", 1.0, "an integer"),
+    ("label", "1", "an integer"),
+    ("subject", 3, "a non-empty string"),
+    ("subject", None, "a non-empty string"),
+    ("path", "", "a non-empty string"),
+    ("path", ["x.vsru"], "a non-empty string"),
+])
+def test_manifest_record_value_types_are_named(tmp_path, key, value, what):
+    rec = {"path": "x.vsru", "subject": "s0", "label": 0, key: value}
+    lines = [json.dumps({"classes": ["a", "b"], "height": 2, "width": 2}),
+             json.dumps({"path": "y.vsru", "subject": "s1", "label": 1}), json.dumps(rec)]
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line 3: '{key}' must be {what}, "
+                                         f"got {re.escape(json.dumps(value))}$"):
+        load_manifest(tmp_path)
+
+
+def test_manifest_line_that_is_not_json_is_named(tmp_path):
+    lines = [json.dumps({"classes": ["a"], "height": 2, "width": 2}), "{'path': 'x.vsru'}"]
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 2: not JSON"):
         load_manifest(tmp_path)
 
 

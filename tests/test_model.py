@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,19 +9,24 @@ from vsr.layers import DeltaWindow, FcLayer, fc_init
 from vsr.model import (
     CheckpointError,
     EncoderStack,
+    SingleStreamModel,
+    _layers,
+    _read_raw,
     astype_model,
     build_fusion,
     build_stream,
     clip_group,
-    fusion_forward,
+    fusion_backward_batch,
+    fusion_forward_batch,
     load_checkpoint,
     named_params,
     predict_label,
     save_checkpoint,
-    stream_forward,
+    stream_backward_batch,
     stream_forward_batch,
 )
 from vsr.numerics import Rng
+from vsr.rbm import PretrainConfig, pretrain_stack
 
 
 def tiny_stream(classes=3, kind="raw", seed=0, dtype=np.float64, hidden=3):
@@ -126,7 +134,7 @@ def test_stream_forward_matches_stagewise_reference():
     model = tiny_stream(dtype=np.float64)
     rng = Rng(9)
     seq = rng.normal((7, 6))
-    got, _ = stream_forward(model, seq)
+    got, _ = stream_forward_batch(model, [seq])
 
     x = seq
     for layer in model.net.encoder:
@@ -150,15 +158,22 @@ def test_stream_forward_batch_matches_singles():
     seqs = [rng.normal((t, 6)) for t in (3, 5, 2)]
     stacked, _ = stream_forward_batch(model, seqs)
     assert stacked.shape == (10, 3)
-    singles = [stream_forward(model, s)[0] for s in seqs]
+    singles = [stream_forward_batch(model, [s])[0] for s in seqs]
     assert np.allclose(stacked, np.concatenate(singles), atol=1e-10)
 
 
 def test_stream_forward_single_frame():
     model = tiny_stream(dtype=np.float64)
-    logits, _ = stream_forward(model, Rng(11).normal((1, 6)))
+    logits, _ = stream_forward_batch(model, [Rng(11).normal((1, 6))])
     assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits))
+
+
+def blstm_output(net, seq):
+    """A stream net's BLSTM output [T, 2H], read through an identity head."""
+    width = 2 * net.blstm.hidden
+    probe = SingleStreamModel(net=net, head=FcLayer(np.eye(width), np.zeros(width)))
+    return stream_forward_batch(probe, [seq])[0]
 
 
 def test_fusion_forward_matches_manual_concat():
@@ -167,11 +182,10 @@ def test_fusion_forward_matches_manual_concat():
     fused = build_fusion(raw, diff, hidden=3, rng=Rng(4), dtype=np.float64)
     rng = Rng(12)
     seq_raw, seq_diff = rng.normal((5, 6)), rng.normal((5, 6))
-    logits, _ = fusion_forward(fused, {"raw": seq_raw, "diff": seq_diff})
+    logits, _ = fusion_forward_batch(fused, {"raw": [seq_raw], "diff": [seq_diff]})
 
-    from vsr.model import net_forward_single
-    h_raw = net_forward_single(fused.raw, seq_raw)
-    h_diff = net_forward_single(fused.diff, seq_diff)
+    h_raw = blstm_output(fused.raw, seq_raw)
+    h_diff = blstm_output(fused.diff, seq_diff)
     joint = np.concatenate([h_raw, h_diff], axis=1)
     bl = fused.fusion_blstm
     h = np.concatenate([ref_lstm(bl.fwd.wx, bl.fwd.wh, bl.fwd.b, joint),
@@ -186,8 +200,8 @@ def test_fusion_rejects_length_mismatch():
                          hidden=3, rng=Rng(0), dtype=np.float64)
     rng = Rng(13)
     with pytest.raises(ValueError, match="length"):
-        fusion_forward(fused, {"raw": rng.normal((4, 6)),
-                               "diff": rng.normal((5, 6))})
+        fusion_forward_batch(fused, {"raw": [rng.normal((4, 6))],
+                                     "diff": [rng.normal((5, 6))]})
 
 
 def test_fusion_head_zeroed_outputs_its_bias():
@@ -196,8 +210,8 @@ def test_fusion_head_zeroed_outputs_its_bias():
     fused.out.w[:] = 0.0
     fused.out.b[:] = np.array([1.0, -2.0, 0.5])
     rng = Rng(14)
-    logits, _ = fusion_forward(fused, {"raw": rng.normal((4, 6)),
-                                       "diff": rng.normal((4, 6))})
+    logits, _ = fusion_forward_batch(fused, {"raw": [rng.normal((4, 6))],
+                                             "diff": [rng.normal((4, 6))]})
     assert np.allclose(logits, [1.0, -2.0, 0.5], atol=1e-12)
 
 
@@ -276,8 +290,8 @@ def test_checkpoint_roundtrip_stream(tmp_path):
     assert again.net.delta.theta == model.net.delta.theta
     # logits agree bit for bit
     seq = Rng(17).normal((4, 6)).astype(np.float32)
-    assert np.array_equal(stream_forward(model, seq)[0],
-                          stream_forward(again, seq)[0])
+    assert np.array_equal(stream_forward_batch(model, [seq])[0],
+                          stream_forward_batch(again, [seq])[0])
 
 
 def test_checkpoint_roundtrip_fusion(tmp_path):
@@ -367,3 +381,151 @@ def test_astype_model_roundtrip():
     a, b = named_params(model), named_params(down)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+
+
+# ---------------------------------------------------------------------------
+# the layer table
+# ---------------------------------------------------------------------------
+
+def tiny_fusion():
+    return build_fusion(tiny_stream(kind="raw"), tiny_stream(kind="diff", seed=1),
+                        hidden=3, rng=Rng(5), dtype=np.float64)
+
+
+def tiny_encoder():
+    layers, _ = pretrain_stack([6, 5, 2], Rng(4).normal((10, 6)),
+                               PretrainConfig(epochs=0, seed=3))
+    return EncoderStack(layers=layers, meta={"kind": "encoder"})
+
+
+KINDS = {"stream": tiny_stream, "fusion": tiny_fusion, "encoder": tiny_encoder}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_checkpoint_names_follow_the_layer_table(tmp_path, kind):
+    model = KINDS[kind]()
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    meta, tensors = _read_raw(tmp_path / "m.ckpt")
+    assert list(tensors) == list(named_params(model))  # file order
+    stored = sorted(k[:-len(".activation")] for k in meta if k.endswith(".activation"))
+    assert stored == sorted(name for name, layer in _layers(model)
+                            if isinstance(layer, FcLayer))
+
+
+def test_backward_passes_return_every_named_param():
+    rng = Rng(18)
+    model = tiny_stream()
+    logits, cache = stream_forward_batch(model, [rng.normal((4, 6)), rng.normal((2, 6))])
+    grads = stream_backward_batch(model, cache, np.ones_like(logits))
+    params = named_params(model)
+    assert set(grads) == set(params)
+    assert all(grads[n].shape == p.shape for n, p in params.items())
+
+    fused = tiny_fusion()
+    seqs = {"raw": [rng.normal((3, 6))], "diff": [rng.normal((3, 6))]}
+    logits, cache = fusion_forward_batch(fused, seqs)
+    grads = fusion_backward_batch(fused, cache, np.ones_like(logits))
+    params = named_params(fused)
+    assert set(grads) == set(params)
+    assert all(grads[n].shape == p.shape for n, p in params.items())
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_astype_model_shares_no_array_with_its_source(kind, dtype):
+    model = KINDS[kind]()
+    clone = astype_model(model, dtype)
+    assert all(p.dtype == dtype for p in named_params(clone).values())
+    for name, p in named_params(model).items():
+        for other, q in named_params(clone).items():
+            assert not np.shares_memory(p, q), (name, other)
+
+
+# SHA-256 of checkpoints of the seeded tiny models, fixed before the layer
+# table replaced the per-kind naming code; no training, so no BLAS rounding
+GOLDEN = {"stream": "6c54fa0635be5e53dd37487428d3fc40ea5885979ede53f17914a4d7c76595b7",
+          "fusion": "02368b78c8560fbbc6434997435ab398d7645bb4812cf28ca739259a11fdc6de",
+          "encoder": "3712ca7d3b4f678e0ad383a044c3ee02e5c16899548b2f1e87dc2bd553388302"}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_checkpoint_bytes_are_pinned(tmp_path, kind):
+    save_checkpoint(tmp_path / "m.ckpt", KINDS[kind]())
+    assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == GOLDEN[kind]
+
+
+# ---------------------------------------------------------------------------
+# load-time shape checks
+# ---------------------------------------------------------------------------
+
+def write_raw(path, meta, tensors):
+    """Write a checkpoint from metadata and (name, array) pairs, unchecked."""
+    def pack(text):
+        raw = text.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    chunks = [b"VSRM", struct.pack("<H", 1), struct.pack("<I", len(meta))]
+    for key in sorted(meta):
+        chunks += [pack(key), pack(meta[key])]
+    chunks.append(struct.pack("<I", len(tensors)))
+    for name, arr in tensors:
+        chunks += [pack(name), struct.pack("<I", arr.ndim),
+                   struct.pack(f"<{arr.ndim}I", *arr.shape),
+                   np.ascontiguousarray(arr, dtype="<f4").tobytes()]
+    path.write_bytes(b"".join(chunks))
+
+
+def tampered(tmp_path, kind, tensors=None, meta=None, extra=()):
+    """Save a tiny model of kind, swap in the given tensors/metadata, and reload."""
+    save_checkpoint(tmp_path / "m.ckpt", KINDS[kind]())
+    stored_meta, stored = _read_raw(tmp_path / "m.ckpt")
+    stored.update(tensors or {})
+    stored_meta.update(meta or {})
+    write_raw(tmp_path / "t.ckpt", stored_meta, [*stored.items(), *extra])
+    return load_checkpoint(tmp_path / "t.ckpt")
+
+
+# tiny stream: frames 6 -> enc 5, 4, 2 -> BLSTM H=3 on 3*2 features -> head 3x6;
+# tiny fusion: two such streams -> fusion BLSTM H=3 on 2*3 + 2*3 -> out 3x6
+@pytest.mark.parametrize("kind, name, shape", [
+    ("stream", "enc1.w", (4, 6)),            # input width != enc0 output width
+    ("stream", "enc0.b", (4,)),              # bias against its weight
+    ("stream", "blstm.fwd.wx", (12, 7)),     # input width != 3 x bottleneck
+    ("stream", "blstm.bwd.wx", (12, 7)),
+    ("stream", "blstm.fwd.wh", (12, 4)),     # recurrent width against 4H rows
+    ("stream", "blstm.fwd.b", (11,)),        # bias against 4H
+    ("stream", "blstm.bwd.wh", (16, 4)),     # bwd half against the fwd half
+    ("stream", "head.w", (3, 5)),            # head width != 2H
+    ("stream", "head.b", ()),
+    ("encoder", "enc1.w", (2, 4)),
+    ("fusion", "diff.blstm.fwd.wx", (12, 5)),
+    ("fusion", "fusion_blstm.fwd.wx", (12, 11)),  # != 2H_raw + 2H_diff
+    ("fusion", "fusion_blstm.bwd.b", (16,)),
+    ("fusion", "out.w", (3, 9)),             # out width != 2H_fusion
+])
+def test_load_checks_the_shape_chain(tmp_path, kind, name, shape):
+    with pytest.raises(CheckpointError, match=f"tensor '{name}' has shape"):
+        tampered(tmp_path, kind, tensors={name: np.zeros(shape, dtype=np.float32)})
+
+
+@pytest.mark.parametrize("kind, out", [("stream", "head.w"), ("fusion", "out.w")])
+def test_load_checks_classes_against_the_classifier_rows(tmp_path, kind, out):
+    with pytest.raises(CheckpointError, match=f"says 4 classes, but {out} has 3 rows"):
+        tampered(tmp_path, kind, meta={"classes": "4"})
+
+
+@pytest.mark.parametrize("kind, name", [("stream", "extra.w"), ("fusion", "head.w"),
+                                        ("encoder", "enc3.w")])
+def test_load_refuses_tensors_the_table_does_not_list(tmp_path, kind, name):
+    with pytest.raises(CheckpointError, match=f"does not have: \\['{name}'\\]"):
+        tampered(tmp_path, kind, extra=[(name, np.zeros((2, 2), dtype=np.float32))])
+
+
+def test_load_refuses_a_repeated_tensor(tmp_path):
+    with pytest.raises(CheckpointError, match="repeats tensor 'enc0.b'"):
+        tampered(tmp_path, "encoder", extra=[("enc0.b", np.zeros(5, dtype=np.float32))])
+
+
+def test_load_refuses_an_unknown_head_activation(tmp_path):
+    with pytest.raises(CheckpointError, match="unknown activation 'tanh' for head"):
+        tampered(tmp_path, "stream", meta={"head.activation": "tanh"})

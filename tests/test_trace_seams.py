@@ -1,0 +1,66 @@
+"""The benchmark's tracer must still find every vsr name it wraps.
+
+perfbench/spans.py times the program by replacing module-level names
+(``vsr.model.blstm_forward``, ``vsr.training.train_stream``, ...). A name
+the program no longer has is skipped and its metrics read 0, and a name
+the program no longer calls through records nothing, so a refactor could
+quietly blind the benchmark while every other test passes.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import vsr.data
+import vsr.evaluation
+import vsr.model
+import vsr.rbm
+import vsr.training
+from vsr.numerics import Rng
+from vsr.rbm import PretrainConfig
+from vsr.training import TrainConfig
+
+_SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+_spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
+
+# training scores through vsr.evaluation.predict_label; the tracer's
+# vsr.training.predict_label is stale and awaits a benchmark change
+KNOWN_MISSING = {"vsr.training.predict_label"}
+
+
+@pytest.fixture
+def tracer():
+    t = spans.Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+def test_every_wrapped_name_exists(tracer):
+    assert set(tracer.missing) <= KNOWN_MISSING
+
+
+def test_a_tiny_pipeline_records_every_timed_span(tracer, tmp_path):
+    manifest = vsr.data.synth_generate(2, 3, 2, 5, 4, 5, 1, tmp_path / "data")
+    utts = vsr.data.load_utterances(tmp_path / "data", manifest)
+    samples = vsr.training.samples_from_utterances(utts, ("raw", "diff"))
+    frames = np.concatenate([s.streams["raw"] for s in samples])
+    layers, _ = vsr.rbm.pretrain_stack([20, 6, 3], frames, PretrainConfig(epochs=1, batch=8))
+    shape = dict(encoder_sizes=(6,), bottleneck=3)
+    raw = vsr.model.build_stream(20, 2, 3, Rng(1), "raw", encoder_init=layers, **shape)
+    diff = vsr.model.build_stream(20, 2, 3, Rng(2), "diff", **shape)
+    raw, _ = vsr.training.train_stream(raw, samples, samples,
+                                       TrainConfig.for_stream(max_epochs=1))
+    fused, _ = vsr.training.train_fusion(raw, diff, samples, samples,
+                                         TrainConfig.for_fusion(max_epochs=1))
+    vsr.model.save_checkpoint(tmp_path / "f.ckpt", fused)
+    vsr.model.load_checkpoint(tmp_path / "f.ckpt")
+    vsr.evaluation.evaluate(fused, utts, 2)
+    recorded = {span[0] for span in tracer.spans}
+    assert set(spans.TIME_METRICS) - recorded == set()
