@@ -19,6 +19,7 @@ from . import gradcheck as gc
 from .data import (ROI_DIMS, DatasetManifest, holdout_validation, load_manifest,
                    load_utterances, make_split, stream_features, synth_generate)
 from .evaluation import aggregate_runs, evaluate, render_report
+from .fileio import write_atomic
 from .model import (EncoderStack, SingleStreamModel, build_stream,
                     load_checkpoint, save_checkpoint)
 from .numerics import Rng
@@ -98,8 +99,7 @@ def _train_config(cfg: dict, stage: str) -> TrainConfig:
 
 
 def _write(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_atomic(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------

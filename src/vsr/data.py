@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import write_atomic
 from .numerics import DEFAULT_DTYPE, Rng
 
 UTT_MAGIC = b"VSRU"
@@ -83,7 +84,13 @@ class LoadedUtterance:
 # ---------------------------------------------------------------------------
 
 def save_utterance(path, frames: np.ndarray) -> None:
-    """Write u8 grayscale frames [T, H, W], frame-major, row-major."""
+    """Write u8 grayscale frames [T, H, W], frame-major, row-major.
+
+    Written in place, not through write_atomic: load_utterance's exact
+    length check already refuses a truncated container, and on ext4 a
+    rename over an existing file costs the writer ~0.2 ms of kernel time,
+    a sixth or more of a setup that writes a 100-utterance corpus.
+    """
     if frames.ndim != 3:
         raise ContainerError(f"utterance frames must be [T, H, W], got shape {frames.shape}")
     if frames.dtype != np.uint8:
@@ -129,8 +136,7 @@ def save_manifest(root, manifest: DatasetManifest) -> None:
         lines.append(json.dumps({"path": rec.path, "subject": rec.subject,
                                  "label": rec.label},
                                 sort_keys=True, separators=(",", ":")))
-    with open(os.path.join(root, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(os.path.join(root, MANIFEST_NAME), "\n".join(lines) + "\n")
 
 
 def _is_int(v) -> bool:
@@ -211,38 +217,46 @@ def load_utterances(root, manifest: DatasetManifest,
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def _znorm_frames(flat: np.ndarray) -> np.ndarray:
-    """Zero mean, unit variance per row; zero-variance rows become zeros."""
-    mean = flat.mean(axis=1, keepdims=True)
-    centered = flat - mean
-    std = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
-    safe = np.where(std == 0, 1.0, std)
-    return np.where(std == 0, 0.0, centered / safe)
+def _znorm_frames(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Zero mean, unit variance per row, in place; zero-variance rows become zeros.
+
+    flat must be a private float64 array; scratch, of the same shape,
+    receives the squared deviations.
+    """
+    flat -= flat.mean(axis=1, keepdims=True)
+    std = np.sqrt(np.square(flat, out=scratch).mean(axis=1, keepdims=True))
+    zero_var = std[:, 0] == 0
+    std[zero_var] = 1.0
+    flat /= std
+    flat[zero_var] = 0.0
+    return flat
+
+
+def _centered(frames: np.ndarray, name: str) -> np.ndarray:
+    """[T, H, W] u8 -> private float64 [T, H*W] minus the utterance mean image."""
+    if frames.ndim != 3 or frames.shape[0] < 2:
+        raise ValueError(f"{name} expects [T>=2, H, W], got {frames.shape}")
+    x = frames.reshape(frames.shape[0], -1).astype(np.float64)
+    x -= x.mean(axis=0, keepdims=True)  # per-pixel mean over the utterance
+    return x
 
 
 def preprocess_raw(frames: np.ndarray, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """[T, H, W] -> [T, H*W]: subtract the utterance mean image, then
     z-normalize each frame over its own pixels."""
-    if frames.ndim != 3 or frames.shape[0] < 2:
-        raise ValueError(f"preprocess_raw expects [T>=2, H, W], got {frames.shape}")
-    t_len = frames.shape[0]
-    x = frames.reshape(t_len, -1).astype(np.float64)
-    x -= x.mean(axis=0, keepdims=True)  # per-pixel mean over the utterance
-    return _znorm_frames(x).astype(dtype)
+    x = _centered(frames, "preprocess_raw")
+    return _znorm_frames(x, np.empty_like(x)).astype(dtype, copy=False)
 
 
 def preprocess_diff(frames: np.ndarray, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """[T, H, W] -> [T, H*W]: consecutive differences of mean-subtracted
     frames, a zero frame prepended so the length stays T, then per-frame
     z-normalization."""
-    if frames.ndim != 3 or frames.shape[0] < 2:
-        raise ValueError(f"preprocess_diff expects [T>=2, H, W], got {frames.shape}")
-    t_len = frames.shape[0]
-    x = frames.reshape(t_len, -1).astype(np.float64)
-    x -= x.mean(axis=0, keepdims=True)
-    d = np.zeros_like(x)
-    d[1:] = x[1:] - x[:-1]
-    return _znorm_frames(d).astype(dtype)
+    x = _centered(frames, "preprocess_diff")
+    d = np.empty_like(x)
+    d[0] = 0.0
+    np.subtract(x[1:], x[:-1], out=d[1:])
+    return _znorm_frames(d, x).astype(dtype, copy=False)
 
 
 def stream_features(frames: np.ndarray, kind: str, dtype=DEFAULT_DTYPE) -> np.ndarray:

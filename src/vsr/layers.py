@@ -11,7 +11,16 @@ take a time-major batch [T, B, D] plus per-sequence `lengths` (sequence b
 fills its first lengths[b] frames; None means all T), or a single [T, D]
 sequence, which runs the same code as a batch of one. Rows past a
 sequence's end are padding: zero in sequence-layer outputs and input
-gradients, ignored in upstream gradients.
+gradients, ignored in upstream gradients. In an LSTM cache the slots after
+a sequence's last step hold a finite continuation of its recurrence that
+nothing reads, not held h and c.
+
+The forward passes compute in buffers they own: fc_forward adds the bias
+and applies the ReLU in the product's array, and lstm_forward does its gate
+math in the input projection, which becomes the gates cache, and multiplies
+h by a C-contiguous copy of the recurrent weight. The operations and their
+order are those of the allocating formulas; only the contiguous weight
+changes how BLAS may round the recurrent product, at some shapes.
 """
 
 from __future__ import annotations
@@ -54,10 +63,19 @@ def fc_forward(layer: FcLayer, x: np.ndarray):
     """act(W x + b) for a single vector [in] or a frame batch [N, in]."""
     if x.shape[-1] != layer.w.shape[1]:
         raise ValueError(f"fc input width {x.shape[-1]} != weight width {layer.w.shape[1]}")
-    y = x @ layer.w.T + layer.b
+    y = _affine(x, layer.w, layer.b)
     if layer.activation == "relu":
-        y = np.maximum(y, 0)
+        np.maximum(y, 0, out=y)
     return y, (x, y)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w.T + b, adding b in the product's own buffer unless b is wider."""
+    y = x @ w.T
+    if np.result_type(y, b) != y.dtype:
+        return y + b
+    y += b
+    return y
 
 
 def fc_backward(layer: FcLayer, cache, d_out: np.ndarray, input_grad: bool = True):
@@ -245,14 +263,20 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
 
     seq is [T, B, D] with sequence b in its first lengths[b] frames (all T
     when lengths is None), or a single [T, D] sequence; h is [T, B, H] or
-    [T, H] to match. Once a sequence ends its h and c hold still, and its
-    output rows past the end are zero. With reverse=True each sequence runs
-    backward over its own frames and the output is flipped back, so output
-    row t still describes frame t.
+    [T, H] to match. Output rows past a sequence's end are zero. With
+    reverse=True each sequence runs backward over its own frames and the
+    output is flipped back, so output row t still describes frame t.
 
     Only valid frames enter the input projection (gathered, projected,
     scattered back), and the recurrence stops at the longest sequence, so
-    the padding length changes no bit of the result.
+    the padding length changes no bit of the result. A shorter sequence's
+    slots after its last step carry on from a zero input: a finite
+    continuation that no output row and no gradient reads, because in
+    recurrence order they all come after that sequence's last step.
+
+    Each step multiplies h by a C-contiguous copy of wh.T and does its gate
+    math in place in the step's row of the input projection, which becomes
+    the gates cache; c, tanh(c) and h are written straight into their caches.
     """
     x, lengths = _as_batch(seq, lengths)
     if x.shape[2] != p.wx.shape[1]:
@@ -261,37 +285,49 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
     hidden, dtype = p.hidden, x.dtype
     steps = int(lengths.max())
     slots = _recurrence_slots(lengths, steps, reverse)
+    # z = x wx^T + b + h wh^T in the widest dtype involved, as numpy would
+    # promote it; the gates and the cell stay in the input's dtype
+    z_dtype = np.result_type(dtype, p.wx, p.b, p.wh)
     if slots is None:
         rows = (x[steps - 1::-1] if reverse else x[:steps]).reshape(steps * batch, -1)
-        xz = (rows @ p.wx.T + p.b).reshape(steps, batch, 4 * hidden)
+        xz = _affine(rows, p.wx, p.b).astype(z_dtype, copy=False)
+        xz = xz.reshape(steps, batch, 4 * hidden)
     else:
         rows = x[slots[1]]
-        xz = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
-        xz[slots[0]] = rows @ p.wx.T + p.b
-    gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
+        xz = np.zeros((steps, batch, 4 * hidden), dtype=z_dtype)
+        xz[slots[0]] = _affine(rows, p.wx, p.b)
+    gates = xz if z_dtype == dtype else np.empty(xz.shape, dtype=dtype)
     c_seq = np.empty((steps, batch, hidden), dtype=dtype)
     tc_seq = np.empty_like(c_seq)
     h_seq = np.empty_like(c_seq)
     h = np.zeros((batch, hidden), dtype=dtype)
     c = np.zeros_like(h)
-    live = None if slots is None else (np.arange(steps)[:, None] < lengths)[..., None]
-    wh_t = p.wh.T
+    # a one-row product runs as a gemv, whose summation order follows the
+    # weight's layout, so a batch of one keeps the transposed view
+    wh_t = p.wh.T if batch == 1 else np.ascontiguousarray(p.wh.T)
+    hz = np.empty((batch, 4 * hidden), dtype=np.result_type(dtype, p.wh))
+    g_tmp = np.empty((batch, hidden), dtype=z_dtype)
+    ig = np.empty_like(h)
     cand = slice(2 * hidden, 3 * hidden)
     for t in range(steps):
-        z = xz[t] + h @ wh_t
-        a = gates[t]
-        a[...] = sigmoid(z)
-        a[:, cand] = np.tanh(z[:, cand])
+        z = xz[t]
+        z += np.matmul(h, wh_t, out=hz)
+        np.tanh(z[:, cand], out=g_tmp)
+        # sigmoid(), one operation at a time
+        z *= 0.5
+        np.tanh(z, out=z)
+        z *= 0.5
+        z += 0.5
+        z[:, cand] = g_tmp
+        a = z
+        if gates is not xz:
+            a = gates[t]
+            a[...] = z
         i, f, g, o = a[:, :hidden], a[:, hidden:2 * hidden], a[:, cand], a[:, 3 * hidden:]
-        c_t = np.multiply(f, c, out=c_seq[t])
-        c_t += i * g
-        np.tanh(c_t, out=tc_seq[t])
-        np.multiply(o, tc_seq[t], out=h_seq[t])
-        if live is None:
-            h, c = h_seq[t], c_t
-        else:
-            h = np.where(live[t], h_seq[t], h)
-            c = np.where(live[t], c_t, c)
+        c = np.multiply(f, c, out=c_seq[t])
+        c += np.multiply(i, g, out=ig)
+        np.tanh(c, out=tc_seq[t])
+        h = np.multiply(o, tc_seq[t], out=h_seq[t])
     require_finite(h_seq, "lstm activations")
     out = np.zeros((t_len, batch, hidden), dtype=dtype)
     if slots is None:

@@ -33,6 +33,7 @@ from .layers import (ACTIVATIONS, Blstm, DeltaWindow, FcLayer, LstmParams,
                      append_deltas, append_deltas_backward, blstm_backward,
                      blstm_forward, blstm_init, fc_backward, fc_forward,
                      fc_init, softmax_rows)
+from .fileio import write_atomic
 from .numerics import DEFAULT_DTYPE, Rng, require_finite
 
 DEFAULT_ENCODER_SIZES = (2000, 1000, 500)
@@ -363,7 +364,8 @@ def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> No
     """Write the model's metadata and tensors; equal inputs give equal bytes.
 
     Metadata pairs are written sorted by key; tensors follow named_params
-    order. Values are stored as little-endian float32.
+    order. Values are stored as little-endian float32. The file is replaced
+    in one step (write_atomic), so a killed run never leaves half of one.
     """
     layers = _layers(model)
     meta = ({"kind": "encoder"} if isinstance(model, EncoderStack)
@@ -384,10 +386,8 @@ def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> No
         chunks.append(_pack_str(name))
         chunks.append(struct.pack("<I", value.ndim))
         chunks.append(struct.pack(f"<{value.ndim}I", *value.shape))
-        chunks.append(np.ascontiguousarray(value, dtype="<f4").tobytes())
-    blob = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+        chunks.append(np.ascontiguousarray(value, dtype="<f4"))
+    write_atomic(path, chunks)
 
 
 class _Reader:
@@ -483,10 +483,22 @@ def _read_blstm(tensors, prefix: str, d_in: int) -> Blstm:
     return Blstm(**halves)
 
 
-def _read_net(meta, tensors, stream_kind: str, prefix: str = "") -> StreamNet:
+def _read_delta(meta, path) -> DeltaWindow:
+    """The delta half-window, a decimal integer >= 1 naming the file if not.
+
+    A window wider than every sequence is valid: frame indices clamp to the edges.
+    """
+    theta = meta.get("theta", "2")
+    if not (theta.isascii() and theta.isdigit() and int(theta) >= 1):
+        raise CheckpointError(f"checkpoint {path}: metadata theta is {theta!r}, "
+                              f"expected an integer >= 1")
+    return DeltaWindow(int(theta))
+
+
+def _read_net(meta, tensors, stream_kind: str, delta: DeltaWindow,
+              prefix: str = "") -> StreamNet:
     encoder = _read_encoder(meta, tensors, prefix)
-    theta = int(meta.get("theta", "2"))
-    return StreamNet(encoder=encoder, delta=DeltaWindow(theta),
+    return StreamNet(encoder=encoder, delta=delta,
                      blstm=_read_blstm(tensors, f"{prefix}blstm", 3 * encoder[-1].w.shape[0]),
                      stream_kind=stream_kind)
 
@@ -508,12 +520,13 @@ def load_checkpoint(path, expect: dict[str, str] | None = None):
     if kind == "encoder":
         model = EncoderStack(layers=_read_encoder(meta, tensors), meta=meta)
     elif kind == "stream":
-        net = _read_net(meta, tensors, meta.get("stream", "raw"))
+        net = _read_net(meta, tensors, meta.get("stream", "raw"), _read_delta(meta, path))
         head = _read_fc(meta, tensors, "head", "linear", 2 * net.blstm.hidden)
         model = SingleStreamModel(net=net, head=head, meta=meta)
     elif kind == "fusion":
-        raw = _read_net(meta, tensors, "raw", "raw.")
-        diff = _read_net(meta, tensors, "diff", "diff.")
+        delta = _read_delta(meta, path)
+        raw = _read_net(meta, tensors, "raw", delta, "raw.")
+        diff = _read_net(meta, tensors, "diff", delta, "diff.")
         fusion_blstm = _read_blstm(tensors, "fusion_blstm",
                                    2 * raw.blstm.hidden + 2 * diff.blstm.hidden)
         out = _read_fc(meta, tensors, "out", "linear", 2 * fusion_blstm.hidden)

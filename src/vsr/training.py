@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import LoadedUtterance, stream_features
 from .evaluation import predict_labels
+from .fileio import write_atomic
 from .model import (FusionModel, SingleStreamModel, astype_model, build_fusion,
                     clip_group, fusion_forward_batch, fusion_backward_batch,
                     named_params, stream_backward_batch, stream_forward_batch)
@@ -89,8 +90,7 @@ class TrainHistory:
 
 
 def save_history(path, history: TrainHistory) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(history.to_json() + "\n")
+    write_atomic(path, history.to_json() + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,86 @@ def ref_lstm(wx, wh, b, seq, reverse=False):
     return out[::-1] if reverse else out
 
 
+def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None):
+    """The allocating, hold-masked batched recurrence; returns (h, cache).
+
+    A transcription of lstm_forward as it was before it computed in place:
+    fresh temporaries every step, gates in their own array, and h/c held
+    still once a sequence ends. wh_t is the [H, 4H] matrix each step
+    multiplies h by, the transposed view of p.wh by default; BLAS may round
+    that product differently for a C-contiguous copy at some shapes.
+    """
+    from vsr.layers import _as_batch, _recurrence_slots, sigmoid
+
+    x, lengths = _as_batch(seq, lengths)
+    t_len, batch, _ = x.shape
+    hidden, dtype = p.hidden, x.dtype
+    steps = int(lengths.max())
+    slots = _recurrence_slots(lengths, steps, reverse)
+    if slots is None:
+        rows = (x[steps - 1::-1] if reverse else x[:steps]).reshape(steps * batch, -1)
+        xz = (rows @ p.wx.T + p.b).reshape(steps, batch, 4 * hidden)
+    else:
+        rows = x[slots[1]]
+        xz = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
+        xz[slots[0]] = rows @ p.wx.T + p.b
+    gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
+    c_seq = np.empty((steps, batch, hidden), dtype=dtype)
+    tc_seq = np.empty_like(c_seq)
+    h_seq = np.empty_like(c_seq)
+    h = np.zeros((batch, hidden), dtype=dtype)
+    c = np.zeros_like(h)
+    live = None if slots is None else (np.arange(steps)[:, None] < lengths)[..., None]
+    wh_t = p.wh.T if wh_t is None else wh_t
+    cand = slice(2 * hidden, 3 * hidden)
+    for t in range(steps):
+        z = xz[t] + h @ wh_t
+        a = gates[t]
+        a[...] = sigmoid(z)
+        a[:, cand] = np.tanh(z[:, cand])
+        i, f, g, o = a[:, :hidden], a[:, hidden:2 * hidden], a[:, cand], a[:, 3 * hidden:]
+        c_t = np.multiply(f, c, out=c_seq[t])
+        c_t += i * g
+        np.tanh(c_t, out=tc_seq[t])
+        np.multiply(o, tc_seq[t], out=h_seq[t])
+        if live is None:
+            h, c = h_seq[t], c_t
+        else:
+            h = np.where(live[t], h_seq[t], h)
+            c = np.where(live[t], c_t, c)
+    out = np.zeros((t_len, batch, hidden), dtype=dtype)
+    if slots is None:
+        out[:steps] = h_seq[::-1] if reverse else h_seq
+    else:
+        out[slots[1]] = h_seq[slots[0]]
+    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, reverse, t_len)
+    return out.reshape(*seq.shape[:-1], hidden), cache
+
+
+def ref_fc(w, b, x, relu):
+    y = x @ w.T + b
+    return np.maximum(y, 0) if relu else y
+
+
+def ref_znorm_frames(flat):
+    mean = flat.mean(axis=1, keepdims=True)
+    centered = flat - mean
+    std = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
+    safe = np.where(std == 0, 1.0, std)
+    return np.where(std == 0, 0.0, centered / safe)
+
+
+def ref_preprocess(frames, kind, dtype):
+    """The raw/diff stream formulas with a fresh array for every step."""
+    x = frames.reshape(frames.shape[0], -1).astype(np.float64)
+    x -= x.mean(axis=0, keepdims=True)
+    if kind == "diff":
+        d = np.zeros_like(x)
+        d[1:] = x[1:] - x[:-1]
+        x = d
+    return ref_znorm_frames(x).astype(dtype)
+
+
 def ref_softmax(row):
     e = np.exp(row - row.max())
     return e / e.sum()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 from pathlib import Path
 
 import pytest
@@ -452,3 +453,16 @@ def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):
     rc = main(["gradcheck", "--checks", "fc", "--instances", "1"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_evaluate_bad_delta_window_exits_2(raw_ckpt, dataset, tmp_path, capsys):
+    theta = struct.pack("<I", 5) + b"theta" + struct.pack("<I", 1)
+    blob = Path(raw_ckpt).read_bytes()
+    assert blob.count(theta + b"2") == 1
+    bad = tmp_path / "bad_theta.ckpt"
+    bad.write_bytes(blob.replace(theta + b"2", theta + b"x"))
+    rc = main(["evaluate", "--model", str(bad), "--data", str(dataset), *PROTO_ARGS])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"checkpoint {bad}: metadata theta is 'x'" in err
+    assert "Traceback" not in err

@@ -529,3 +529,19 @@ def test_load_refuses_a_repeated_tensor(tmp_path):
 def test_load_refuses_an_unknown_head_activation(tmp_path):
     with pytest.raises(CheckpointError, match="unknown activation 'tanh' for head"):
         tampered(tmp_path, "stream", meta={"head.activation": "tanh"})
+
+
+@pytest.mark.parametrize("kind", ["stream", "fusion"])
+@pytest.mark.parametrize("theta", ["x", "2.5", "0", "-1"])
+def test_load_refuses_a_bad_delta_window(tmp_path, kind, theta):
+    with pytest.raises(CheckpointError) as err:
+        tampered(tmp_path, kind, meta={"theta": theta})
+    assert f"metadata theta is {theta!r}" in str(err.value)
+    assert str(tmp_path / "t.ckpt") in str(err.value)
+
+
+def test_load_accepts_a_delta_window_wider_than_any_sequence(tmp_path):
+    model = tampered(tmp_path, "stream", meta={"theta": "99"})
+    assert model.net.delta.theta == 99
+    logits, _ = stream_forward_batch(model, [Rng(0).normal((4, 6))])
+    assert np.isfinite(logits).all()
