@@ -34,22 +34,43 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_sizes(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(v) for v in str(value).split(",") if v != "")
+def _parse_sizes(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split(",") if v != "")
+
+
+# the JSON types a config value may take, by the type its flag parses
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 def resolve_config(args, defaults: dict) -> dict:
-    """defaults <- JSON config file <- flags that were given explicitly."""
+    """defaults <- JSON config file <- flags that were given explicitly.
+
+    The file holds one JSON object. Each value has the JSON type of its
+    key's flag, or is null where the default is unset.
+    """
     cfg = dict(defaults)
     path = getattr(args, "config", None)
     if path:
         with open(path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config file {path} nests too deeply") from None
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {path} does not hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"config file has unknown keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            flag = args.flags[key]
+            kind = bool if isinstance(flag, BoolFlag) else flag.type or str
+            types, name = _JSON_TYPES[kind]
+            # true and false are ints to Python, but only a switch takes them
+            fits = isinstance(value, types) and isinstance(value, bool) == (kind is bool)
+            if not (fits or value is None and defaults[key] is None):
+                raise ValueError(f"config file {path}: {key} must be {name}, "
+                                 f"not {json.dumps(value)}")
         cfg.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
@@ -79,12 +100,10 @@ def _split_for(manifest: DatasetManifest, cfg: dict, rng: Rng, need_val: bool):
     return split
 
 
-def _csv(value) -> list[str] | None:
+def _csv(value: str | None) -> list[str] | None:
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [v for v in str(value).split(",") if v]
+    return [v for v in value.split(",") if v]
 
 
 def _train_config(cfg: dict, stage: str) -> TrainConfig:
@@ -472,6 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action=BoolFlag, help="list available checks")
     p.set_defaults(func=cmd_gradcheck)
 
+    for p in sub.choices.values():
+        # resolve_config checks each config-file value against its flag
+        p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
 
 

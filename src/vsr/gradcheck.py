@@ -8,6 +8,7 @@ near-zero entries are compared absolutely.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -22,21 +23,26 @@ STEP = 1e-5
 GRAD_TOL = 1e-5
 
 
+def _central_diff(arr: np.ndarray, loss: Callable[[], float],
+                  step: float = STEP) -> np.ndarray:
+    """Central differences of loss() in each entry of arr, perturbed in place."""
+    grad = np.zeros(arr.shape)
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
+        arr[idx] = orig + step
+        f_plus = loss()
+        arr[idx] = orig - step
+        f_minus = loss()
+        arr[idx] = orig
+        grad[idx] = (f_plus - f_minus) / (2.0 * step)
+    return grad
+
+
 def numerical_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
                    step: float = STEP) -> np.ndarray:
     """Central-difference gradient of the scalar function f at x."""
     x = x.astype(np.float64)
-    grad = np.zeros_like(x)
-    flat, gflat = x.reshape(-1), grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = f(x)
-        flat[i] = orig - step
-        f_minus = f(x)
-        flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * step)
-    return grad
+    return _central_diff(x, lambda: f(x), step)
 
 
 def max_rel_err(analytic: np.ndarray, numerical: np.ndarray) -> float:
@@ -46,6 +52,17 @@ def max_rel_err(analytic: np.ndarray, numerical: np.ndarray) -> float:
         return 0.0
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numerical)))
     return float(np.max(np.abs(analytic - numerical) / denom))
+
+
+def _worst_error(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                 loss: Callable[[], float]) -> float:
+    """Worst error of each analytic grads[name] against central differences.
+
+    loss() must read the named arrays themselves: inputs and parameters
+    alike are perturbed where they live, one entry at a time.
+    """
+    return max(max_rel_err(grads[name], _central_diff(arr, loss))
+               for name, arr in arrays.items())
 
 
 def _randn(rng: Rng, *shape: int) -> np.ndarray:
@@ -63,19 +80,11 @@ def check_fc(rng: Rng) -> float:
         layer = FcLayer(w=_randn(rng, d_out, d_in), b=_randn(rng, d_out), activation=act)
         x = _randn(rng, n, d_in)
         proj = _randn(rng, n, d_out)
-
-        def loss(lw, lb, lx):
-            y, _ = fc_forward(FcLayer(lw, lb, act), lx)
-            return float((y * proj).sum())
-
-        y, cache = fc_forward(layer, x)
+        _, cache = fc_forward(layer, x)
         d_x, d_w, d_b = fc_backward(layer, cache, proj)
-        worst = max(
-            worst,
-            max_rel_err(d_x, numerical_grad(lambda v: loss(layer.w, layer.b, v), x)),
-            max_rel_err(d_w, numerical_grad(lambda v: loss(v, layer.b, x), layer.w)),
-            max_rel_err(d_b, numerical_grad(lambda v: loss(layer.w, v, x), layer.b)),
-        )
+        worst = max(worst, _worst_error(
+            {"x": x, "w": layer.w, "b": layer.b}, {"x": d_x, "w": d_w, "b": d_b},
+            lambda: float((fc_forward(layer, x)[0] * proj).sum())))
     return worst
 
 
@@ -85,117 +94,69 @@ def check_delta(rng: Rng) -> float:
         win = DeltaWindow(theta)
         seq = _randn(rng, t_len, 3)
         proj = _randn(rng, t_len, 3)
-        d_seq = delta_backward(proj, win)
-        num = numerical_grad(lambda v: float((delta_forward(v, win) * proj).sum()), seq)
-        worst = max(worst, max_rel_err(d_seq, num))
-
+        worst = max(worst, _worst_error({"seq": seq}, {"seq": delta_backward(proj, win)},
+                                        lambda: float((delta_forward(seq, win) * proj).sum())))
         proj3 = _randn(rng, t_len, 9)
-        d_seq3 = append_deltas_backward(proj3, win)
-        num3 = numerical_grad(lambda v: float((append_deltas(v, win) * proj3).sum()), seq)
-        worst = max(worst, max_rel_err(d_seq3, num3))
+        worst = max(worst, _worst_error({"seq": seq},
+                                        {"seq": append_deltas_backward(proj3, win)},
+                                        lambda: float((append_deltas(seq, win) * proj3).sum())))
     return worst
+
+
+def _lstm_arrays(p: LstmParams, prefix: str = "") -> dict[str, np.ndarray]:
+    return {f"{prefix}{field}": getattr(p, field) for field in ("wx", "wh", "b")}
+
+
+def _random_lstm(rng: Rng, d_in: int, hidden: int) -> LstmParams:
+    return LstmParams(wx=_randn(rng, 4 * hidden, d_in),
+                      wh=0.5 * _randn(rng, 4 * hidden, hidden),
+                      b=_randn(rng, 4 * hidden))
 
 
 def _lstm_error(rng: Rng, seq_shape: tuple[int, ...], lengths, hidden: int) -> float:
     """Both directions over one [T, D] sequence or a [T, B, D] batch."""
-    d_in = seq_shape[-1]
     worst = 0.0
     for reverse in (False, True):
-        p = LstmParams(wx=_randn(rng, 4 * hidden, d_in),
-                       wh=0.5 * _randn(rng, 4 * hidden, hidden),
-                       b=_randn(rng, 4 * hidden))
+        p = _random_lstm(rng, seq_shape[-1], hidden)
         seq = _randn(rng, *seq_shape)
         proj = _randn(rng, *seq_shape[:-1], hidden)
-
-        def loss(wx, wh, b, s):
-            h, _ = lstm_forward(LstmParams(wx, wh, b), s, reverse=reverse, lengths=lengths)
-            return float((h * proj).sum())
-
-        h, cache = lstm_forward(p, seq, reverse=reverse, lengths=lengths)
+        _, cache = lstm_forward(p, seq, reverse=reverse, lengths=lengths)
         d_seq, grads = lstm_backward(p, cache, proj)
-        worst = max(
-            worst,
-            max_rel_err(d_seq, numerical_grad(lambda v: loss(p.wx, p.wh, p.b, v), seq)),
-            max_rel_err(grads["wx"], numerical_grad(lambda v: loss(v, p.wh, p.b, seq), p.wx)),
-            max_rel_err(grads["wh"], numerical_grad(lambda v: loss(p.wx, v, p.b, seq), p.wh)),
-            max_rel_err(grads["b"], numerical_grad(lambda v: loss(p.wx, p.wh, v, seq), p.b)),
-        )
+        worst = max(worst, _worst_error(
+            {"seq": seq, **_lstm_arrays(p)}, {"seq": d_seq, **grads},
+            lambda: float((lstm_forward(p, seq, reverse=reverse, lengths=lengths)[0]
+                           * proj).sum())))
     return worst
-
-
-def check_lstm(rng: Rng) -> float:
-    return _lstm_error(rng, (4, 3), None, hidden=4)
-
-
-def check_lstm_batch(rng: Rng) -> float:
-    """Three unequal sequences, padded one frame past the longest."""
-    return _lstm_error(rng, (5, 3, 3), [4, 2, 3], hidden=3)
 
 
 def check_blstm(rng: Rng) -> float:
     t_len, d_in, hidden = 4, 3, 3
-    bl = Blstm(fwd=LstmParams(_randn(rng, 4 * hidden, d_in),
-                              0.5 * _randn(rng, 4 * hidden, hidden),
-                              _randn(rng, 4 * hidden)),
-               bwd=LstmParams(_randn(rng, 4 * hidden, d_in),
-                              0.5 * _randn(rng, 4 * hidden, hidden),
-                              _randn(rng, 4 * hidden)))
+    bl = Blstm(fwd=_random_lstm(rng, d_in, hidden), bwd=_random_lstm(rng, d_in, hidden))
     seq = _randn(rng, t_len, d_in)
     proj = _randn(rng, t_len, 2 * hidden)
-
-    out, cache = blstm_forward(bl, seq)
+    _, cache = blstm_forward(bl, seq)
     d_seq, grads = blstm_backward(bl, cache, proj)
-
-    def loss(s):
-        o, _ = blstm_forward(bl, s)
-        return float((o * proj).sum())
-
-    worst = max_rel_err(d_seq, numerical_grad(loss, seq))
-    for half, lp in (("fwd", bl.fwd), ("bwd", bl.bwd)):
-        for field in ("wx", "wh", "b"):
-            ref = getattr(lp, field)
-
-            def loss_p(v, ref=ref):
-                old = ref.copy()
-                ref[...] = v
-                o, _ = blstm_forward(bl, seq)
-                ref[...] = old
-                return float((o * proj).sum())
-
-            worst = max(worst, max_rel_err(grads[half][field], numerical_grad(loss_p, ref)))
-    return worst
+    arrays = {"seq": seq, **_lstm_arrays(bl.fwd, "fwd."), **_lstm_arrays(bl.bwd, "bwd.")}
+    analytic = {"seq": d_seq, **{f"{half}.{field}": g for half in ("fwd", "bwd")
+                                 for field, g in grads[half].items()}}
+    return _worst_error(arrays, analytic, lambda: float((blstm_forward(bl, seq)[0] * proj).sum()))
 
 
 def check_softmax_xent(rng: Rng) -> float:
     n, k = 5, 4
     logits = _randn(rng, n, k)
     labels = rng.integers(k, (n,))
-    mask = np.ones(n)
-    mask[rng.integers(n, (1,))[0]] = 0.0  # at least one frame stays in
-
-    loss, d_logits = softmax_xent(logits, labels, mask)
-    num = numerical_grad(lambda v: softmax_xent(v, labels, mask)[0], logits)
-    return max_rel_err(d_logits, num)
+    # one frame stays out, as a padded one would
+    keep = np.arange(n) != rng.integers(n, (1,))[0]
+    logits, labels = logits[keep], labels[keep]
+    _, d_logits = softmax_xent(logits, labels)
+    return _worst_error({"logits": logits}, {"logits": d_logits},
+                        lambda: softmax_xent(logits, labels)[0])
 
 
 # ---------------------------------------------------------------------------
 # whole-model checks (built lazily so layer checks stand alone)
 # ---------------------------------------------------------------------------
-
-def _check_params(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                  loss_fn: Callable[[], float]) -> float:
-    worst = 0.0
-    for name, ref in params.items():
-        def loss_p(v, ref=ref):
-            old = ref.copy()
-            ref[...] = v
-            out = loss_fn()
-            ref[...] = old
-            return out
-
-        worst = max(worst, max_rel_err(grads[name], numerical_grad(loss_p, ref)))
-    return worst
-
 
 def _jitter_biases(model, rng: Rng) -> None:
     # zero-init biases make relu pre-activations land exactly on the kink
@@ -215,76 +176,43 @@ def _tiny_stream(rng: Rng, input_dim: int, classes: int):
     return model
 
 
-def _stream_error(rng: Rng, lengths: tuple[int, ...]) -> float:
-    from .model import named_params, stream_backward_batch, stream_forward_batch
+def _model_error(rng: Rng, lengths: tuple[int, ...], fusion: bool) -> float:
+    """Every parameter of a tiny raw stream, or of a fusion of two streams."""
+    from .model import (build_fusion, fusion_backward_batch, fusion_forward_batch,
+                        named_params, stream_backward_batch, stream_forward_batch)
     input_dim, classes = 4, 3
     model = _tiny_stream(rng, input_dim, classes)
-    seqs = [_randn(rng, t_len, input_dim) for t_len in lengths]
-    labels = rng.integers(classes, (sum(lengths),))
-    mask = np.ones(sum(lengths))
-
-    logits, cache = stream_forward_batch(model, seqs)
-    _, d_logits = softmax_xent(logits, labels, mask)
-    grads = stream_backward_batch(model, cache, d_logits)
-
-    def loss_fn():
-        out, _ = stream_forward_batch(model, seqs)
-        return softmax_xent(out, labels, mask)[0]
-
-    return _check_params(named_params(model), grads, loss_fn)
-
-
-def _fusion_error(rng: Rng, lengths: tuple[int, ...]) -> float:
-    from .model import build_fusion, fusion_backward_batch, fusion_forward_batch, named_params
-    input_dim, classes = 4, 3
-    raw = _tiny_stream(rng, input_dim, classes)
-    diff = _tiny_stream(rng, input_dim, classes)
-    diff.net.stream_kind = "diff"
-    model = build_fusion(raw, diff, hidden=2, rng=rng, dtype=np.float64)
-    _jitter_biases(model, rng)
+    forward, backward = stream_forward_batch, stream_backward_batch
+    if fusion:
+        diff = _tiny_stream(rng, input_dim, classes)
+        diff.net.stream_kind = "diff"
+        model = build_fusion(model, diff, hidden=2, rng=rng, dtype=np.float64)
+        _jitter_biases(model, rng)
+        forward, backward = fusion_forward_batch, fusion_backward_batch
     seqs = {kind: [_randn(rng, t_len, input_dim) for t_len in lengths]
-            for kind in ("raw", "diff")}
+            for kind in (("raw", "diff") if fusion else ("raw",))}
+    if not fusion:
+        seqs = seqs["raw"]
     labels = rng.integers(classes, (sum(lengths),))
-    mask = np.ones(sum(lengths))
 
-    logits, cache = fusion_forward_batch(model, seqs)
-    _, d_logits = softmax_xent(logits, labels, mask)
-    grads = fusion_backward_batch(model, cache, d_logits)
-
-    def loss_fn():
-        out, _ = fusion_forward_batch(model, seqs)
-        return softmax_xent(out, labels, mask)[0]
-
-    return _check_params(named_params(model), grads, loss_fn)
-
-
-def check_stream(rng: Rng) -> float:
-    return _stream_error(rng, (4,))
-
-
-def check_stream_batch(rng: Rng) -> float:
-    return _stream_error(rng, (4, 2, 3))
-
-
-def check_fusion(rng: Rng) -> float:
-    return _fusion_error(rng, (4,))
-
-
-def check_fusion_batch(rng: Rng) -> float:
-    return _fusion_error(rng, (4, 2, 3))
+    logits, cache = forward(model, seqs)
+    grads = backward(model, cache, softmax_xent(logits, labels)[1])
+    return _worst_error(named_params(model), grads,
+                        lambda: softmax_xent(forward(model, seqs)[0], labels)[0])
 
 
 CHECKS: dict[str, Callable[[Rng], float]] = {
     "fc": check_fc,
     "delta": check_delta,
-    "lstm": check_lstm,
-    "lstm_batch": check_lstm_batch,
+    "lstm": partial(_lstm_error, seq_shape=(4, 3), lengths=None, hidden=4),
+    # *_batch: three unequal sequences (for the lstm, padded past the longest)
+    "lstm_batch": partial(_lstm_error, seq_shape=(5, 3, 3), lengths=[4, 2, 3], hidden=3),
     "blstm": check_blstm,
     "softmax_xent": check_softmax_xent,
-    "stream": check_stream,
-    "stream_batch": check_stream_batch,
-    "fusion": check_fusion,
-    "fusion_batch": check_fusion_batch,
+    "stream": partial(_model_error, lengths=(4,), fusion=False),
+    "stream_batch": partial(_model_error, lengths=(4, 2, 3), fusion=False),
+    "fusion": partial(_model_error, lengths=(4,), fusion=True),
+    "fusion_batch": partial(_model_error, lengths=(4, 2, 3), fusion=True),
 }
 
 

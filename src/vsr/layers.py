@@ -6,14 +6,17 @@ gradients. Layers never mutate their inputs, so concurrent evaluation on
 distinct sequences is safe.
 
 Shapes follow the conventions: frame batches are [N, D] with one row per
-frame, weight sheets are [out, in]. Sequence layers (deltas, LSTM, BLSTM)
-take a time-major batch [T, B, D] plus per-sequence `lengths` (sequence b
-fills its first lengths[b] frames; None means all T), or a single [T, D]
-sequence, which runs the same code as a batch of one. Rows past a
-sequence's end are padding: zero in sequence-layer outputs and input
-gradients, ignored in upstream gradients. In an LSTM cache the slots after
-a sequence's last step hold a finite continuation of its recurrence that
-nothing reads, not held h and c.
+frame (fc layers take nothing else), weight sheets are [out, in]. Sequence
+layers (deltas, LSTM, BLSTM) take a time-major batch [T, B, D] plus
+per-sequence `lengths` (sequence b fills its first lengths[b] frames; None
+means all T), or a single [T, D] sequence, which runs the same code as a
+batch of one. Rows past a sequence's end are padding: zero in
+sequence-layer outputs and input gradients, ignored in upstream gradients.
+In an LSTM cache the slots after a sequence's last step hold a finite
+continuation of its recurrence that nothing reads, not held h and c.
+
+A layer's parameters and its input share one dtype; callers cast the model
+and the data together, so no layer call mixes precisions.
 
 The forward passes compute in buffers they own: fc_forward adds the bias
 and applies the ReLU in the product's array, and lstm_forward does its gate
@@ -60,9 +63,9 @@ def fc_init(fan_in: int, fan_out: int, rng: Rng, activation: str = "linear",
 
 
 def fc_forward(layer: FcLayer, x: np.ndarray):
-    """act(W x + b) for a single vector [in] or a frame batch [N, in]."""
-    if x.shape[-1] != layer.w.shape[1]:
-        raise ValueError(f"fc input width {x.shape[-1]} != weight width {layer.w.shape[1]}")
+    """act(x W^T + b) for a frame batch x [N, in]."""
+    if x.ndim != 2 or x.shape[1] != layer.w.shape[1]:
+        raise ValueError(f"fc input {x.shape} is not [N, {layer.w.shape[1]}]")
     y = _affine(x, layer.w, layer.b)
     if layer.activation == "relu":
         np.maximum(y, 0, out=y)
@@ -70,10 +73,8 @@ def fc_forward(layer: FcLayer, x: np.ndarray):
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w.T + b, adding b in the product's own buffer unless b is wider."""
+    """x @ w.T + b, adding b in the product's own buffer."""
     y = x @ w.T
-    if np.result_type(y, b) != y.dtype:
-        return y + b
     y += b
     return y
 
@@ -88,12 +89,8 @@ def fc_backward(layer: FcLayer, cache, d_out: np.ndarray, input_grad: bool = Tru
         d_pre = d_out * (y > 0)
     else:
         d_pre = d_out
-    if x.ndim == 1:
-        d_w = np.outer(d_pre, x)
-        d_b = d_pre.copy()
-    else:
-        d_w = d_pre.T @ x
-        d_b = d_pre.sum(axis=0)
+    d_w = d_pre.T @ x
+    d_b = d_pre.sum(axis=0)
     d_x = d_pre @ layer.w if input_grad else None
     return d_x, d_w, d_b
 
@@ -277,6 +274,7 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
     Each step multiplies h by a C-contiguous copy of wh.T and does its gate
     math in place in the step's row of the input projection, which becomes
     the gates cache; c, tanh(c) and h are written straight into their caches.
+    The parameters and seq share one dtype, which every buffer takes.
     """
     x, lengths = _as_batch(seq, lengths)
     if x.shape[2] != p.wx.shape[1]:
@@ -285,18 +283,13 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
     hidden, dtype = p.hidden, x.dtype
     steps = int(lengths.max())
     slots = _recurrence_slots(lengths, steps, reverse)
-    # z = x wx^T + b + h wh^T in the widest dtype involved, as numpy would
-    # promote it; the gates and the cell stay in the input's dtype
-    z_dtype = np.result_type(dtype, p.wx, p.b, p.wh)
     if slots is None:
         rows = (x[steps - 1::-1] if reverse else x[:steps]).reshape(steps * batch, -1)
-        xz = _affine(rows, p.wx, p.b).astype(z_dtype, copy=False)
-        xz = xz.reshape(steps, batch, 4 * hidden)
+        gates = _affine(rows, p.wx, p.b).reshape(steps, batch, 4 * hidden)
     else:
         rows = x[slots[1]]
-        xz = np.zeros((steps, batch, 4 * hidden), dtype=z_dtype)
-        xz[slots[0]] = _affine(rows, p.wx, p.b)
-    gates = xz if z_dtype == dtype else np.empty(xz.shape, dtype=dtype)
+        gates = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
+        gates[slots[0]] = _affine(rows, p.wx, p.b)
     c_seq = np.empty((steps, batch, hidden), dtype=dtype)
     tc_seq = np.empty_like(c_seq)
     h_seq = np.empty_like(c_seq)
@@ -305,24 +298,20 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
     # a one-row product runs as a gemv, whose summation order follows the
     # weight's layout, so a batch of one keeps the transposed view
     wh_t = p.wh.T if batch == 1 else np.ascontiguousarray(p.wh.T)
-    hz = np.empty((batch, 4 * hidden), dtype=np.result_type(dtype, p.wh))
-    g_tmp = np.empty((batch, hidden), dtype=z_dtype)
+    hz = np.empty((batch, 4 * hidden), dtype=dtype)
+    g_tmp = np.empty_like(h)
     ig = np.empty_like(h)
     cand = slice(2 * hidden, 3 * hidden)
     for t in range(steps):
-        z = xz[t]
-        z += np.matmul(h, wh_t, out=hz)
-        np.tanh(z[:, cand], out=g_tmp)
+        a = gates[t]
+        a += np.matmul(h, wh_t, out=hz)
+        np.tanh(a[:, cand], out=g_tmp)
         # sigmoid(), one operation at a time
-        z *= 0.5
-        np.tanh(z, out=z)
-        z *= 0.5
-        z += 0.5
-        z[:, cand] = g_tmp
-        a = z
-        if gates is not xz:
-            a = gates[t]
-            a[...] = z
+        a *= 0.5
+        np.tanh(a, out=a)
+        a *= 0.5
+        a += 0.5
+        a[:, cand] = g_tmp
         i, f, g, o = a[:, :hidden], a[:, hidden:2 * hidden], a[:, cand], a[:, 3 * hidden:]
         c = np.multiply(f, c, out=c_seq[t])
         c += np.multiply(i, g, out=ig)
@@ -431,33 +420,29 @@ def blstm_backward(bl: Blstm, cache, d_out: np.ndarray):
 # softmax cross-entropy
 # ---------------------------------------------------------------------------
 
-def softmax_xent(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray):
-    """Mean masked cross-entropy over frames; returns (loss, d_logits).
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy over frames; returns (loss, d_logits).
 
-    loss = mean over masked-in frames of -log softmax(logits_t)[label_t],
-    computed with the log-sum-exp max shift. Masked-out frames contribute
-    zero loss and zero gradient.
+    loss = mean over frames of -log softmax(logits_t)[label_t], computed
+    with the log-sum-exp max shift. Padding never reaches it: callers pass
+    only valid frames.
     """
     n, k = logits.shape
     if n == 0:
         raise ValueError("softmax_xent needs at least one frame")
     labels = np.asarray(labels)
-    if labels.shape != (n,) or np.asarray(mask).shape != (n,):
-        raise ValueError("labels and mask must be one entry per frame")
+    if labels.shape != (n,):
+        raise ValueError("labels must be one entry per frame")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    maskf = np.asarray(mask, dtype=logits.dtype)
-    n_valid = float(maskf.sum())
-    if n_valid == 0:
-        raise ValueError("softmax_xent needs at least one masked-in frame")
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
     rows = np.arange(n)
-    loss = -float((logp[rows, labels] * maskf).sum()) / n_valid
+    loss = -float(logp[rows, labels].sum()) / n
     d_logits = np.exp(logp)
     d_logits[rows, labels] -= 1.0
-    d_logits *= maskf[:, None] / n_valid
+    d_logits *= np.ones(1, dtype=logits.dtype) / float(n)
     return loss, d_logits
 
 

@@ -91,14 +91,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_param(cls, param: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param),
-                   t=0, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def _usable_cpus() -> int:
@@ -159,7 +151,7 @@ def _run_blocks(blocks) -> None:
         _adam_kernel(p, g, m, v, s1, s2, *coef)
 
 
-def _adam_update(jobs, lr: float) -> None:
+def _adam_update(jobs, lr: float, beta1: float, beta2: float, eps: float) -> None:
     """Update checked (param, grad, state) triples whose t is already advanced.
 
     Each tensor is cut into ADAM_BLOCK-element slices of its flat views (a
@@ -169,8 +161,8 @@ def _adam_update(jobs, lr: float) -> None:
     """
     blocks = []
     for p, g, st in jobs:
-        coef = (float(st.beta1), float(st.beta2), 1.0 - float(st.beta1) ** st.t,
-                1.0 - float(st.beta2) ** st.t, float(st.eps), float(lr))
+        coef = (float(beta1), float(beta2), 1.0 - float(beta1) ** st.t,
+                1.0 - float(beta2) ** st.t, float(eps), float(lr))
         arrays = (p, g, st.m, st.v)
         if not (p.flags.c_contiguous and st.m.flags.c_contiguous
                 and st.v.flags.c_contiguous):
@@ -204,7 +196,7 @@ def _adam_check(param: np.ndarray, grad: np.ndarray, m_shape, what: str) -> None
     """Refuse mismatched shapes or dtypes and non-finite gradients."""
     if param.shape != grad.shape or param.shape != m_shape or param.dtype != grad.dtype:
         raise ValueError(
-            f"adam_step shape or dtype mismatch in {what}: param {param.shape} "
+            f"adam shape or dtype mismatch in {what}: param {param.shape} "
             f"{param.dtype}, grad {grad.shape} {grad.dtype}, m {m_shape}"
         )
     # cheap screen first: a single reduction catches NaN/Inf almost always
@@ -212,29 +204,18 @@ def _adam_check(param: np.ndarray, grad: np.ndarray, m_shape, what: str) -> None
         require_finite(grad, what)
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
-    """One Adam update with bias correction; mutates param and state in place.
+class Adam:
+    """Adam over a named parameter dict, one moment pair per tensor.
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;
     param <- param - lr * m_hat / (sqrt(v_hat) + eps).
 
-    Runs the same blocked kernel as Adam.step. Arithmetic is in the
-    parameter's dtype: grad must share it, and the hyperparameters are
-    applied as Python floats.
-    """
-    _adam_check(param, grad, state.m.shape, "adam gradient")
-    state.t += 1
-    _adam_update([(param, grad, state)], lr)
-    return param, state
-
-
-class Adam:
-    """Adam over a named parameter dict, one moment pair per tensor.
-
-    A step is all or nothing: every shape is checked and every gradient
-    screened for NaN/Inf before any parameter, moment or step count
-    changes. The update itself runs blocked and threaded (module
-    docstring), with the same result bit for bit as one tensor at a time.
+    Arithmetic is in each parameter's dtype: its gradient must share it,
+    and the hyperparameters are applied as Python floats. A step is all or
+    nothing: every shape is checked and every gradient screened for NaN/Inf
+    before any parameter, moment or step count changes. The update itself
+    runs blocked and threaded (module docstring), with the same result bit
+    for bit as one tensor at a time.
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -252,11 +233,10 @@ class Adam:
         for name, p in params.items():
             st = self.state.get(name)
             if st is None:
-                st = AdamState.for_param(p, self.beta1, self.beta2, self.eps)
-                self.state[name] = st
+                st = self.state[name] = AdamState(np.zeros_like(p), np.zeros_like(p))
             st.t += 1
             jobs.append((p, grads[name], st))
-        _adam_update(jobs, lr)
+        _adam_update(jobs, lr, self.beta1, self.beta2, self.eps)
 
 
 def clip_global_norm(grads, threshold: float):

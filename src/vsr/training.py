@@ -1,10 +1,11 @@
 """Two-stage training: single streams end to end, then fusion fine-tuning.
 
-Batches hold zero-padded sequence tensors with 0/1 frame masks. A step
-hands the model each sequence's valid frames; the model runs its encoder
-over those frames and its BLSTMs over a time-major batch padded only to
-the longest sequence, with masks keeping padded frames out of every
-result, so the batch's padding length cannot influence a single bit.
+Batches hold zero-padded sequence tensors and each sequence's length. A
+step hands the model each sequence's valid frames; the model runs its
+encoder over those frames and its BLSTMs over a time-major batch padded
+only to the longest sequence, with the lengths keeping padded frames out
+of every result, so the batch's padding length cannot influence a single
+bit.
 Validation scores through the same chunked path as evaluation. Early
 stopping watches validation utterance accuracy and restores the best
 epoch's weights.
@@ -167,11 +168,11 @@ def _forward_backward(model, batch: Batch):
     if isinstance(model, SingleStreamModel):
         kind = model.net.stream_kind
         logits, cache = stream_forward_batch(model, seqs[kind])
-        loss, d_logits = softmax_xent(logits, labels, np.ones(len(labels)))
+        loss, d_logits = softmax_xent(logits, labels)
         grads = stream_backward_batch(model, cache, d_logits)
     elif isinstance(model, FusionModel):
         logits, cache = fusion_forward_batch(model, seqs)
-        loss, d_logits = softmax_xent(logits, labels, np.ones(len(labels)))
+        loss, d_logits = softmax_xent(logits, labels)
         grads = fusion_backward_batch(model, cache, d_logits)
     else:
         raise TypeError(f"cannot train {type(model).__name__}")
@@ -193,7 +194,8 @@ def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> flo
             raise TrainingDiverged(f"non-finite forward pass in batch {b_idx}: {exc}") from exc
         if not np.isfinite(loss):
             raise TrainingDiverged(f"training loss became non-finite in batch {b_idx}")
-        clip_names = clip_group(grads)
+        # frozen gradients are never applied, so they stay out of the norm
+        clip_names = [n for n in clip_group(grads) if n in trainable]
         try:
             clipped, _ = clip_global_norm([grads[n] for n in clip_names], cfg.clip_threshold)
             for name, g in zip(clip_names, clipped):

@@ -144,10 +144,9 @@ def ref_mean_std(values):
     return mean, std
 
 
-def ref_adam(param, grad, state, lr):
+def ref_adam(param, grad, state, lr, b1=0.9, b2=0.999, eps=1e-8):
     """The textbook Adam step, whole-tensor numpy expressions (mutates in place)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     state.m *= b1
     state.m += (1.0 - b1) * grad
     state.v *= b2
@@ -155,6 +154,6 @@ def ref_adam(param, grad, state, lr):
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     denom = np.sqrt(state.v / bc2)
-    denom += state.eps
+    denom += eps
     param -= (lr / bc1) * state.m / denom
     return param, state

@@ -3,12 +3,17 @@
 import json
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vsr.gradcheck
-from vsr.cli import main
+import vsr.layers
+from vsr import cli
+from vsr.cli import build_parser, main, resolve_config
 from vsr.data import ROI_DIMS, load_manifest
 from vsr.gradcheck import CHECKS
 from vsr.model import EncoderStack, FusionModel, SingleStreamModel, load_checkpoint
@@ -149,6 +154,61 @@ def test_config_file_with_unknown_keys(tmp_path, capsys):
     rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")])
     assert rc == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ("5", "does not hold a JSON object"),
+    ("null", "does not hold a JSON object"),
+    ('{"seed": [1]}', "seed must be an integer, not [1]"),
+    ('{"lr": null}', "lr must be a number, not null"),
+    ('{"protocol": 5}', "protocol must be a string, not 5"),
+    ('{"hidden": 2.5}', "hidden must be an integer, not 2.5"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "nests too deeply", id="deep"),
+])
+def test_malformed_config_file_exits_2(tmp_path, capsys, doc, named):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(doc)
+    rc = main(["train-stream", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: config file {cfg}")
+    assert named in err
+    assert "Traceback" not in err
+
+
+COMMAND_DEFAULTS = {
+    "synth": cli.SYNTH_DEFAULTS, "pretrain": cli.PRETRAIN_DEFAULTS,
+    "train-stream": cli.TRAIN_DEFAULTS["stream"], "train-fusion": cli.TRAIN_DEFAULTS["fusion"],
+    "evaluate": cli.EVALUATE_DEFAULTS, "repeat": cli.REPEAT_DEFAULTS,
+    "gradcheck": cli.GRADCHECK_DEFAULTS,
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(COMMAND_DEFAULTS)), data=st.data())
+def test_resolve_config_returns_or_refuses_any_json_document(command, data):
+    defaults = COMMAND_DEFAULTS[command]
+    doc = data.draw(JSON_VALUES | st.dictionaries(st.sampled_from(sorted(defaults)),
+                                                  JSON_VALUES, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        args = build_parser().parse_args([command, "--config", path])
+        try:
+            cfg = resolve_config(args, defaults)
+        except ValueError as exc:
+            assert str(exc).startswith(("config file ", "config file has unknown keys"))
+            return
+    assert isinstance(doc, dict) and set(cfg) == set(defaults)
+    for key, value in doc.items():
+        assert json.dumps(cfg[key]) == json.dumps(value)  # NaN-safe equality
+        assert value is not None or defaults[key] is None
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +513,23 @@ def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):
     rc = main(["gradcheck", "--checks", "fc", "--instances", "1"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_flags_a_broken_recurrent_gradient(monkeypatch, capsys):
+    true_backward = vsr.layers.lstm_backward
+
+    def skewed(p, cache, d_h):
+        d_seq, grads = true_backward(p, cache, d_h)
+        return d_seq, {**grads, "wh": grads["wh"] * 1.001}
+
+    # the lstm checks call it directly, the blstm and the models through layers
+    monkeypatch.setattr(vsr.gradcheck, "lstm_backward", skewed)
+    monkeypatch.setattr(vsr.layers, "lstm_backward", skewed)
+    checks = ["lstm", "lstm_batch", "blstm", "stream_batch", "fusion_batch"]
+    rc = main(["gradcheck", "--checks", ",".join(checks), "--instances", "1"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.endswith("FAIL")] == checks
 
 
 def test_evaluate_bad_delta_window_exits_2(raw_ckpt, dataset, tmp_path, capsys):

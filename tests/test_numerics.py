@@ -18,7 +18,6 @@ from vsr.numerics import (
     AdamState,
     NonFiniteError,
     Rng,
-    adam_step,
     clip_global_norm,
     glorot_init,
     require_finite,
@@ -76,8 +75,7 @@ def test_adam_first_step_hand_trace():
     """One step with g=0.5, lr=0.1: both moment corrections cancel and the
     update is lr * g / (|g| + eps), slightly under 0.1 in magnitude."""
     p = np.array([1.0])
-    st = AdamState.for_param(p)
-    adam_step(p, np.array([0.5]), st, lr=0.1)
+    Adam().step({"p": p}, {"p": np.array([0.5])}, lr=0.1)
     expected = 1.0 - 0.1 * (0.5 / (0.5 + 1e-8))
     assert abs(p[0] - expected) < 1e-12
     assert abs(p[0] - 0.9000000020) < 1e-9
@@ -85,10 +83,10 @@ def test_adam_first_step_hand_trace():
 
 def test_adam_second_step_hand_trace():
     p = np.array([1.0])
-    st = AdamState.for_param(p)
+    opt = Adam()
     g = np.array([0.5])
-    adam_step(p, g, st, lr=0.1)
-    adam_step(p, g, st, lr=0.1)
+    opt.step({"p": p}, {"p": g}, lr=0.1)
+    opt.step({"p": p}, {"p": g}, lr=0.1)
     # With a constant gradient the corrected moments stay (0.5, 0.25),
     # so the second step repeats the first.
     assert abs(p[0] - 0.8000000040) < 1e-9
@@ -97,10 +95,10 @@ def test_adam_second_step_hand_trace():
 def test_adam_zero_lr_is_noop():
     p = np.array([1.5, -2.0])
     before = p.copy()
-    st = AdamState.for_param(p)
-    adam_step(p, np.array([3.0, -1.0]), st, lr=0.0)
+    opt = Adam()
+    opt.step({"p": p}, {"p": np.array([3.0, -1.0])}, lr=0.0)
     assert np.array_equal(p, before)
-    assert st.t == 1  # the step still counts
+    assert opt.state["p"].t == 1  # the step still counts
 
 
 def test_adam_dict_optimizer_keeps_state_per_name():
@@ -122,14 +120,17 @@ def rng_a_start(seed):
 
 def test_adam_rejects_shape_mismatch():
     p = np.zeros(3)
-    st = AdamState.for_param(p)
     with pytest.raises(ValueError):
-        adam_step(p, np.zeros(4), st, lr=0.1)
+        Adam().step({"p": p}, {"p": np.zeros(4)}, lr=0.1)
 
 
 # one element, exactly one block, one block plus one, several blocks, 0-d, 2-d
 ADAM_SHAPES = [(1,), (ADAM_BLOCK,), (ADAM_BLOCK + 1,), (3 * ADAM_BLOCK + 5,), (),
                (4, 7), (300, 700)]
+
+
+def fresh_state(p):
+    return AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
 
 
 def random_tensors(rng, shapes, dtype):
@@ -151,28 +152,27 @@ def assert_same_state(opt_state, ref_state):
        steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        lr=st.sampled_from([0.0, 1e-4, 3e-3, 0.5]), workers=st.integers(1, 5))
 def test_adam_matches_reference_bit_for_bit(dtype, shapes, steps, seed, lr, workers):
-    """Adam.step and adam_step equal the textbook update exactly, for any
-    split of the blocks over workers."""
+    """Adam.step, over all tensors at once or one at a time, equals the
+    textbook update exactly, for any split of the blocks over workers."""
     rng = Rng(seed)
     params = random_tensors(rng, shapes, dtype)
     ref = copy.deepcopy(params)
     single = copy.deepcopy(params)
-    ref_state = {n: AdamState.for_param(p) for n, p in ref.items()}
-    single_state = copy.deepcopy(ref_state)
-    opt = Adam()
+    ref_state = {n: fresh_state(p) for n, p in ref.items()}
+    opt, single_opt = Adam(), Adam()
     with mock.patch.object(numerics, "ADAM_WORKERS", workers):
         for _ in range(steps):
             grads = random_tensors(rng, shapes, dtype)
             opt.step(params, grads, lr)
             for name, g in grads.items():
                 ref_adam(ref[name], g, ref_state[name], lr)
-                adam_step(single[name], g, single_state[name], lr)
+                single_opt.step({name: single[name]}, {name: g}, lr)
     for name in params:
         assert params[name].dtype == dtype
         assert np.array_equal(params[name], ref[name]), name
         assert np.array_equal(single[name], ref[name]), name
     assert_same_state(opt.state, ref_state)
-    assert_same_state(single_state, ref_state)
+    assert_same_state(single_opt.state, ref_state)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -199,17 +199,18 @@ def test_adam_non_finite_last_gradient_changes_nothing(bad, dtype):
 
 def test_adam_screen_passes_a_finite_gradient_whose_sum_overflows():
     p = np.zeros(4, dtype=np.float32)
-    st_ = AdamState.for_param(p)
+    opt = Adam()
     with np.errstate(over="ignore"):
-        adam_step(p, np.full(4, 3e38, dtype=np.float32), st_, lr=0.1)
-    assert np.all(np.isfinite(p)) and st_.t == 1
+        opt.step({"p": p}, {"p": np.full(4, 3e38, dtype=np.float32)}, lr=0.1)
+    assert np.all(np.isfinite(p)) and opt.state["p"].t == 1
 
 
 def test_adam_rejects_dtype_mismatch():
     p = np.zeros(3, dtype=np.float32)
-    st_ = AdamState.for_param(p)
+    opt = Adam()
+    opt.state["p"] = st_ = fresh_state(p)
     with pytest.raises(ValueError, match="dtype"):
-        adam_step(p, np.zeros(3), st_, lr=0.1)
+        opt.step({"p": p}, {"p": np.zeros(3)}, lr=0.1)
     assert st_.t == 0
 
 
@@ -220,7 +221,7 @@ def test_adam_non_contiguous_param_is_updated_in_place():
     g = Rng(3).normal(p.shape)
     opt = Adam()
     opt.step({"p": p}, {"p": g}, lr=0.01)
-    ref_adam(ref, g, AdamState.for_param(ref), lr=0.01)
+    ref_adam(ref, g, fresh_state(ref), lr=0.01)
     assert np.array_equal(base[:, ::2], ref)
 
 
@@ -235,7 +236,7 @@ def test_adam_concurrent_callers_share_the_pool():
             rng = Rng(100 + k)
             params = random_tensors(rng, shapes, np.float32)
             ref = copy.deepcopy(params)
-            ref_state = {n: AdamState.for_param(p) for n, p in ref.items()}
+            ref_state = {n: fresh_state(p) for n, p in ref.items()}
             opt = Adam()
             for _ in range(3):
                 grads = random_tensors(rng, shapes, np.float32)

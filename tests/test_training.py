@@ -220,13 +220,13 @@ def test_gradients_flow_only_through_valid_frames():
     batch = make_batches(samples, 3, Rng(11), pad_to=10)[0]
     seqs, labels = training._batch_valid(batch)
     logits, cache = stream_forward_batch(model, seqs["raw"])
-    loss_batch, _ = softmax_xent(logits, labels, np.ones(len(labels)))
+    loss_batch, _ = softmax_xent(logits, labels)
 
     per_utt = []
     for s in samples:
         lg, _ = stream_forward_batch(model, [s.streams["raw"]])
         lab = np.full(lg.shape[0], s.label)
-        per_utt.append(softmax_xent(lg, lab, np.ones(lg.shape[0]))[0] * lg.shape[0])
+        per_utt.append(softmax_xent(lg, lab)[0] * lg.shape[0])
     want = sum(per_utt) / sum(x.streams["raw"].shape[0] for x in samples)
     assert loss_batch == pytest.approx(want, abs=1e-12)
 
@@ -389,6 +389,36 @@ def test_train_fusion_freeze_streams():
     for name, arr in named_params(diff).items():
         if not name.startswith("head."):
             assert np.array_equal(frozen[f"diff.{name}"], arr), name
+
+
+def test_frozen_fusion_clips_only_the_gradients_it_applies(monkeypatch):
+    """Frozen stream gradients are never applied, so they stay out of the
+    recurrent clip norm: only the fusion BLSTM's six tensors reach it."""
+    raw, diff = two_trained_streams(seed=20)
+    batch_grads, clipped = [], []
+    true_forward_backward, true_clip = training._forward_backward, training.clip_global_norm
+
+    def forward_backward(model, batch):
+        out = true_forward_backward(model, batch)
+        batch_grads.append(out[1])
+        return out
+
+    def clip(tensors, threshold):
+        tensors = list(tensors)
+        names = {id(g): n for n, g in batch_grads[-1].items()}
+        clipped.append([names[id(t)] for t in tensors])
+        return true_clip(tensors, threshold)
+
+    monkeypatch.setattr(training, "_forward_backward", forward_backward)
+    monkeypatch.setattr(training, "clip_global_norm", clip)
+    cfg = TrainConfig.for_fusion(lr=0.01, max_epochs=2, patience=10, seed=9,
+                                 freeze_streams=True)
+    train_fusion(raw, diff, toy_samples(8, kinds=("raw", "diff")),
+                 toy_samples(4, kinds=("raw", "diff"), seed=10), cfg)
+    fusion_blstm = [f"fusion_blstm.{half}.{field}" for half in ("fwd", "bwd")
+                    for field in ("wx", "wh", "b")]
+    assert len(clipped) == len(batch_grads) > 0
+    assert all(names == fusion_blstm for names in clipped)
 
 
 def test_train_fusion_finetunes_streams_by_default():
