@@ -213,7 +213,7 @@ def _run_training(cfg: dict, stage: str):
     train_samples = samples_from_utterances(train_utts, kinds, tcfg.dtype)
     val_samples = samples_from_utterances(val_utts, kinds, tcfg.dtype)
     if stage == "fusion":
-        hidden = int(cfg["hidden"]) if cfg["hidden"] else None
+        hidden = int(cfg["hidden"]) if cfg["hidden"] is not None else None
         model, history = train_fusion(raw, diff, train_samples, val_samples, tcfg,
                                       hidden=hidden)
         return model, history, split, manifest, val_utts

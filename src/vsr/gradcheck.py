@@ -221,8 +221,12 @@ def run_checks(names: list[str] | None = None, instances: int = 3,
     """Run each named check `instances` times; returns worst error per name."""
     if names is None:
         names = list(CHECKS)
+    if not names:
+        raise ValueError(f"no gradient checks selected; choose from {list(CHECKS)}")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown gradient checks: {unknown}")
+    if instances < 1:
+        raise ValueError(f"gradient checks need instances >= 1, got {instances}")
     rng = Rng(seed)
     return {name: max(CHECKS[name](rng) for _ in range(instances)) for name in names}

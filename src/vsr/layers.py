@@ -119,10 +119,8 @@ def _as_batch(seq: np.ndarray, lengths=None):
     return x, lengths
 
 
-def _padding_mask(lengths: np.ndarray, t_len: int):
-    """[T, B] True on frames past each sequence's end; None if there are none."""
-    if lengths.min() == t_len:
-        return None
+def _padding_mask(lengths: np.ndarray, t_len: int) -> np.ndarray:
+    """[T, B] True on frames past each sequence's end."""
     return np.arange(t_len)[:, None] >= lengths
 
 
@@ -163,9 +161,7 @@ def delta_forward(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray
     for k in range(1, theta + 1):
         out += (k / win.denom) * (ext[theta + k:theta + k + t_len]
                                   - ext[theta - k:theta - k + t_len])
-    pad = _padding_mask(lengths, t_len)
-    if pad is not None:
-        out[pad] = 0.0
+    out[_padding_mask(lengths, t_len)] = 0.0
     return out.reshape(seq.shape)
 
 
@@ -175,9 +171,8 @@ def delta_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndar
     t_len, batch = d.shape[:2]
     theta = win.theta
     pad = _padding_mask(lengths, t_len)
-    if pad is not None:
-        d = d.copy()
-        d[pad] = 0.0
+    d = d.copy()
+    d[pad] = 0.0
     d_ext = np.zeros((t_len + 2 * theta, *d.shape[1:]), dtype=d.dtype)
     for k in range(1, theta + 1):
         coeff = k / win.denom
@@ -191,8 +186,7 @@ def delta_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndar
     d_seq = d_ext[theta:theta + t_len]
     d_seq[0] += head
     d_seq[lengths - 1, cols] += tail
-    if pad is not None:
-        d_seq[pad] = 0.0
+    d_seq[pad] = 0.0
     return d_seq.reshape(d_out.shape)
 
 
@@ -242,14 +236,12 @@ def lstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE,
 
 
 def _recurrence_slots(lengths: np.ndarray, steps: int, reverse: bool):
-    """Valid frames in recurrence order, or None when all run every step.
+    """Valid frames in recurrence order.
 
     Returns ((step, col), (time, col)) index arrays: the recurrence slot of
     each valid frame and the input frame it reads, ordered by step then
     sequence. Reversed sequences read lengths[b] - 1 - step.
     """
-    if lengths.min() == steps:
-        return None
     step, col = np.nonzero(np.arange(steps)[:, None] < lengths)
     time = lengths[col] - 1 - step if reverse else step
     return (step, col), (time, col)
@@ -283,13 +275,9 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
     hidden, dtype = p.hidden, x.dtype
     steps = int(lengths.max())
     slots = _recurrence_slots(lengths, steps, reverse)
-    if slots is None:
-        rows = (x[steps - 1::-1] if reverse else x[:steps]).reshape(steps * batch, -1)
-        gates = _affine(rows, p.wx, p.b).reshape(steps, batch, 4 * hidden)
-    else:
-        rows = x[slots[1]]
-        gates = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
-        gates[slots[0]] = _affine(rows, p.wx, p.b)
+    rows = x[slots[1]]
+    gates = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
+    gates[slots[0]] = _affine(rows, p.wx, p.b)
     c_seq = np.empty((steps, batch, hidden), dtype=dtype)
     tc_seq = np.empty_like(c_seq)
     h_seq = np.empty_like(c_seq)
@@ -319,11 +307,8 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
         h = np.multiply(o, tc_seq[t], out=h_seq[t])
     require_finite(h_seq, "lstm activations")
     out = np.zeros((t_len, batch, hidden), dtype=dtype)
-    if slots is None:
-        out[:steps] = h_seq[::-1] if reverse else h_seq
-    else:
-        out[slots[1]] = h_seq[slots[0]]
-    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, reverse, t_len)
+    out[slots[1]] = h_seq[slots[0]]
+    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, t_len)
     return out.reshape(*seq.shape[:-1], hidden), cache
 
 
@@ -334,14 +319,11 @@ def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
     are ignored. Returns (d_seq, grads) with grads = {"wx", "wh", "b"}
     summed over the batch; d_seq rows past a sequence's end are zero.
     """
-    rows, gates, c_seq, tc_seq, h_seq, slots, reverse, t_len = cache
+    rows, gates, c_seq, tc_seq, h_seq, slots, t_len = cache
     steps, batch, hidden = h_seq.shape
     d_h = d_h_seq[:, None] if d_h_seq.ndim == 2 else d_h_seq
-    if slots is None:
-        d_rec = d_h[steps - 1::-1] if reverse else d_h[:steps]
-    else:
-        d_rec = np.zeros_like(h_seq)
-        d_rec[slots[0]] = d_h[slots[1]]
+    d_rec = np.zeros_like(h_seq)
+    d_rec[slots[0]] = d_h[slots[1]]
     # a padded slot has zero upstream gradient and comes after its
     # sequence's last step, so its dz is exactly zero without masking
     dz_seq = np.empty_like(gates)
@@ -365,23 +347,15 @@ def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
         dc_next = dc * f
     # reductions run over valid slots only; the initial h is zero, so
     # first steps contribute nothing to wh
-    if slots is None:
-        dz_rows = dz_seq.reshape(steps * batch, -1)
-        d_wh = dz_seq[1:].reshape(-1, 4 * hidden).T @ h_seq[:-1].reshape(-1, hidden)
-    else:
-        dz_rows = dz_seq[slots[0]]
-        step, col = slots[0]
-        later = step > 0
-        d_wh = dz_seq[step[later], col[later]].T @ h_seq[step[later] - 1, col[later]]
+    dz_rows = dz_seq[slots[0]]
+    step, col = slots[0]
+    later = step > 0
+    d_wh = dz_seq[step[later], col[later]].T @ h_seq[step[later] - 1, col[later]]
     d_wx = dz_rows.T @ rows
     d_b = dz_rows.sum(axis=0)
     d_rows = dz_rows @ p.wx
     d_x = np.zeros((t_len, batch, d_rows.shape[1]), dtype=d_rows.dtype)
-    if slots is None:
-        d_steps = d_rows.reshape(steps, batch, -1)
-        d_x[:steps] = d_steps[::-1] if reverse else d_steps
-    else:
-        d_x[slots[1]] = d_rows
+    d_x[slots[1]] = d_rows
     return d_x.reshape(*d_h_seq.shape[:-1], -1), {"wx": d_wx, "wh": d_wh, "b": d_b}
 
 

@@ -10,6 +10,7 @@ Entry points take a list of variable-length sequences. The frame encoder
 runs as one matrix product over the concatenated valid frames; its output
 is then zero-padded into a time-major [T_max, B, D] batch with per-sequence
 lengths, and the deltas and every BLSTM run once over the whole batch.
+That layout (`_Layout`) is the only place the program pads.
 Logits come back stacked [sum(T), K] in the order of the input list.
 
 `_layers(model)` is the one place that knows how each model kind is laid

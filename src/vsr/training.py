@@ -1,11 +1,11 @@
 """Two-stage training: single streams end to end, then fusion fine-tuning.
 
-Batches hold zero-padded sequence tensors and each sequence's length. A
-step hands the model each sequence's valid frames; the model runs its
-encoder over those frames and its BLSTMs over a time-major batch padded
-only to the longest sequence, with the lengths keeping padded frames out
-of every result, so the batch's padding length cannot influence a single
-bit.
+A batch holds its shuffled samples' own variable-length sequences, one
+label per utterance and the lengths; nothing here pads. The model runs its
+encoder over the concatenated frames and its BLSTMs over a time-major batch
+that it pads itself, only to the longest sequence, with the lengths keeping
+padded frames out of every result, so the padding length cannot influence
+a single bit.
 Validation scores through the same chunked path as evaluation. Early
 stopping watches validation utterance accuracy and restores the best
 epoch's weights.
@@ -106,9 +106,10 @@ class SeqSample:
 
 @dataclass
 class Batch:
-    streams: dict[str, np.ndarray]  # kind -> [B, T_pad, D]
-    labels: np.ndarray              # [B, T_pad]
-    mask: np.ndarray                # [B, T_pad], 1 on real frames
+    streams: dict[str, list[np.ndarray]]  # kind -> the B sequences, each [T_b, D]
+    labels: np.ndarray                    # [B], one label per utterance
+    # nothing in vsr reads the mask; it stays because the benchmark's tracer counts its slots
+    mask: np.ndarray                      # [B, T_pad], 1 on real frames
     lengths: list[int]
 
 
@@ -118,13 +119,11 @@ def samples_from_utterances(utts: list[LoadedUtterance], kinds: tuple[str, ...],
                       label=u.label) for u in utts]
 
 
-def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng,
-                 pad_to: int | None = None) -> list[Batch]:
-    """Shuffle utterances and pack them into padded, masked batches.
+def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Batch]:
+    """Shuffle utterances into batches of at most batch_utts sequences.
 
-    Frame labels replicate the utterance label. pad_to forces a minimum
-    padded length (the default pads to the batch max), which exists so
-    tests can show padding length changes nothing.
+    A batch keeps each sample's own arrays, uncopied and unpadded: the
+    model pads, time-major, where it runs its sequence layers.
     """
     if not samples:
         raise ValueError("make_batches needs at least one sample")
@@ -133,30 +132,12 @@ def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng,
     for start in range(0, len(samples), batch_utts):
         group = [samples[i] for i in order[start:start + batch_utts]]
         lengths = [next(iter(s.streams.values())).shape[0] for s in group]
-        t_pad = max(lengths) if pad_to is None else max(pad_to, max(lengths))
-        b = len(group)
-        streams = {}
-        for kind in group[0].streams:
-            dim = group[0].streams[kind].shape[1]
-            arr = np.zeros((b, t_pad, dim), dtype=group[0].streams[kind].dtype)
-            for i, s in enumerate(group):
-                arr[i, :lengths[i]] = s.streams[kind]
-            streams[kind] = arr
-        labels = np.zeros((b, t_pad), dtype=np.int64)
-        mask = np.zeros((b, t_pad), dtype=np.float32)
-        for i, s in enumerate(group):
-            labels[i, :lengths[i]] = s.label
-            mask[i, :lengths[i]] = 1.0
-        batches.append(Batch(streams=streams, labels=labels, mask=mask, lengths=lengths))
+        mask = (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(np.float32)
+        batches.append(Batch(streams={kind: [s.streams[kind] for s in group]
+                                      for kind in group[0].streams},
+                             labels=np.array([s.label for s in group], dtype=np.int64),
+                             mask=mask, lengths=lengths))
     return batches
-
-
-def _batch_valid(batch: Batch):
-    """Gather per-sequence valid frames and their flat labels."""
-    seqs = {kind: [arr[i, :n] for i, n in enumerate(batch.lengths)]
-            for kind, arr in batch.streams.items()}
-    labels = np.concatenate([batch.labels[i, :n] for i, n in enumerate(batch.lengths)])
-    return seqs, labels
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +145,13 @@ def _batch_valid(batch: Batch):
 # ---------------------------------------------------------------------------
 
 def _forward_backward(model, batch: Batch):
-    seqs, labels = _batch_valid(batch)
+    labels = np.repeat(batch.labels, batch.lengths)
     if isinstance(model, SingleStreamModel):
-        kind = model.net.stream_kind
-        logits, cache = stream_forward_batch(model, seqs[kind])
+        logits, cache = stream_forward_batch(model, batch.streams[model.net.stream_kind])
         loss, d_logits = softmax_xent(logits, labels)
         grads = stream_backward_batch(model, cache, d_logits)
     elif isinstance(model, FusionModel):
-        logits, cache = fusion_forward_batch(model, seqs)
+        logits, cache = fusion_forward_batch(model, batch.streams)
         loss, d_logits = softmax_xent(logits, labels)
         grads = fusion_backward_batch(model, cache, d_logits)
     else:

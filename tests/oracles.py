@@ -63,20 +63,16 @@ def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None):
     hidden, dtype = p.hidden, x.dtype
     steps = int(lengths.max())
     slots = _recurrence_slots(lengths, steps, reverse)
-    if slots is None:
-        rows = (x[steps - 1::-1] if reverse else x[:steps]).reshape(steps * batch, -1)
-        xz = (rows @ p.wx.T + p.b).reshape(steps, batch, 4 * hidden)
-    else:
-        rows = x[slots[1]]
-        xz = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
-        xz[slots[0]] = rows @ p.wx.T + p.b
+    rows = x[slots[1]]
+    xz = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
+    xz[slots[0]] = rows @ p.wx.T + p.b
     gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
     c_seq = np.empty((steps, batch, hidden), dtype=dtype)
     tc_seq = np.empty_like(c_seq)
     h_seq = np.empty_like(c_seq)
     h = np.zeros((batch, hidden), dtype=dtype)
     c = np.zeros_like(h)
-    live = None if slots is None else (np.arange(steps)[:, None] < lengths)[..., None]
+    live = (np.arange(steps)[:, None] < lengths)[..., None]
     wh_t = p.wh.T if wh_t is None else wh_t
     cand = slice(2 * hidden, 3 * hidden)
     for t in range(steps):
@@ -89,17 +85,11 @@ def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None):
         c_t += i * g
         np.tanh(c_t, out=tc_seq[t])
         np.multiply(o, tc_seq[t], out=h_seq[t])
-        if live is None:
-            h, c = h_seq[t], c_t
-        else:
-            h = np.where(live[t], h_seq[t], h)
-            c = np.where(live[t], c_t, c)
+        h = np.where(live[t], h_seq[t], h)
+        c = np.where(live[t], c_t, c)
     out = np.zeros((t_len, batch, hidden), dtype=dtype)
-    if slots is None:
-        out[:steps] = h_seq[::-1] if reverse else h_seq
-    else:
-        out[slots[1]] = h_seq[slots[0]]
-    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, reverse, t_len)
+    out[slots[1]] = h_seq[slots[0]]
+    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, t_len)
     return out.reshape(*seq.shape[:-1], hidden), cache
 
 

@@ -21,6 +21,7 @@ from test_data import (
     cuave_manifest,
     oulu_manifest,
 )
+from test_training import pad_layout_to
 from vsr.data import LoadedUtterance, load_utterance, make_split, save_utterance
 from vsr.evaluation import aggregate_runs, evaluate, render_report
 from vsr.gradcheck import CHECKS, run_checks
@@ -165,25 +166,30 @@ def test_06_protocol_split_sizes_are_exact():
         assert (len(split.train), len(split.val), len(split.test)) == (546, 182, 182)
 
 
-def test_07_padding_frames_contribute_zero_gradient(bench):
-    # mixed-length 64-bit batches, trained once per padding choice: any
-    # gradient leaking out of a padding frame would split the twins apart
+def test_07_padding_frames_contribute_zero_gradient(bench, monkeypatch):
+    # mixed-length 64-bit batches, trained once with the model's time-major
+    # layout padded to the longest sequence and once padded to 31 frames:
+    # any gradient leaking out of a padding frame would split the twins apart
     lengths = [5, 9, 14, 20, 7, 12, 20, 3]
     samples = [SeqSample(streams={"raw": training.stream_features(
                    u.frames[:t_len], "raw", np.float64)}, label=u.label)
                for u, t_len in zip(bench.train[:8], lengths)]
-    outcomes = []
-    for pad_to in (None, 31):
+
+    def run():
         model = build_stream(input_dim=bench.manifest.frame_dim, classes=4,
                              hidden=5, rng=Rng(3), encoder_sizes=(24, 12),
                              bottleneck=6, dtype=np.float64)
         cfg = TrainConfig.for_stream(lr=0.003, precision="f64")
-        batches = make_batches(samples, 4, Rng(10), pad_to=pad_to)
-        loss = train_epoch(model, batches, Adam(), cfg)
-        outcomes.append((loss, {n: p.copy() for n, p in named_params(model).items()}))
-    assert outcomes[0][0] == outcomes[1][0]
-    for name in outcomes[0][1]:
-        assert np.array_equal(outcomes[0][1][name], outcomes[1][1][name]), name
+        loss = train_epoch(model, make_batches(samples, 4, Rng(10)), Adam(), cfg)
+        return loss, {n: p.copy() for n, p in named_params(model).items()}
+
+    loss_a, params_a = run()
+    added = pad_layout_to(monkeypatch, 31)
+    loss_b, params_b = run()
+    assert added and min(added) > 0
+    assert loss_a == loss_b
+    for name in params_a:
+        assert np.array_equal(params_a[name], params_b[name]), name
 
 
 def test_08_determinism_and_byte_level_round_trips(bench, tmp_path):

@@ -9,7 +9,7 @@ contrast, must change no bit at all.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vsr.evaluation as evaluation
@@ -77,6 +77,9 @@ def test_batched_lstm_and_blstm_match_the_reference(lengths, extra, seed):
 
 @FAST
 @given(lengths=LENGTHS, extra=st.integers(0, 2), theta=st.integers(1, 3), seed=SEEDS)
+# every sequence as long as the batch: no padding anywhere
+@example(lengths=[6, 6, 6], extra=0, theta=2, seed=1)
+@example(lengths=[3], extra=0, theta=3, seed=2)
 def test_batched_deltas_match_the_reference(lengths, extra, theta, seed):
     x = padded_batch(Rng(seed), lengths, 4, extra)
     got = delta_forward(x, DeltaWindow(theta), lengths)

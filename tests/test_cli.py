@@ -352,6 +352,20 @@ def test_train_fusion_rejects_wrong_stream_kind(dataset, diff_ckpt, tmp_path, ca
     assert "--raw checkpoint is not a trained raw stream" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hidden", ["0", "-2"])
+def test_train_fusion_rejects_a_hidden_width_below_one(dataset, raw_ckpt, diff_ckpt,
+                                                       tmp_path, capsys, hidden):
+    out = tmp_path / "f.ckpt"
+    rc = main(["train-fusion", "--data", str(dataset), *PROTO_ARGS, *FIT_ARGS,
+               "--raw", str(raw_ckpt), "--diff", str(diff_ckpt), "--hidden", hidden,
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"fan_in and fan_out must be >= 1, got 16, {hidden}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -500,6 +514,21 @@ def test_gradcheck_subset_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--checks", ""], "no gradient checks selected"),
+    (["--checks", ","], "no gradient checks selected"),
+    (["--instances", "0"], "gradient checks need instances >= 1, got 0"),
+    (["--checks", "fc", "--instances", "-1"], "gradient checks need instances >= 1, got -1"),
+])
+def test_gradcheck_refuses_an_empty_run(capsys, flags, named):
+    rc = main(["gradcheck", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):

@@ -12,7 +12,7 @@ bounds the difference to the view.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import ref_fc, ref_lstm_steps, ref_preprocess
@@ -41,12 +41,17 @@ def valid_slots(lengths, steps):
 @FAST
 @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
        d_in=st.integers(1, 4), hidden=st.integers(1, 40), seed=st.integers(0, 2**16),
-       dtype=st.sampled_from(DTYPES), reverse=st.booleans())
+       dtype=st.sampled_from(DTYPES), reverse=st.booleans(), extra=st.integers(0, 1))
+# every sequence as long as the batch: no padding anywhere
+@example(lengths=[5, 5, 5], d_in=3, hidden=7, seed=1, dtype=np.float32, reverse=False,
+         extra=0)
+@example(lengths=[4, 4], d_in=2, hidden=33, seed=2, dtype=np.float64, reverse=True, extra=0)
+@example(lengths=[6], d_in=1, hidden=4, seed=3, dtype=np.float32, reverse=True, extra=0)
 def test_lstm_forward_matches_the_allocating_recurrence_bit_for_bit(
-        lengths, d_in, hidden, seed, dtype, reverse):
+        lengths, d_in, hidden, seed, dtype, reverse, extra):
     rng = Rng(seed)
     p = random_lstm(rng, d_in, hidden, dtype)
-    x = rng.normal((max(lengths) + 1, len(lengths), d_in)).astype(dtype)
+    x = rng.normal((max(lengths) + extra, len(lengths), d_in)).astype(dtype)
     out, cache = lstm_forward(p, x, reverse=reverse, lengths=lengths)
     ref, ref_cache = ref_lstm_steps(p, x, reverse, lengths, library_layout(p, len(lengths)))
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()

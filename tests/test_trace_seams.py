@@ -46,10 +46,21 @@ def test_every_wrapped_name_exists(tracer):
     assert set(tracer.missing) <= KNOWN_MISSING
 
 
-def test_a_tiny_pipeline_records_every_timed_span(tracer, tmp_path):
+def test_a_tiny_pipeline_records_every_timed_span(tracer, tmp_path, monkeypatch):
     manifest = vsr.data.synth_generate(2, 3, 2, 5, 4, 5, 1, tmp_path / "data")
     utts = vsr.data.load_utterances(tmp_path / "data", manifest)
     samples = vsr.training.samples_from_utterances(utts, ("raw", "diff"))
+    for i, s in enumerate(samples):  # mixed lengths, so batches have padding
+        s.streams = {k: a[:3 + i % 3] for k, a in s.streams.items()}
+    batches = []
+    traced_make_batches = vsr.training.make_batches
+
+    def kept_batches(*args, **kwargs):
+        out = traced_make_batches(*args, **kwargs)
+        batches.extend(out)
+        return out
+
+    monkeypatch.setattr(vsr.training, "make_batches", kept_batches)
     frames = np.concatenate([s.streams["raw"] for s in samples])
     layers, _ = vsr.rbm.pretrain_stack([20, 6, 3], frames, PretrainConfig(epochs=1, batch=8))
     shape = dict(encoder_sizes=(6,), bottleneck=3)
@@ -64,3 +75,13 @@ def test_a_tiny_pipeline_records_every_timed_span(tracer, tmp_path):
     vsr.evaluation.evaluate(fused, utts, 2)
     recorded = {span[0] for span in tracer.spans}
     assert set(spans.TIME_METRICS) - recorded == set()
+
+    # the tracer's batch counts: padded slots are the B x T_max a batch's
+    # BLSTMs run, valid frames the frames trained (one epoch per fit)
+    counts = {name: sum(n for (_, key), n in tracer.counts.items() if key == name)
+              for name in ("training.valid_frames", "training.padded_slots")}
+    trained = 2 * sum(s.streams["raw"].shape[0] for s in samples)
+    assert counts["training.valid_frames"] == trained
+    assert counts["training.padded_slots"] == sum(len(b.lengths) * max(b.lengths)
+                                                  for b in batches)
+    assert counts["training.padded_slots"] > trained

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+import vsr.model
 import vsr.training as training
-from vsr.layers import softmax_xent
-from vsr.model import build_stream, clip_group, named_params, stream_forward_batch
+from vsr.model import build_fusion, build_stream, clip_group, named_params
 from vsr.numerics import Adam, Rng
 from vsr.training import (
-    Batch,
     SeqSample,
     TrainConfig,
     TrainingDiverged,
@@ -75,17 +74,19 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_make_batches_sizes_and_padding():
+    # a batch holds the samples' own arrays, one label each; only mask pads
     samples = toy_samples(25, t_range=(3, 7))
     batches = make_batches(samples, 10, Rng(0))
     assert [len(b.lengths) for b in batches] == [10, 10, 5]
+    own = {id(s.streams["raw"]): s for s in samples}
     for b in batches:
-        t_pad = b.streams["raw"].shape[1]
-        assert t_pad == max(b.lengths)
-        for i, n in enumerate(b.lengths):
+        assert b.mask.shape == (len(b.lengths), max(b.lengths))
+        assert b.labels.shape == (len(b.lengths),)
+        for i, (seq, n) in enumerate(zip(b.streams["raw"], b.lengths)):
+            assert own[id(seq)].label == b.labels[i] and seq.shape[0] == n
             assert np.all(b.mask[i, :n] == 1)
             assert np.all(b.mask[i, n:] == 0)
-            assert np.all(b.streams["raw"][i, n:] == 0.0)
-            assert np.all(b.labels[i, :n] == b.labels[i, 0])
+    assert sorted(id(seq) for b in batches for seq in b.streams["raw"]) == sorted(own)
 
 
 def test_make_batches_shuffle_is_seeded():
@@ -93,16 +94,9 @@ def test_make_batches_shuffle_is_seeded():
     a = make_batches(samples, 4, Rng(5))
     b = make_batches(samples, 4, Rng(5))
     c = make_batches(samples, 4, Rng(6))
-    flat = lambda bs: [tuple(b.lengths) + tuple(b.labels[:, 0]) for b in bs]
+    flat = lambda bs: [tuple(b.lengths) + tuple(b.labels) for b in bs]
     assert flat(a) == flat(b)
     assert flat(a) != flat(c)
-
-
-def test_make_batches_pad_to_extends_padding():
-    samples = toy_samples(4, t_range=(3, 5))
-    padded = make_batches(samples, 4, Rng(1), pad_to=11)
-    assert padded[0].streams["raw"].shape[1] == 11
-    assert padded[0].mask.sum() == sum(padded[0].lengths)
 
 
 def test_make_batches_rejects_empty():
@@ -199,36 +193,71 @@ def test_train_epoch_non_finite_gradient_names_the_batch(monkeypatch, clipped):
     assert {st.t for st in opt.state.values()} == {1}
 
 
-def test_masking_padded_frames_change_nothing():
-    """One f64 epoch, same data, different pad length: identical params."""
-    samples = toy_samples(8, dtype=np.float64, t_range=(3, 6))
-    outcomes = []
-    for pad_to in (None, 17):
-        model = tiny_model(seed=9, dtype=np.float64)
-        cfg = TrainConfig.for_stream(lr=0.003, precision="f64")
-        batches = make_batches(samples, 4, Rng(10), pad_to=pad_to)
-        train_epoch(model, batches, Adam(), cfg)
-        outcomes.append({n: p.copy() for n, p in named_params(model).items()})
-    for name in outcomes[0]:
-        assert np.array_equal(outcomes[0][name], outcomes[1][name]), name
+def pad_layout_to(monkeypatch, t_pad):
+    """Make the model pad its time-major batches to t_pad frames.
+
+    Returns the list of padding rows added past the longest sequence, one
+    entry per padded batch, so a caller can check the padding was real.
+    """
+    real = vsr.model._Layout.pad
+    added = []
+
+    def pad(self, rows):
+        out = real(self, rows)
+        added.append(t_pad - out.shape[0])
+        return np.concatenate([out, np.zeros((added[-1], *out.shape[1:]), out.dtype)])
+
+    monkeypatch.setattr(vsr.model._Layout, "pad", pad)
+    return added
+
+
+def test_masking_padded_frames_change_nothing(monkeypatch):
+    """One f64 epoch of a stream and of a fusion model on the same batches,
+    layout padded to the longest sequence and to 17 frames: identical loss
+    and params."""
+    samples = toy_samples(8, dtype=np.float64, t_range=(3, 6), kinds=("raw", "diff"))
+
+    def run():
+        stream = tiny_model(seed=9, dtype=np.float64)
+        fused = build_fusion(stream, tiny_model(seed=10, kind="diff", dtype=np.float64),
+                             hidden=2, rng=Rng(11), dtype=np.float64)
+        outcomes = []
+        for model, cfg in ((stream, TrainConfig.for_stream(lr=0.003, precision="f64")),
+                           (fused, TrainConfig.for_fusion(lr=0.003, precision="f64"))):
+            loss = train_epoch(model, make_batches(samples, 4, Rng(10)), Adam(), cfg)
+            outcomes.append((loss, {n: p.copy() for n, p in named_params(model).items()}))
+        return outcomes
+
+    plain = run()
+    added = pad_layout_to(monkeypatch, 17)
+    padded = run()
+    assert added and min(added) > 0
+    for (loss_a, params_a), (loss_b, params_b) in zip(plain, padded):
+        assert loss_a == loss_b
+        for name in params_a:
+            assert np.array_equal(params_a[name], params_b[name]), name
 
 
 def test_gradients_flow_only_through_valid_frames():
-    # loss and gradient from a padded batch equal the unpadded computation
+    # a mixed-length batch's loss and gradients are its sequences' own,
+    # each scored alone and weighted by its frame count
     model = tiny_model(dtype=np.float64)
     samples = toy_samples(3, dtype=np.float64, t_range=(3, 5))
-    batch = make_batches(samples, 3, Rng(11), pad_to=10)[0]
-    seqs, labels = training._batch_valid(batch)
-    logits, cache = stream_forward_batch(model, seqs["raw"])
-    loss_batch, _ = softmax_xent(logits, labels)
+    batch = make_batches(samples, 3, Rng(11))[0]
+    assert len(set(batch.lengths)) > 1
+    loss_batch, grads, n_frames = training._forward_backward(model, batch)
+    assert n_frames == sum(batch.lengths)
 
-    per_utt = []
+    want_loss, want_grads = 0.0, {}
     for s in samples:
-        lg, _ = stream_forward_batch(model, [s.streams["raw"]])
-        lab = np.full(lg.shape[0], s.label)
-        per_utt.append(softmax_xent(lg, lab)[0] * lg.shape[0])
-    want = sum(per_utt) / sum(x.streams["raw"].shape[0] for x in samples)
-    assert loss_batch == pytest.approx(want, abs=1e-12)
+        loss, g, n = training._forward_backward(model, make_batches([s], 1, Rng(0))[0])
+        want_loss += loss * n / n_frames
+        for name, arr in g.items():
+            want_grads[name] = want_grads.get(name, 0.0) + arr * (n / n_frames)
+    assert loss_batch == pytest.approx(want_loss, abs=1e-12)
+    assert set(grads) == set(want_grads)
+    for name in grads:
+        assert np.allclose(grads[name], want_grads[name], rtol=0, atol=1e-10), name
 
 
 # ---------------------------------------------------------------------------
