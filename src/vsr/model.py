@@ -114,7 +114,7 @@ def build_stream(input_dim: int, classes: int, hidden: int = DEFAULT_HIDDEN,
         got = [layer.w.shape for layer in encoder_init]
         if got != expected:
             raise ValueError(f"pretrained encoder shapes {got} do not match {expected}")
-        encoder = [FcLayer(layer.w.astype(dtype).copy(), layer.b.astype(dtype).copy(),
+        encoder = [FcLayer(layer.w.astype(dtype), layer.b.astype(dtype),
                            layer.activation) for layer in encoder_init]
     else:
         encoder = []

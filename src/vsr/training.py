@@ -160,11 +160,10 @@ def _forward_backward(model, batch: Batch):
 
 
 def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> float:
-    """One pass of gradient steps over prepared batches; mean loss per frame."""
-    params = named_params(model)
-    trainable = params
+    """One pass of gradient steps, one batch's gradients alive at a time; mean loss per frame."""
+    trainable = named_params(model)
     if cfg.freeze_streams and isinstance(model, FusionModel):
-        trainable = {n: p for n, p in params.items()
+        trainable = {n: p for n, p in trainable.items()
                      if n.startswith(("fusion_blstm.", "out."))}
     total_loss, total_frames = 0.0, 0
     for b_idx, batch in enumerate(batches):
@@ -178,11 +177,11 @@ def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> flo
         clip_names = [n for n in clip_group(grads) if n in trainable]
         try:
             clipped, _ = clip_global_norm([grads[n] for n in clip_names], cfg.clip_threshold)
-            for name, g in zip(clip_names, clipped):
-                grads[name] = g
+            grads.update(zip(clip_names, clipped))
             opt.step(trainable, {n: grads[n] for n in trainable}, cfg.lr)
         except NonFiniteError as exc:
             raise TrainingDiverged(f"non-finite gradient in batch {b_idx}: {exc}") from exc
+        del grads, clipped  # gone before the next backward allocates its own
         total_loss += loss * n_frames
         total_frames += n_frames
     return total_loss / total_frames
@@ -198,18 +197,17 @@ def _validation_accuracy(model, samples: list[SeqSample]) -> float:
     return sum(pred == s.label for pred, s in zip(preds, ordered)) / len(samples)
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {n: p.copy() for n, p in params.items()}
-
-
-def _restore(params: dict[str, np.ndarray], snap: dict[str, np.ndarray]) -> None:
-    for n, p in params.items():
-        p[...] = snap[n]
+def _copy_params(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None:
+    for n, p in dst.items():
+        p[...] = src[n]
 
 
 def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
          cfg: TrainConfig):
-    """Cast model and samples to cfg's precision, then fit; returns (model, history)."""
+    """Cast model and samples to cfg's precision, then fit; returns (model, history).
+
+    The best epoch's weights are copied into one snapshot buffer, allocated once.
+    """
     if not train_samples:
         raise ValueError("training set is empty")
     if not val_samples:
@@ -223,7 +221,7 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
     params = named_params(model)
     history = TrainHistory(stage=cfg.stage, seed=cfg.seed, config=asdict(cfg))
     best_acc = -np.inf
-    best_snap = _snapshot(params)
+    best = {n: np.empty_like(p) for n, p in params.items()}
     history.stop_reason = "max-epochs"
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
@@ -238,12 +236,13 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
         if val_acc > best_acc:
             best_acc = val_acc
             history.best_epoch = epoch
-            best_snap = _snapshot(params)
+            _copy_params(best, params)
         if epoch - history.best_epoch > cfg.patience:
             history.stop_reason = "early-stop"
             break
-    _restore(params, best_snap)
-    history.best_val_accuracy = float(max(best_acc, 0.0)) if history.best_epoch else 0.0
+    if history.best_epoch:
+        _copy_params(params, best)
+        history.best_val_accuracy = float(best_acc)
     return model, history
 
 

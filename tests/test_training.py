@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -448,6 +450,44 @@ def test_frozen_fusion_clips_only_the_gradients_it_applies(monkeypatch):
                     for field in ("wx", "wh", "b")]
     assert len(clipped) == len(batch_grads) > 0
     assert all(names == fusion_blstm for names in clipped)
+
+
+@pytest.mark.parametrize("fit", ["stream", "fusion", "frozen-fusion"])
+def test_batch_gradients_are_gone_before_the_next_backward(monkeypatch, fit):
+    """train_epoch drops a batch's gradients, clipped copies included,
+    before the next batch's backward pass allocates its own."""
+    true_forward_backward, true_clip = training._forward_backward, training.clip_global_norm
+    previous, calls = [], []
+
+    def forward_backward(model, batch):
+        alive = [name for name, ref in previous if ref() is not None]
+        assert not alive, f"call {len(calls)}: gradients of the last batch still alive: {alive}"
+        previous.clear()
+        out = true_forward_backward(model, batch)
+        previous.extend((name, weakref.ref(g)) for name, g in out[1].items())
+        calls.append(None)
+        return out
+
+    def clip(tensors, threshold):
+        out = true_clip(tensors, threshold)
+        previous.extend(("clipped", weakref.ref(g)) for g in out[0])
+        return out
+
+    monkeypatch.setattr(training, "_forward_backward", forward_backward)
+    monkeypatch.setattr(training, "clip_global_norm", clip)
+    # a tiny threshold makes every clip return scaled copies
+    common = dict(lr=0.01, max_epochs=2, patience=10, batch_utts=3, clip_threshold=1e-3)
+    if fit == "stream":
+        train_stream(tiny_model(), toy_samples(8), toy_samples(4, seed=1),
+                     TrainConfig.for_stream(**common))
+        assert len(calls) == 2 * 3
+    else:
+        raw, diff = two_trained_streams(seed=20)
+        before = len(calls)
+        cfg = TrainConfig.for_fusion(seed=9, freeze_streams=fit == "frozen-fusion", **common)
+        train_fusion(raw, diff, toy_samples(8, kinds=("raw", "diff")),
+                     toy_samples(4, kinds=("raw", "diff"), seed=10), cfg)
+        assert len(calls) - before == 2 * 3
 
 
 def test_train_fusion_finetunes_streams_by_default():
