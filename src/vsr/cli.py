@@ -25,7 +25,7 @@ from .model import (EncoderStack, SingleStreamModel, build_stream,
 from .numerics import Rng
 from .rbm import PretrainConfig, pretrain_stack
 from .training import (TrainConfig, TrainingDiverged, samples_from_utterances,
-                       train_fusion, train_stream)
+                       save_history, train_fusion, train_stream)
 
 BoolFlag = argparse.BooleanOptionalAction
 
@@ -243,7 +243,7 @@ def cmd_train(args) -> int:
     history.config.update(cfg)
     save_checkpoint(cfg["out"], model,
                     extra_meta={"config": _canon(cfg), "seed": str(cfg["seed"])})
-    _write(cfg["history"] or cfg["out"] + ".history.json", history.to_json())
+    save_history(cfg["history"] or cfg["out"] + ".history.json", history)
     report = evaluate(model, val_utts, len(manifest.classes), split="val",
                       checkpoint=os.path.basename(cfg["out"]))
     _write(cfg["out"] + ".val.json", render_report(report, "json"))

@@ -377,9 +377,9 @@ def make_split(manifest: DatasetManifest, protocol: str, rng: Rng | None = None,
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def holdout_validation(split: ProtocolSplit, rng: Rng,
-                       fraction: float = 0.1) -> ProtocolSplit:
-    """Carve a seeded validation set out of a split's training utterances.
+def holdout_validation(split: ProtocolSplit, rng: Rng) -> ProtocolSplit:
+    """Move a seeded tenth (at least one) of a split's training utterances
+    into a validation set.
 
     For protocols that define no validation set. The holdout is
     utterance-level (not subject-disjoint), matching the subject-dependent
@@ -388,7 +388,7 @@ def holdout_validation(split: ProtocolSplit, rng: Rng,
     if split.val:
         raise ValueError(f"split already has {len(split.val)} validation utterances")
     n = len(split.train)
-    n_val = max(1, int(round(fraction * n)))
+    n_val = max(1, int(round(0.1 * n)))
     if n_val >= n:
         raise ValueError(f"holdout of {n_val} would empty a training set of {n}")
     order = rng.permutation(n)

@@ -225,13 +225,12 @@ class LstmParams:
         return self.wh.shape[1]
 
 
-def lstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE,
-              forget_bias: float = 1.0) -> LstmParams:
-    """Glorot per gate block; forget-gate bias starts at forget_bias."""
+def lstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> LstmParams:
+    """Glorot per gate block; forget-gate bias starts at 1."""
     wx = np.concatenate([glorot_init(input_dim, hidden, rng, dtype) for _ in range(4)])
     wh = np.concatenate([glorot_init(hidden, hidden, rng, dtype) for _ in range(4)])
     b = np.zeros(4 * hidden, dtype=dtype)
-    b[hidden:2 * hidden] = forget_bias
+    b[hidden:2 * hidden] = 1.0
     return LstmParams(wx=wx, wh=wh, b=b)
 
 

@@ -7,18 +7,14 @@ finite-difference tolerances are unreachable in single precision.
 The Adam update is one in-place kernel applied block by block: every
 tensor is cut into slices of ADAM_BLOCK elements, small enough that a
 block's parameter, gradient, moments and two scratch buffers stay in L2
-cache while the kernel's passes run over them. The blocks of a step are
-shared out over the usable CPUs: the calling thread runs one share and a
-module-level thread pool the others. numpy ufuncs release the GIL, so the
-shares run in parallel. Every operation is elementwise, so neither the
-blocking nor the threading changes a bit.
+cache while the kernel's passes run over them. The blocks run one after
+another on the calling thread. Every operation is elementwise, so the
+blocking changes no bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,30 +89,9 @@ class AdamState:
     t: int = 0
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 # 64Ki elements is 256 KiB per float32 array (512 KiB in float64): the six
 # arrays the kernel touches fit a 4 MiB L2 cache.
 ADAM_BLOCK = 1 << 16
-ADAM_WORKERS = _usable_cpus()
-_adam_pool: ThreadPoolExecutor
-
-
-def _new_adam_pool() -> None:
-    """(Re)create the pool; threads start on first use, not here."""
-    global _adam_pool
-    _adam_pool = ThreadPoolExecutor(max_workers=ADAM_WORKERS,
-                                    thread_name_prefix="vsr-adam")
-
-
-_new_adam_pool()
-# a forked child inherits the pool object but none of its threads
-os.register_at_fork(after_in_child=_new_adam_pool)
 
 
 def _adam_kernel(p, g, m, v, s1, s2, b1, b2, bc1, bc2, eps, lr):
@@ -155,9 +130,8 @@ def _adam_update(jobs, lr: float, beta1: float, beta2: float, eps: float) -> Non
     """Update checked (param, grad, state) triples whose t is already advanced.
 
     Each tensor is cut into ADAM_BLOCK-element slices of its flat views (a
-    tensor that is not C-contiguous is one block); the blocks are dealt in
-    order into at most ADAM_WORKERS runs of about equal size. Returns only
-    once every run is done.
+    tensor that is not C-contiguous is one block), and the blocks run in
+    order on the calling thread.
     """
     blocks = []
     for p, g, st in jobs:
@@ -171,25 +145,8 @@ def _adam_update(jobs, lr: float, beta1: float, beta2: float, eps: float) -> Non
         flat = [a.reshape(-1) for a in arrays]
         blocks += [(*(a[i:i + ADAM_BLOCK] for a in flat), coef)
                    for i in range(0, p.size, ADAM_BLOCK)]
-    if not blocks:
-        return
-    share = max(1, -(-sum(blk[0].size for blk in blocks) // ADAM_WORKERS))
-    runs, run, filled = [], [], 0
-    for blk in blocks:
-        run.append(blk)
-        filled += blk[0].size
-        if filled >= share:
-            runs.append(run)
-            run, filled = [], 0
-    if run:
-        runs.append(run)
-    # the caller takes the last run itself rather than sit idle
-    pending = [_adam_pool.submit(_run_blocks, run) for run in runs[:-1]]
-    try:
-        _run_blocks(runs[-1])
-    finally:
-        for fut in pending:
-            fut.result()
+    if blocks:
+        _run_blocks(blocks)
 
 
 def _adam_check(param: np.ndarray, grad: np.ndarray, m_shape, what: str) -> None:
@@ -214,8 +171,8 @@ class Adam:
     and the hyperparameters are applied as Python floats. A step is all or
     nothing: every shape is checked and every gradient screened for NaN/Inf
     before any parameter, moment or step count changes. The update itself
-    runs blocked and threaded (module docstring), with the same result bit
-    for bit as one tensor at a time.
+    runs blocked on the calling thread (module docstring), with the same
+    result bit for bit as one tensor at a time.
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):

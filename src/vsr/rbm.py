@@ -144,8 +144,7 @@ def train_rbm(rbm: GaussianRbm, frames: np.ndarray, cfg: PretrainConfig,
     return errors
 
 
-def pretrain_stack(layer_sizes: list[int], frames: np.ndarray,
-                   cfg: PretrainConfig, dtype=DEFAULT_DTYPE):
+def pretrain_stack(layer_sizes: list[int], frames: np.ndarray, cfg: PretrainConfig):
     """Train one RBM per adjacent size pair, feeding hidden means forward.
 
     layer_sizes is [input, wide..., bottleneck]; every hidden layer is
@@ -161,13 +160,13 @@ def pretrain_stack(layer_sizes: list[int], frames: np.ndarray,
     if frames.shape[1] != layer_sizes[0]:
         raise ValueError(f"frame width {frames.shape[1]} != layer_sizes[0] {layer_sizes[0]}")
     rng = Rng(cfg.seed)
-    data = frames.astype(dtype)
+    data = frames.astype(DEFAULT_DTYPE)
     layers: list[FcLayer] = []
     history: list[list[float]] = []
     last = len(layer_sizes) - 2
     for k in range(len(layer_sizes) - 1):
         kind = "linear" if k == last else "rectified"
-        rbm = rbm_init(layer_sizes[k], layer_sizes[k + 1], kind, rng, dtype)
+        rbm = rbm_init(layer_sizes[k], layer_sizes[k + 1], kind, rng)
         history.append(train_rbm(rbm, data, cfg, rng))
         activation = "linear" if kind == "linear" else "relu"
         layers.append(FcLayer(w=rbm.w, b=rbm.hbias, activation=activation))

@@ -3,7 +3,6 @@ import os
 import sys
 import threading
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ref_adam
 
-import vsr.numerics as numerics
 from vsr.numerics import (
     ADAM_BLOCK,
     Adam,
@@ -150,23 +148,22 @@ def assert_same_state(opt_state, ref_state):
 @given(dtype=st.sampled_from([np.float32, np.float64]),
        shapes=st.lists(st.sampled_from(ADAM_SHAPES), min_size=1, max_size=4),
        steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       lr=st.sampled_from([0.0, 1e-4, 3e-3, 0.5]), workers=st.integers(1, 5))
-def test_adam_matches_reference_bit_for_bit(dtype, shapes, steps, seed, lr, workers):
+       lr=st.sampled_from([0.0, 1e-4, 3e-3, 0.5]))
+def test_adam_matches_reference_bit_for_bit(dtype, shapes, steps, seed, lr):
     """Adam.step, over all tensors at once or one at a time, equals the
-    textbook update exactly, for any split of the blocks over workers."""
+    textbook update exactly."""
     rng = Rng(seed)
     params = random_tensors(rng, shapes, dtype)
     ref = copy.deepcopy(params)
     single = copy.deepcopy(params)
     ref_state = {n: fresh_state(p) for n, p in ref.items()}
     opt, single_opt = Adam(), Adam()
-    with mock.patch.object(numerics, "ADAM_WORKERS", workers):
-        for _ in range(steps):
-            grads = random_tensors(rng, shapes, dtype)
-            opt.step(params, grads, lr)
-            for name, g in grads.items():
-                ref_adam(ref[name], g, ref_state[name], lr)
-                single_opt.step({name: single[name]}, {name: g}, lr)
+    for _ in range(steps):
+        grads = random_tensors(rng, shapes, dtype)
+        opt.step(params, grads, lr)
+        for name, g in grads.items():
+            ref_adam(ref[name], g, ref_state[name], lr)
+            single_opt.step({name: single[name]}, {name: g}, lr)
     for name in params:
         assert params[name].dtype == dtype
         assert np.array_equal(params[name], ref[name]), name
@@ -225,7 +222,7 @@ def test_adam_non_contiguous_param_is_updated_in_place():
     assert np.array_equal(base[:, ::2], ref)
 
 
-def test_adam_concurrent_callers_share_the_pool():
+def test_adam_concurrent_callers_get_the_reference_result():
     """More callers than cores, frequent thread switches: every caller still
     gets the reference result."""
     shapes = [(2 * ADAM_BLOCK + 3,), (50, 9)]
@@ -264,21 +261,20 @@ def test_adam_concurrent_callers_share_the_pool():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_adam_runs_in_a_forked_child():
-    """The pool is rebuilt after fork, so a child does not wait on threads
-    it never inherited."""
+    """A child forked after a step in the parent completes a step of its
+    own."""
     shapes = [(3 * ADAM_BLOCK,)]
     params = random_tensors(Rng(0), shapes, np.float32)
     grads = random_tensors(Rng(1), shapes, np.float32)
-    with mock.patch.object(numerics, "ADAM_WORKERS", 2):
-        Adam().step(params, grads, lr=0.01)  # parent's pool threads now exist
-        pid = os.fork()
-        if pid == 0:  # child
-            code = 1
-            try:
-                Adam().step(params, grads, lr=0.01)
-                code = 0
-            finally:
-                os._exit(code)
+    Adam().step(params, grads, lr=0.01)
+    pid = os.fork()
+    if pid == 0:  # child
+        code = 1
+        try:
+            Adam().step(params, grads, lr=0.01)
+            code = 0
+        finally:
+            os._exit(code)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
         done, status = os.waitpid(pid, os.WNOHANG)
@@ -290,6 +286,16 @@ def test_adam_runs_in_a_forked_child():
         os.waitpid(pid, 0)
         pytest.fail("Adam step in a forked child did not finish")
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_adam_step_starts_no_thread():
+    """A multi-block step runs on the calling thread alone."""
+    shapes = [(3 * ADAM_BLOCK + 5,), (50, 9)]
+    params = random_tensors(Rng(0), shapes, np.float32)
+    grads = random_tensors(Rng(1), shapes, np.float32)
+    before = threading.active_count()
+    Adam().step(params, grads, lr=0.01)
+    assert threading.active_count() == before
 
 
 def test_clip_scales_above_threshold():

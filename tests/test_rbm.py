@@ -192,14 +192,13 @@ def test_pretrain_stack_shapes_and_activations():
 
 
 def test_pretrain_stack_zero_epochs_is_the_seeded_init():
-    frames = Rng(19).normal((3, 12)).astype(np.float64)
-    layers, _ = pretrain_stack([12, 7, 4], frames, PretrainConfig(epochs=0, seed=21),
-                               dtype=np.float64)
+    frames = Rng(19).normal((3, 12)).astype(np.float32)
+    layers, _ = pretrain_stack([12, 7, 4], frames, PretrainConfig(epochs=0, seed=21))
     # replay the documented draw order: one init per layer from Rng(seed)
     rng = Rng(21)
     for layer, (vis, hid, kind) in zip(layers,
                                        [(12, 7, "rectified"), (7, 4, "linear")]):
-        want = rbm_init(vis, hid, kind, rng, np.float64)
+        want = rbm_init(vis, hid, kind, rng)
         assert np.array_equal(layer.w, want.w)
         assert np.all(layer.b == 0.0)
 
