@@ -92,11 +92,11 @@ def check_delta(rng: Rng) -> float:
     worst = 0.0
     for t_len, theta in ((5, 2), (2, 2), (4, 1)):
         win = DeltaWindow(theta)
-        seq = _randn(rng, t_len, 3)
-        proj = _randn(rng, t_len, 3)
+        seq = _randn(rng, t_len, 1, 3)
+        proj = _randn(rng, t_len, 1, 3)
         worst = max(worst, _worst_error({"seq": seq}, {"seq": delta_backward(proj, win)},
                                         lambda: float((delta_forward(seq, win) * proj).sum())))
-        proj3 = _randn(rng, t_len, 9)
+        proj3 = _randn(rng, t_len, 1, 9)
         worst = max(worst, _worst_error({"seq": seq},
                                         {"seq": append_deltas_backward(proj3, win)},
                                         lambda: float((append_deltas(seq, win) * proj3).sum())))
@@ -114,7 +114,7 @@ def _random_lstm(rng: Rng, d_in: int, hidden: int) -> LstmParams:
 
 
 def _lstm_error(rng: Rng, seq_shape: tuple[int, ...], lengths, hidden: int) -> float:
-    """Both directions over one [T, D] sequence or a [T, B, D] batch."""
+    """Both directions over a [T, B, D] batch."""
     worst = 0.0
     for reverse in (False, True):
         p = _random_lstm(rng, seq_shape[-1], hidden)
@@ -132,8 +132,8 @@ def _lstm_error(rng: Rng, seq_shape: tuple[int, ...], lengths, hidden: int) -> f
 def check_blstm(rng: Rng) -> float:
     t_len, d_in, hidden = 4, 3, 3
     bl = Blstm(fwd=_random_lstm(rng, d_in, hidden), bwd=_random_lstm(rng, d_in, hidden))
-    seq = _randn(rng, t_len, d_in)
-    proj = _randn(rng, t_len, 2 * hidden)
+    seq = _randn(rng, t_len, 1, d_in)
+    proj = _randn(rng, t_len, 1, 2 * hidden)
     _, cache = blstm_forward(bl, seq)
     d_seq, grads = blstm_backward(bl, cache, proj)
     arrays = {"seq": seq, **_lstm_arrays(bl.fwd, "fwd."), **_lstm_arrays(bl.bwd, "bwd.")}
@@ -204,7 +204,7 @@ def _model_error(rng: Rng, lengths: tuple[int, ...], fusion: bool) -> float:
 CHECKS: dict[str, Callable[[Rng], float]] = {
     "fc": check_fc,
     "delta": check_delta,
-    "lstm": partial(_lstm_error, seq_shape=(4, 3), lengths=None, hidden=4),
+    "lstm": partial(_lstm_error, seq_shape=(4, 1, 3), lengths=None, hidden=4),
     # *_batch: three unequal sequences (for the lstm, padded past the longest)
     "lstm_batch": partial(_lstm_error, seq_shape=(5, 3, 3), lengths=[4, 2, 3], hidden=3),
     "blstm": check_blstm,

@@ -8,12 +8,14 @@ distinct sequences is safe.
 Shapes follow the conventions: frame batches are [N, D] with one row per
 frame (fc layers take nothing else), weight sheets are [out, in]. Sequence
 layers (deltas, LSTM, BLSTM) take a time-major batch [T, B, D] plus
-per-sequence `lengths` (sequence b fills its first lengths[b] frames; None
-means all T), or a single [T, D] sequence, which runs the same code as a
-batch of one. Rows past a sequence's end are padding: zero in
+per-sequence `lengths` in any order (sequence b fills its first lengths[b]
+frames; None means all T). Rows past a sequence's end are padding: zero in
 sequence-layer outputs and input gradients, ignored in upstream gradients.
-In an LSTM cache the slots after a sequence's last step hold a finite
-continuation of its recurrence that nothing reads, not held h and c.
+
+An LSTM runs packed, as cuDNN and PyTorch's `pack_padded_sequence` do: with
+its sequences ranked longest first, the n_t still running at step t are
+the first n_t ranks, so its input projection and caches hold one row per
+valid frame, step by step, and each step computes on n_t contiguous rows.
 
 A layer's parameters and its input share one dtype; callers cast the model
 and the data together, so no layer call mixes precisions.
@@ -22,8 +24,9 @@ The forward passes compute in buffers they own: fc_forward adds the bias
 and applies the ReLU in the product's array, and lstm_forward does its gate
 math in the input projection, which becomes the gates cache, and multiplies
 h by a C-contiguous copy of the recurrent weight. The operations and their
-order are those of the allocating formulas; only the contiguous weight
-changes how BLAS may round the recurrent product, at some shapes.
+order are those of the allocating formulas; only the contiguous weight and
+the row count of each step change how BLAS may round the recurrent
+product, at some shapes.
 """
 
 from __future__ import annotations
@@ -99,24 +102,23 @@ def fc_backward(layer: FcLayer, cache, d_out: np.ndarray, input_grad: bool = Tru
 # batches of sequences
 # ---------------------------------------------------------------------------
 
-def _as_batch(seq: np.ndarray, lengths=None):
-    """View [T, D] as a batch of one [T, 1, D]; check lengths against [T, B, D].
+def _batch_lengths(x: np.ndarray, lengths=None) -> np.ndarray:
+    """Check a time-major batch [T, B, D] against its per-sequence lengths.
 
-    Returns (x, lengths) with lengths an int array, all T when None is given.
+    Returns lengths as an int array, all T when None is given.
     """
-    x = seq[:, None] if seq.ndim == 2 else seq
     if x.ndim != 3:
-        raise ValueError(f"expected [T, D] or [T, B, D], got shape {seq.shape}")
+        raise ValueError(f"expected a [T, B, D] batch, got shape {x.shape}")
     t_len, batch = x.shape[:2]
     if t_len < 1 or batch < 1:
         raise ValueError("a batch needs at least one frame and one sequence")
     if lengths is None:
-        return x, np.full(batch, t_len)
+        return np.full(batch, t_len)
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > t_len:
         raise ValueError(f"lengths {lengths.tolist()} do not fit {batch} sequences "
                          f"of at most {t_len} frames")
-    return x, lengths
+    return lengths
 
 
 def _padding_mask(lengths: np.ndarray, t_len: int) -> np.ndarray:
@@ -146,32 +148,32 @@ class DeltaWindow:
 def delta_forward(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
     """d_t = sum_k k*(c_{t+k} - c_{t-k}) / (2*sum_k k^2), edges replicated.
 
-    seq is one [T, D] sequence or a time-major [T, B, D] batch; frame
-    indices clamp into each sequence's own lengths[b] frames, and rows past
-    a sequence's end come out zero. A constant sequence maps to exactly
-    zero: every term is a difference of identical values.
+    seq is a time-major [T, B, D] batch; frame indices clamp into each
+    sequence's own lengths[b] frames, and rows past a sequence's end come
+    out zero. A constant sequence maps to exactly zero: every term is a
+    difference of identical values.
     """
-    x, lengths = _as_batch(seq, lengths)
-    t_len, theta = x.shape[0], win.theta
+    lengths = _batch_lengths(seq, lengths)
+    t_len, theta = seq.shape[0], win.theta
     # ext[s] is frame s - theta clamped into its own sequence, so every
     # shifted window below is a plain slice
     src = np.clip(np.arange(-theta, t_len + theta)[:, None], 0, lengths - 1)
-    ext = x[src, np.arange(x.shape[1])]
-    out = np.zeros_like(x)
+    ext = seq[src, np.arange(seq.shape[1])]
+    out = np.zeros_like(seq)
     for k in range(1, theta + 1):
         out += (k / win.denom) * (ext[theta + k:theta + k + t_len]
                                   - ext[theta - k:theta - k + t_len])
     out[_padding_mask(lengths, t_len)] = 0.0
-    return out.reshape(seq.shape)
+    return out
 
 
 def delta_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
     """Adjoint of delta_forward (the map is linear); padded rows are ignored."""
-    d, lengths = _as_batch(d_out, lengths)
-    t_len, batch = d.shape[:2]
+    lengths = _batch_lengths(d_out, lengths)
+    t_len, batch = d_out.shape[:2]
     theta = win.theta
     pad = _padding_mask(lengths, t_len)
-    d = d.copy()
+    d = d_out.copy()
     d[pad] = 0.0
     d_ext = np.zeros((t_len + 2 * theta, *d.shape[1:]), dtype=d.dtype)
     for k in range(1, theta + 1):
@@ -187,11 +189,11 @@ def delta_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndar
     d_seq[0] += head
     d_seq[lengths - 1, cols] += tail
     d_seq[pad] = 0.0
-    return d_seq.reshape(d_out.shape)
+    return d_seq
 
 
 def append_deltas(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
-    """[T, (B,) D] -> [T, (B,) 3D]: the sequence with delta and delta-delta appended."""
+    """[T, B, D] -> [T, B, 3D]: the batch with delta and delta-delta appended."""
     d1 = delta_forward(seq, win, lengths)
     d2 = delta_forward(d1, win, lengths)
     return np.concatenate([seq, d1, d2], axis=-1)
@@ -234,81 +236,74 @@ def lstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> Lst
     return LstmParams(wx=wx, wh=wh, b=b)
 
 
-def _recurrence_slots(lengths: np.ndarray, steps: int, reverse: bool):
-    """Valid frames in recurrence order.
+def _recurrence_slots(lengths: np.ndarray, reverse: bool):
+    """Valid frames in packed recurrence order.
 
-    Returns ((step, col), (time, col)) index arrays: the recurrence slot of
-    each valid frame and the input frame it reads, ordered by step then
-    sequence. Reversed sequences read lengths[b] - 1 - step.
+    Ranks the sequences longest first with a stable sort. Returns (offsets,
+    (time, col)): rows offsets[t]:offsets[t + 1] are step t's, rank by
+    rank, and row r reads frame time[r] of sequence col[r]. Reversed
+    sequences read lengths[b] - 1 - step.
     """
-    step, col = np.nonzero(np.arange(steps)[:, None] < lengths)
+    order = np.argsort(-lengths, kind="stable")
+    live = np.arange(lengths.max())[:, None] < lengths[order]
+    step, rank = np.nonzero(live)
+    col = order[rank]
     time = lengths[col] - 1 - step if reverse else step
-    return (step, col), (time, col)
+    return [0, *np.cumsum(live.sum(axis=1)).tolist()], (time, col)
 
 
 def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=None):
     """Run the LSTM recurrence over a time-major batch; returns (h, cache).
 
     seq is [T, B, D] with sequence b in its first lengths[b] frames (all T
-    when lengths is None), or a single [T, D] sequence; h is [T, B, H] or
-    [T, H] to match. Output rows past a sequence's end are zero. With
-    reverse=True each sequence runs backward over its own frames and the
-    output is flipped back, so output row t still describes frame t.
+    when lengths is None); h is [T, B, H], zero past each sequence's end.
+    With reverse=True each sequence runs backward over its own frames and
+    the output is flipped back, so output row t still describes frame t.
 
-    Only valid frames enter the input projection (gathered, projected,
-    scattered back), and the recurrence stops at the longest sequence, so
-    the padding length changes no bit of the result. A shorter sequence's
-    slots after its last step carry on from a zero input: a finite
-    continuation that no output row and no gradient reads, because in
-    recurrence order they all come after that sequence's last step.
-
-    Each step multiplies h by a C-contiguous copy of wh.T and does its gate
-    math in place in the step's row of the input projection, which becomes
-    the gates cache; c, tanh(c) and h are written straight into their caches.
-    The parameters and seq share one dtype, which every buffer takes.
+    The recurrence runs packed (module docstring) and stops at the longest
+    sequence, so the padding length changes no bit of the result. The state
+    starts at zero, so step 0 has no recurrent product; each later step
+    multiplies its h rows by a C-contiguous copy of wh.T and does its gate
+    math in place in its rows of the input projection, which becomes the
+    gates cache, writing c, tanh(c) and h straight into their caches.
     """
-    x, lengths = _as_batch(seq, lengths)
-    if x.shape[2] != p.wx.shape[1]:
-        raise ValueError(f"lstm input width {x.shape[2]} != weight width {p.wx.shape[1]}")
-    t_len, batch, _ = x.shape
-    hidden, dtype = p.hidden, x.dtype
-    steps = int(lengths.max())
-    slots = _recurrence_slots(lengths, steps, reverse)
-    rows = x[slots[1]]
-    gates = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
-    gates[slots[0]] = _affine(rows, p.wx, p.b)
-    c_seq = np.empty((steps, batch, hidden), dtype=dtype)
-    tc_seq = np.empty_like(c_seq)
-    h_seq = np.empty_like(c_seq)
-    h = np.zeros((batch, hidden), dtype=dtype)
-    c = np.zeros_like(h)
+    lengths = _batch_lengths(seq, lengths)
+    if seq.shape[2] != p.wx.shape[1]:
+        raise ValueError(f"lstm input width {seq.shape[2]} != weight width {p.wx.shape[1]}")
+    t_len, batch, _ = seq.shape
+    hidden, dtype = p.hidden, seq.dtype
+    offsets, frames = _recurrence_slots(lengths, reverse)
+    rows = seq[frames]
+    gates = _affine(rows, p.wx, p.b)
+    c_seq, tc_seq, h_seq = np.empty((3, len(rows), hidden), dtype=dtype)
+    h = c = np.zeros((batch, hidden), dtype=dtype)
     # a one-row product runs as a gemv, whose summation order follows the
     # weight's layout, so a batch of one keeps the transposed view
     wh_t = p.wh.T if batch == 1 else np.ascontiguousarray(p.wh.T)
     hz = np.empty((batch, 4 * hidden), dtype=dtype)
-    g_tmp = np.empty_like(h)
-    ig = np.empty_like(h)
+    g_tmp, ig = np.empty((2, batch, hidden), dtype=dtype)
     cand = slice(2 * hidden, 3 * hidden)
-    for t in range(steps):
-        a = gates[t]
-        a += np.matmul(h, wh_t, out=hz)
-        np.tanh(a[:, cand], out=g_tmp)
+    for lo, hi in zip(offsets, offsets[1:]):
+        n = hi - lo
+        a = gates[lo:hi]
+        if lo:
+            a += np.matmul(h[:n], wh_t, out=hz[:n])
+        np.tanh(a[:, cand], out=g_tmp[:n])
         # sigmoid(), one operation at a time
         a *= 0.5
         np.tanh(a, out=a)
         a *= 0.5
         a += 0.5
-        a[:, cand] = g_tmp
+        a[:, cand] = g_tmp[:n]
         i, f, g, o = a[:, :hidden], a[:, hidden:2 * hidden], a[:, cand], a[:, 3 * hidden:]
-        c = np.multiply(f, c, out=c_seq[t])
-        c += np.multiply(i, g, out=ig)
-        np.tanh(c, out=tc_seq[t])
-        h = np.multiply(o, tc_seq[t], out=h_seq[t])
+        c = np.multiply(f, c[:n], out=c_seq[lo:hi])
+        c += np.multiply(i, g, out=ig[:n])
+        np.tanh(c, out=tc_seq[lo:hi])
+        h = np.multiply(o, tc_seq[lo:hi], out=h_seq[lo:hi])
     require_finite(h_seq, "lstm activations")
     out = np.zeros((t_len, batch, hidden), dtype=dtype)
-    out[slots[1]] = h_seq[slots[0]]
-    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, t_len)
-    return out.reshape(*seq.shape[:-1], hidden), cache
+    out[frames] = h_seq
+    return out, (rows, gates, c_seq, tc_seq, h_seq, offsets, frames, t_len)
 
 
 def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
@@ -318,44 +313,49 @@ def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
     are ignored. Returns (d_seq, grads) with grads = {"wx", "wh", "b"}
     summed over the batch; d_seq rows past a sequence's end are zero.
     """
-    rows, gates, c_seq, tc_seq, h_seq, slots, t_len = cache
-    steps, batch, hidden = h_seq.shape
-    d_h = d_h_seq[:, None] if d_h_seq.ndim == 2 else d_h_seq
-    d_rec = np.zeros_like(h_seq)
-    d_rec[slots[0]] = d_h[slots[1]]
-    # a padded slot has zero upstream gradient and comes after its
-    # sequence's last step, so its dz is exactly zero without masking
+    rows, gates, c_seq, tc_seq, h_seq, offsets, frames, t_len = cache
+    hidden = p.hidden
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    # each gate derivative's last factor (1 - i, 1 - f, 1 - g^2, 1 - o) and
+    # 1 - tanh(c)^2, for every row at once
+    closing = 1.0 - gates
+    np.subtract(1.0, gates[:, g_] * gates[:, g_], out=closing[:, g_])
+    d_tanh = 1.0 - tc_seq * tc_seq
+    d_h = d_h_seq[frames]
     dz_seq = np.empty_like(gates)
-    dh_next = np.zeros((batch, hidden), dtype=h_seq.dtype)
-    dc_next = np.zeros_like(dh_next)
-    for t in range(steps - 1, -1, -1):
-        i = gates[t, :, :hidden]
-        f = gates[t, :, hidden:2 * hidden]
-        g = gates[t, :, 2 * hidden:3 * hidden]
-        o = gates[t, :, 3 * hidden:]
-        tc = tc_seq[t]
-        c_prev = c_seq[t - 1] if t > 0 else 0.0
-        dh = d_rec[t] + dh_next
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        dz = dz_seq[t]
-        dz[:, :hidden] = dc * g * i * (1.0 - i)
-        dz[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
-        dz[:, 3 * hidden:] = dh * tc * o * (1.0 - o)
-        dh_next = dz @ p.wh
-        dc_next = dc * f
-    # reductions run over valid slots only; the initial h is zero, so
-    # first steps contribute nothing to wh
-    dz_rows = dz_seq[slots[0]]
-    step, col = slots[0]
-    later = step > 0
-    d_wh = dz_seq[step[later], col[later]].T @ h_seq[step[later] - 1, col[later]]
-    d_wx = dz_rows.T @ rows
-    d_b = dz_rows.sum(axis=0)
-    d_rows = dz_rows @ p.wx
-    d_x = np.zeros((t_len, batch, d_rows.shape[1]), dtype=d_rows.dtype)
-    d_x[slots[1]] = d_rows
-    return d_x.reshape(*d_h_seq.shape[:-1], -1), {"wx": d_wx, "wh": d_wh, "b": d_b}
+    dh_next = dc_next = np.zeros((offsets[-1] - offsets[-2], hidden), dtype=h_seq.dtype)
+    for t in range(len(offsets) - 2, -1, -1):
+        lo, hi = offsets[t], offsets[t + 1]
+        a, dz = gates[lo:hi], dz_seq[lo:hi]
+        c_prev = c_seq[offsets[t - 1]:offsets[t - 1] + hi - lo] if t else 0.0
+        # ranks past the next step's n have ended: no gradient comes back
+        dh = d_h[lo:hi]
+        dh[:len(dh_next)] += dh_next
+        dc = dh * a[:, o_]
+        dc *= d_tanh[lo:hi]
+        dc[:len(dc_next)] += dc_next
+        # dz_i = dc*g*i*(1-i), dz_f = dc*c_prev*f*(1-f), dz_g = dc*i*(1-g^2)
+        # and dz_o = dh*tanh(c)*o*(1-o), multiplied left to right
+        np.multiply(dc, a[:, g_], out=dz[:, i_])
+        np.multiply(dc, c_prev, out=dz[:, f_])
+        dz[:, :2 * hidden] *= a[:, :2 * hidden]
+        np.multiply(dc, a[:, i_], out=dz[:, g_])
+        np.multiply(dh, tc_seq[lo:hi], out=dz[:, o_])
+        dz[:, o_] *= a[:, o_]
+        dz *= closing[lo:hi]
+        if t:
+            dh_next = dz @ p.wh
+            dc_next = dc * a[:, f_]
+    # h starts at zero; each later row pairs with its rank's row a step earlier
+    sizes = np.diff(offsets)
+    prev = np.arange(offsets[1], offsets[-1]) - np.repeat(sizes[:-1], sizes[1:])
+    d_wh = dz_seq[offsets[1]:].T @ h_seq[prev]
+    d_wx = dz_seq.T @ rows
+    d_b = dz_seq.sum(axis=0)
+    d_rows = dz_seq @ p.wx
+    d_x = np.zeros((t_len, d_h_seq.shape[1], d_rows.shape[1]), dtype=d_rows.dtype)
+    d_x[frames] = d_rows
+    return d_x, {"wx": d_wx, "wh": d_wh, "b": d_b}
 
 
 @dataclass
@@ -375,7 +375,7 @@ def blstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> Bl
 
 
 def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None):
-    """[T, (B,) D] -> [T, (B,) 2H]: forward-time and reverse-time states concatenated."""
+    """[T, B, D] -> [T, B, 2H]: forward-time and reverse-time states concatenated."""
     h_f, cache_f = lstm_forward(bl.fwd, seq, lengths=lengths)
     h_b, cache_b = lstm_forward(bl.bwd, seq, reverse=True, lengths=lengths)
     return np.concatenate([h_f, h_b], axis=-1), (cache_f, cache_b)

@@ -392,8 +392,9 @@ def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> No
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, path):
         self.blob = blob
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
@@ -410,13 +411,20 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+    def string(self, what: str, key: str | None = None) -> str:
+        """The next length-prefixed UTF-8 string; what (of key) names it in errors."""
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            field = what if key is None else f"{what} {key!r}"
+            raise CheckpointError(f"checkpoint {self.path}: {field} is not valid UTF-8 "
+                                  f"({exc.reason} at byte {exc.start})") from None
 
 
 def _read_raw(path):
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        reader = _Reader(fh.read(), path)
     magic = reader.take(4)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -426,11 +434,11 @@ def _read_raw(path):
                               f"expected {CHECKPOINT_VERSION}")
     meta = {}
     for _ in range(reader.u32()):
-        key = reader.string()
-        meta[key] = reader.string()
+        key = reader.string("a metadata key")
+        meta[key] = reader.string("the value of metadata key", key)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
-        name = reader.string()
+        name = reader.string("a tensor name")
         if name in tensors:
             raise CheckpointError(f"checkpoint repeats tensor {name!r}")
         rank = reader.u32()

@@ -156,8 +156,10 @@ def _adam_check(param: np.ndarray, grad: np.ndarray, m_shape, what: str) -> None
             f"adam shape or dtype mismatch in {what}: param {param.shape} "
             f"{param.dtype}, grad {grad.shape} {grad.dtype}, m {m_shape}"
         )
-    # cheap screen first: a single reduction catches NaN/Inf almost always
-    if not math.isfinite(float(grad.sum())):
+    # cheap screen first: a sum of squares cannot cancel, so NaN or Inf
+    # always shows in it; an overflow only sends the step to the exact check
+    flat = grad.reshape(-1)
+    if not math.isfinite(float(np.dot(flat, flat))):
         require_finite(grad, what)
 
 
@@ -196,19 +198,40 @@ class Adam:
         _adam_update(jobs, lr, self.beta1, self.beta2, self.eps)
 
 
+# float64 elements squared at once when clip_global_norm takes a norm
+CLIP_BLOCK = 1 << 16
+
+
+def _square_sum(flat: np.ndarray, buf: np.ndarray) -> float:
+    """np.square(flat, dtype=np.float64).sum() bit for bit, a block at a time.
+
+    numpy sums a contiguous array pairwise, splitting n elements at n // 2
+    rounded down to a multiple of 8. Recursing on the same split points
+    down to CLIP_BLOCK elements and summing each block, squared into buf,
+    in one call repeats every addition in its order.
+    """
+    n = flat.size
+    if n <= CLIP_BLOCK:
+        return np.square(flat, out=buf[:n], dtype=np.float64).sum()
+    half = n // 2 - n // 2 % 8
+    return _square_sum(flat[:half], buf) + _square_sum(flat[half:], buf)
+
+
 def clip_global_norm(grads, threshold: float):
     """Scale a tensor group so its global L2 norm is at most threshold.
 
     Returns (scaled tensors, applied scale). Inputs are left untouched;
     when the norm is already within the threshold the originals are
-    returned with scale 1.0.
+    returned with scale 1.0. Each tensor's squares are summed in C order
+    (_square_sum), so no tensor-sized float64 temporary is made.
     """
     if not threshold > 0:
         raise ValueError(f"clip threshold must be > 0, got {threshold}")
     grads = list(grads)
+    buf = np.empty(min(CLIP_BLOCK, max((g.size for g in grads), default=0)), np.float64)
     total = 0.0
     for g in grads:
-        total += float(np.square(g, dtype=np.float64).sum())
+        total += float(_square_sum(g.reshape(-1), buf))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         raise NonFiniteError("non-finite values in gradients passed to clip_global_norm")

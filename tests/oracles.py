@@ -47,36 +47,44 @@ def ref_lstm(wx, wh, b, seq, reverse=False):
     return out[::-1] if reverse else out
 
 
-def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None):
+def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None, packed=False):
     """The allocating, hold-masked batched recurrence; returns (h, cache).
 
-    A transcription of lstm_forward as it was before it computed in place:
-    fresh temporaries every step, gates in their own array, and h/c held
-    still once a sequence ends. wh_t is the [H, 4H] matrix each step
-    multiplies h by, the transposed view of p.wh by default; BLAS may round
-    that product differently for a C-contiguous copy at some shapes.
+    A transcription of lstm_forward as it was before it computed in place
+    and packed its rows: fresh temporaries every step, gates in their own
+    [steps, B] array, and h/c held still once a sequence ends. Columns are
+    ranked longest first, as lstm_forward ranks them, so the live sequences
+    of step t are its first n_t columns. Every step multiplies all B
+    columns' h, or with packed=True only the n_t live ones, as lstm_forward
+    does. wh_t is the [H, 4H] matrix each step multiplies h by, the
+    transposed view of p.wh by default; BLAS may round that product
+    differently for a C-contiguous copy at some shapes. The cache is
+    lstm_forward's: the live slots, step by step.
     """
-    from vsr.layers import _as_batch, _recurrence_slots, sigmoid
+    from vsr.layers import _batch_lengths, _recurrence_slots, sigmoid
 
-    x, lengths = _as_batch(seq, lengths)
-    t_len, batch, _ = x.shape
-    hidden, dtype = p.hidden, x.dtype
-    steps = int(lengths.max())
-    slots = _recurrence_slots(lengths, steps, reverse)
-    rows = x[slots[1]]
+    lengths = _batch_lengths(seq, lengths)
+    t_len, batch, _ = seq.shape
+    hidden, dtype = p.hidden, seq.dtype
+    offsets, frames = _recurrence_slots(lengths, reverse)
+    steps = len(offsets) - 1
+    sizes = np.diff(offsets)
+    live = np.arange(batch) < sizes[:, None]
+    rows = seq[frames]
     xz = np.zeros((steps, batch, 4 * hidden), dtype=dtype)
-    xz[slots[0]] = rows @ p.wx.T + p.b
+    xz[live] = rows @ p.wx.T + p.b
     gates = np.empty((steps, batch, 4 * hidden), dtype=dtype)
     c_seq = np.empty((steps, batch, hidden), dtype=dtype)
     tc_seq = np.empty_like(c_seq)
     h_seq = np.empty_like(c_seq)
     h = np.zeros((batch, hidden), dtype=dtype)
     c = np.zeros_like(h)
-    live = (np.arange(steps)[:, None] < lengths)[..., None]
     wh_t = p.wh.T if wh_t is None else wh_t
     cand = slice(2 * hidden, 3 * hidden)
     for t in range(steps):
-        z = xz[t] + h @ wh_t
+        n = sizes[t] if packed else batch
+        z = xz[t].copy()
+        z[:n] = xz[t, :n] + h[:n] @ wh_t
         a = gates[t]
         a[...] = sigmoid(z)
         a[:, cand] = np.tanh(z[:, cand])
@@ -85,12 +93,48 @@ def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None):
         c_t += i * g
         np.tanh(c_t, out=tc_seq[t])
         np.multiply(o, tc_seq[t], out=h_seq[t])
-        h = np.where(live[t], h_seq[t], h)
-        c = np.where(live[t], c_t, c)
+        h = np.where(live[t, :, None], h_seq[t], h)
+        c = np.where(live[t, :, None], c_t, c)
     out = np.zeros((t_len, batch, hidden), dtype=dtype)
-    out[slots[1]] = h_seq[slots[0]]
-    cache = (rows, gates, c_seq, tc_seq, h_seq, slots, t_len)
-    return out.reshape(*seq.shape[:-1], hidden), cache
+    out[frames] = h_seq[live]
+    cache = (rows, gates[live], c_seq[live], tc_seq[live], h_seq[live], offsets, frames,
+             t_len)
+    return out, cache
+
+
+def ref_lstm_backward(p, cache, d_h_seq):
+    """lstm_backward as it was before it packed and precomputed: each step's
+    terms as fresh arrays in formula order, with zero carries into ranks
+    that have ended, as padded slots once had. The weight-gradient products
+    are lstm_backward's, over the packed rows."""
+    rows, gates, c_seq, tc_seq, h_seq, offsets, frames, t_len = cache
+    hidden = p.hidden
+    d_h = d_h_seq[frames]
+    dz_seq = np.empty_like(gates)
+    dh_next = np.zeros((offsets[1], hidden), dtype=gates.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for t in range(len(offsets) - 2, -1, -1):
+        lo, hi = offsets[t], offsets[t + 1]
+        n = hi - lo
+        i, f, g, o = (gates[lo:hi, k * hidden:(k + 1) * hidden] for k in range(4))
+        tc = tc_seq[lo:hi]
+        c_prev = c_seq[offsets[t - 1]:offsets[t - 1] + n] if t else 0.0
+        dh = d_h[lo:hi] + dh_next[:n]
+        dc = dh * o * (1.0 - tc * tc) + dc_next[:n]
+        dz = dz_seq[lo:hi]
+        dz[:, :hidden] = dc * g * i * (1.0 - i)
+        dz[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
+        dz[:, 3 * hidden:] = dh * tc * o * (1.0 - o)
+        dh_next, dc_next = np.zeros_like(dh_next), np.zeros_like(dc_next)
+        dh_next[:n] = dz @ p.wh
+        dc_next[:n] = dc * f
+    later = np.arange(offsets[1], offsets[-1])
+    prev = later - np.repeat(np.diff(offsets)[:-1], np.diff(offsets)[1:])
+    d_x = np.zeros((t_len, d_h_seq.shape[1], p.wx.shape[1]), dtype=gates.dtype)
+    d_x[frames] = dz_seq @ p.wx
+    return d_x, {"wx": dz_seq.T @ rows, "wh": dz_seq[later].T @ h_seq[prev],
+                 "b": dz_seq.sum(axis=0)}
 
 
 def ref_fc(w, b, x, relu):

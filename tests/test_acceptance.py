@@ -102,12 +102,12 @@ def test_02_delta_features_match_a_brute_force_regression():
     rng = Rng(6)
 
     # constant in time: first and second derivative blocks exactly zero
-    const = np.repeat(rng.normal((1, 5)), 7, axis=0)
+    const = np.repeat(rng.normal((1, 1, 5)), 7, axis=0)
     assert np.all(delta_forward(const, win) == 0.0)
-    assert np.all(append_deltas(const, win)[:, 5:] == 0.0)
+    assert np.all(append_deltas(const, win)[..., 5:] == 0.0)
 
     # unit-slope ramp: interior first derivative is 1
-    ramp = np.arange(9.0)[:, None] * np.ones((1, 3))
+    ramp = np.arange(9.0)[:, None, None] * np.ones((1, 1, 3))
     interior = delta_forward(ramp, win)[2:-2]
     assert np.allclose(interior, 1.0, rtol=0, atol=1e-12)
 
@@ -115,8 +115,8 @@ def test_02_delta_features_match_a_brute_force_regression():
     for theta in (1, 2, 3):
         w = DeltaWindow(theta)
         for t_len in (1, 2, 5, 9):
-            seq = rng.normal((t_len, 4))
-            assert np.allclose(delta_forward(seq, w), ref_delta(seq, theta),
+            seq = rng.normal((t_len, 1, 4))
+            assert np.allclose(delta_forward(seq, w)[:, 0], ref_delta(seq[:, 0], theta),
                                rtol=0, atol=1e-12)
 
 

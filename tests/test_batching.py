@@ -16,7 +16,9 @@ import vsr.evaluation as evaluation
 from oracles import ref_delta, ref_lstm
 from vsr.data import LoadedUtterance
 from vsr.evaluation import evaluate, model_logits, predict_labels, render_report
+from vsr.gradcheck import _lstm_error, _random_lstm, _worst_error
 from vsr.layers import (
+    Blstm,
     DeltaWindow,
     append_deltas,
     append_deltas_backward,
@@ -175,9 +177,9 @@ def test_batched_gradients_are_the_sum_over_sequences():
         d_x, grads = lstm_backward(p, cache, d_h)
         total = {name: 0.0 for name in grads}
         for b, t_len in enumerate(lengths):
-            _, c1 = lstm_forward(p, x[:t_len, b], reverse=reverse)
-            d_x1, g1 = lstm_backward(p, c1, d_h[:t_len, b])
-            assert np.allclose(d_x[:t_len, b], d_x1, rtol=0, atol=1e-12)
+            _, c1 = lstm_forward(p, x[:t_len, b:b + 1], reverse=reverse)
+            d_x1, g1 = lstm_backward(p, c1, d_h[:t_len, b:b + 1])
+            assert np.allclose(d_x[:t_len, b], d_x1[:, 0], rtol=0, atol=1e-12)
             for name in grads:
                 total[name] = total[name] + g1[name]
         for name in grads:
@@ -224,3 +226,46 @@ def test_fc_backward_can_skip_the_input_gradient():
     none, d_w2, d_b2 = fc_backward(layer, cache, d_out, input_grad=False)
     assert d_x.shape == (5, 4) and none is None
     assert np.array_equal(d_w, d_w2) and np.array_equal(d_b, d_b2)
+
+
+# unsorted, with ties: the packed recurrence runs the columns in order 1, 2, 4, 0, 3
+TIED = [3, 7, 7, 1, 5]
+
+
+def test_lstm_gradcheck_on_unsorted_lengths_with_ties():
+    assert _lstm_error(Rng(12), seq_shape=(7, 5, 3), lengths=TIED, hidden=3) < 1e-5
+
+
+def test_blstm_gradcheck_on_unsorted_lengths_with_ties():
+    rng = Rng(13)
+    bl = Blstm(fwd=_random_lstm(rng, 3, 3), bwd=_random_lstm(rng, 3, 3))
+    seq, proj = rng.normal((7, 5, 3)), rng.normal((7, 5, 6))
+    _, cache = blstm_forward(bl, seq, TIED)
+    d_seq, grads = blstm_backward(bl, cache, proj)
+    arrays = {"seq": seq, **{f"{half}.{name}": getattr(getattr(bl, half), name)
+                             for half in ("fwd", "bwd") for name in ("wx", "wh", "b")}}
+    analytic = {"seq": d_seq, **{f"{half}.{name}": g for half in ("fwd", "bwd")
+                                 for name, g in grads[half].items()}}
+    err = _worst_error(arrays, analytic,
+                       lambda: float((blstm_forward(bl, seq, TIED)[0] * proj).sum()))
+    assert err < 1e-5
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-13)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_permuting_the_batch_columns_permutes_the_lstm(dtype, tol, reverse):
+    rng = Rng(14)
+    p = lstm_init(8, 64, rng, dtype=dtype)
+    lengths = np.array(TIED)
+    x = rng.normal((7, 5, 8)).astype(dtype)
+    d_h = rng.normal((7, 5, 64)).astype(dtype)
+    perm = np.array([4, 2, 0, 3, 1])  # swaps the tied pair too
+    out, cache = lstm_forward(p, x, reverse, lengths)
+    out_p, cache_p = lstm_forward(p, x[:, perm], reverse, lengths[perm])
+    assert all(len(a) == sum(TIED) for a in (*cache[:5], *cache_p[:5]))
+    np.testing.assert_allclose(out_p, out[:, perm], rtol=0, atol=tol)
+    d_x, grads = lstm_backward(p, cache, d_h)
+    d_xp, grads_p = lstm_backward(p, cache_p, d_h[:, perm])
+    np.testing.assert_allclose(d_xp, d_x[:, perm], rtol=0, atol=tol)
+    for name in grads:
+        np.testing.assert_allclose(grads_p[name], grads[name], rtol=tol, atol=tol)

@@ -561,6 +561,19 @@ def test_gradcheck_flags_a_broken_recurrent_gradient(monkeypatch, capsys):
     assert [line.split()[0] for line in lines if line.endswith("FAIL")] == checks
 
 
+def test_evaluate_checkpoint_with_invalid_utf8_exits_2(raw_ckpt, dataset, tmp_path, capsys):
+    key = struct.pack("<I", 5) + b"theta"
+    blob = Path(raw_ckpt).read_bytes()
+    assert blob.count(key) == 1
+    bad = tmp_path / "bad_utf8.ckpt"
+    bad.write_bytes(blob.replace(key, struct.pack("<I", 5) + b"th\xffta"))
+    rc = main(["evaluate", "--model", str(bad), "--data", str(dataset), *PROTO_ARGS])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"checkpoint {bad}: a metadata key is not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_bad_delta_window_exits_2(raw_ckpt, dataset, tmp_path, capsys):
     theta = struct.pack("<I", 5) + b"theta" + struct.pack("<I", 1)
     blob = Path(raw_ckpt).read_bytes()

@@ -540,6 +540,23 @@ def test_load_refuses_a_bad_delta_window(tmp_path, kind, theta):
     assert str(tmp_path / "t.ckpt") in str(err.value)
 
 
+@pytest.mark.parametrize("stored, broken, named", [
+    (b"kind", b"ki\xffd", "a metadata key"),
+    (b"raw", b"r\xe9w", "the value of metadata key 'stream'"),
+    (b"head.w", b"head.\xff", "a tensor name"),
+])
+def test_load_names_a_string_that_is_not_utf8(tmp_path, stored, broken, named):
+    save_checkpoint(tmp_path / "m.ckpt", tiny_stream())
+    field = struct.pack("<I", len(stored)) + stored
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    assert blob.count(field) == 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob.replace(field, struct.pack("<I", len(broken)) + broken))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(bad)
+    assert f"checkpoint {bad}: {named} is not valid UTF-8" in str(err.value)
+
+
 def test_load_accepts_a_delta_window_wider_than_any_sequence(tmp_path):
     model = tampered(tmp_path, "stream", meta={"theta": "99"})
     assert model.net.delta.theta == 99

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import sys
 import threading
@@ -12,6 +13,7 @@ from oracles import ref_adam
 
 from vsr.numerics import (
     ADAM_BLOCK,
+    CLIP_BLOCK,
     Adam,
     AdamState,
     NonFiniteError,
@@ -202,6 +204,19 @@ def test_adam_screen_passes_a_finite_gradient_whose_sum_overflows():
     assert np.all(np.isfinite(p)) and opt.state["p"].t == 1
 
 
+# each square is finite, their sum is not, so the screen sends the step to
+# the exact check, which passes it
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e19), (np.float64, 1e154)])
+def test_adam_screen_passes_a_finite_gradient_whose_square_sum_overflows(dtype, big):
+    p = np.zeros(4, dtype=dtype)
+    g = np.full(4, big, dtype=dtype)
+    opt = Adam()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.dot(g, g))
+        opt.step({"p": p}, {"p": g}, lr=0.1)
+    assert np.all(p < 0) and np.all(np.isfinite(p)) and opt.state["p"].t == 1
+
+
 def test_adam_rejects_dtype_mismatch():
     p = np.zeros(3, dtype=np.float32)
     opt = Adam()
@@ -320,6 +335,18 @@ def test_clip_infinite_threshold_is_noop():
     clipped, scale = clip_global_norm(g, np.inf)
     assert scale == 1.0
     assert np.array_equal(clipped[0], g[0])
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (129,), (CLIP_BLOCK,), (CLIP_BLOCK + 1,),
+                                   (2 * CLIP_BLOCK + 9,), (1000, 1000), (1000, 150), (3, 5, 7)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clip_norm_is_the_plain_square_sum_bit_for_bit(shape, dtype):
+    """The blocked sum follows numpy's pairwise split points; a numpy that
+    moves them fails here rather than changing the bits of the norm."""
+    grads = [(Rng(len(shape)).normal(shape) * 40).astype(dtype), np.full(3, 2.0, dtype)]
+    want = sum(float(np.square(g, dtype=np.float64).sum()) for g in grads)
+    _, scale = clip_global_norm(grads, 1.0)
+    assert scale == 1.0 / math.sqrt(want)
 
 
 def test_clip_rejects_nonfinite():
