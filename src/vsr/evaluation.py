@@ -70,8 +70,11 @@ def model_logits(model, chunk: list[dict[str, np.ndarray]]) -> list[np.ndarray]:
 def predict_labels(model, utterances: list[dict[str, np.ndarray]]) -> list[int]:
     """Majority-vote label of each preprocessed utterance.
 
-    Utterances are scored SCORE_CHUNK at a time in the order given; callers
-    sort by length so a chunk carries little padding.
+    Utterances are scored SCORE_CHUNK at a time in the order given. Callers
+    sort by length, so a chunk holds utterances of similar length (its
+    recurrence runs as many steps as its longest has frames), and the
+    chunks, which decide how BLAS rounds each logit, do not depend on the
+    order of the split.
     """
     labels = []
     for start in range(0, len(utterances), SCORE_CHUNK):

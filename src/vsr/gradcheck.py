@@ -92,11 +92,11 @@ def check_delta(rng: Rng) -> float:
     worst = 0.0
     for t_len, theta in ((5, 2), (2, 2), (4, 1)):
         win = DeltaWindow(theta)
-        seq = _randn(rng, t_len, 1, 3)
-        proj = _randn(rng, t_len, 1, 3)
+        seq = _randn(rng, t_len, 3)
+        proj = _randn(rng, t_len, 3)
         worst = max(worst, _worst_error({"seq": seq}, {"seq": delta_backward(proj, win)},
                                         lambda: float((delta_forward(seq, win) * proj).sum())))
-        proj3 = _randn(rng, t_len, 1, 9)
+        proj3 = _randn(rng, t_len, 9)
         worst = max(worst, _worst_error({"seq": seq},
                                         {"seq": append_deltas_backward(proj3, win)},
                                         lambda: float((append_deltas(seq, win) * proj3).sum())))
@@ -113,13 +113,22 @@ def _random_lstm(rng: Rng, d_in: int, hidden: int) -> LstmParams:
                       b=_randn(rng, 4 * hidden))
 
 
-def _lstm_error(rng: Rng, seq_shape: tuple[int, ...], lengths, hidden: int) -> float:
-    """Both directions over a [T, B, D] batch."""
+def _sequences(rng: Rng, rows: int, lengths: tuple[int, ...], width: int) -> np.ndarray:
+    """Concatenated frames of sequences of the given lengths, cut from one
+    [rows, len(lengths), width] draw: sequence b keeps the first frames of
+    column b."""
+    draw = _randn(rng, rows, len(lengths), width)
+    return np.concatenate([draw[:n, b] for b, n in enumerate(lengths)])
+
+
+def _lstm_error(rng: Rng, rows: int, lengths: tuple[int, ...], width: int,
+                hidden: int) -> float:
+    """Both directions over a batch of sequences (see _sequences)."""
     worst = 0.0
     for reverse in (False, True):
-        p = _random_lstm(rng, seq_shape[-1], hidden)
-        seq = _randn(rng, *seq_shape)
-        proj = _randn(rng, *seq_shape[:-1], hidden)
+        p = _random_lstm(rng, width, hidden)
+        seq = _sequences(rng, rows, lengths, width)
+        proj = _sequences(rng, rows, lengths, hidden)
         _, cache = lstm_forward(p, seq, reverse=reverse, lengths=lengths)
         d_seq, grads = lstm_backward(p, cache, proj)
         worst = max(worst, _worst_error(
@@ -132,8 +141,8 @@ def _lstm_error(rng: Rng, seq_shape: tuple[int, ...], lengths, hidden: int) -> f
 def check_blstm(rng: Rng) -> float:
     t_len, d_in, hidden = 4, 3, 3
     bl = Blstm(fwd=_random_lstm(rng, d_in, hidden), bwd=_random_lstm(rng, d_in, hidden))
-    seq = _randn(rng, t_len, 1, d_in)
-    proj = _randn(rng, t_len, 1, 2 * hidden)
+    seq = _randn(rng, t_len, d_in)
+    proj = _randn(rng, t_len, 2 * hidden)
     _, cache = blstm_forward(bl, seq)
     d_seq, grads = blstm_backward(bl, cache, proj)
     arrays = {"seq": seq, **_lstm_arrays(bl.fwd, "fwd."), **_lstm_arrays(bl.bwd, "bwd.")}
@@ -146,7 +155,7 @@ def check_softmax_xent(rng: Rng) -> float:
     n, k = 5, 4
     logits = _randn(rng, n, k)
     labels = rng.integers(k, (n,))
-    # one frame stays out, as a padded one would
+    # one drawn frame stays out of the loss
     keep = np.arange(n) != rng.integers(n, (1,))[0]
     logits, labels = logits[keep], labels[keep]
     _, d_logits = softmax_xent(logits, labels)
@@ -204,9 +213,9 @@ def _model_error(rng: Rng, lengths: tuple[int, ...], fusion: bool) -> float:
 CHECKS: dict[str, Callable[[Rng], float]] = {
     "fc": check_fc,
     "delta": check_delta,
-    "lstm": partial(_lstm_error, seq_shape=(4, 1, 3), lengths=None, hidden=4),
-    # *_batch: three unequal sequences (for the lstm, padded past the longest)
-    "lstm_batch": partial(_lstm_error, seq_shape=(5, 3, 3), lengths=[4, 2, 3], hidden=3),
+    "lstm": partial(_lstm_error, rows=4, lengths=(4,), width=3, hidden=4),
+    # *_batch: three sequences of unequal length in one batch
+    "lstm_batch": partial(_lstm_error, rows=5, lengths=(4, 2, 3), width=3, hidden=3),
     "blstm": check_blstm,
     "softmax_xent": check_softmax_xent,
     "stream": partial(_model_error, lengths=(4,), fusion=False),

@@ -6,16 +6,15 @@ gradients. Layers never mutate their inputs, so concurrent evaluation on
 distinct sequences is safe.
 
 Shapes follow the conventions: frame batches are [N, D] with one row per
-frame (fc layers take nothing else), weight sheets are [out, in]. Sequence
-layers (deltas, LSTM, BLSTM) take a time-major batch [T, B, D] plus
-per-sequence `lengths` in any order (sequence b fills its first lengths[b]
-frames; None means all T). Rows past a sequence's end are padding: zero in
-sequence-layer outputs and input gradients, ignored in upstream gradients.
+frame, weight sheets are [out, in]. Sequence layers (deltas, LSTM, BLSTM)
+take the same rows: a batch's sequences concatenated frame by frame, plus
+per-sequence `lengths` summing to N (None means one sequence of N frames).
+No index of a sequence layer crosses from one sequence into the next.
 
-An LSTM runs packed, as cuDNN and PyTorch's `pack_padded_sequence` do: with
-its sequences ranked longest first, the n_t still running at step t are
-the first n_t ranks, so its input projection and caches hold one row per
-valid frame, step by step, and each step computes on n_t contiguous rows.
+An LSTM runs packed, as cuDNN and PyTorch's packed sequences do: with its
+sequences ranked longest first, the n_t still running at step t are the
+first n_t ranks, so its input projection and caches hold one row per
+frame, step by step, and each step computes on n_t contiguous rows.
 
 A layer's parameters and its input share one dtype; callers cast the model
 and the data together, so no layer call mixes precisions.
@@ -103,27 +102,21 @@ def fc_backward(layer: FcLayer, cache, d_out: np.ndarray, input_grad: bool = Tru
 # ---------------------------------------------------------------------------
 
 def _batch_lengths(x: np.ndarray, lengths=None) -> np.ndarray:
-    """Check a time-major batch [T, B, D] against its per-sequence lengths.
+    """Check concatenated frames [N, D] against per-sequence lengths.
 
-    Returns lengths as an int array, all T when None is given.
+    Returns lengths as an int array, [N] when None is given.
     """
-    if x.ndim != 3:
-        raise ValueError(f"expected a [T, B, D] batch, got shape {x.shape}")
-    t_len, batch = x.shape[:2]
-    if t_len < 1 or batch < 1:
-        raise ValueError("a batch needs at least one frame and one sequence")
+    if x.ndim != 2:
+        raise ValueError(f"expected concatenated frames [N, D], got shape {x.shape}")
+    if x.shape[0] < 1:
+        raise ValueError("a batch needs at least one frame")
     if lengths is None:
-        return np.full(batch, t_len)
+        return np.array([x.shape[0]], dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > t_len:
-        raise ValueError(f"lengths {lengths.tolist()} do not fit {batch} sequences "
-                         f"of at most {t_len} frames")
+    if lengths.ndim != 1 or lengths.sum() != x.shape[0] or lengths.min() < 1:
+        raise ValueError(f"lengths {lengths.tolist()} do not split {x.shape[0]} frames "
+                         f"into sequences")
     return lengths
-
-
-def _padding_mask(lengths: np.ndarray, t_len: int) -> np.ndarray:
-    """[T, B] True on frames past each sequence's end."""
-    return np.arange(t_len)[:, None] >= lengths
 
 
 # ---------------------------------------------------------------------------
@@ -148,52 +141,46 @@ class DeltaWindow:
 def delta_forward(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
     """d_t = sum_k k*(c_{t+k} - c_{t-k}) / (2*sum_k k^2), edges replicated.
 
-    seq is a time-major [T, B, D] batch; frame indices clamp into each
-    sequence's own lengths[b] frames, and rows past a sequence's end come
-    out zero. A constant sequence maps to exactly zero: every term is a
-    difference of identical values.
+    Frame indices clamp into each sequence's own frames. A constant
+    sequence maps to exactly zero: every term is a difference of identical
+    values.
     """
     lengths = _batch_lengths(seq, lengths)
-    t_len, theta = seq.shape[0], win.theta
-    # ext[s] is frame s - theta clamped into its own sequence, so every
-    # shifted window below is a plain slice
-    src = np.clip(np.arange(-theta, t_len + theta)[:, None], 0, lengths - 1)
-    ext = seq[src, np.arange(seq.shape[1])]
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    rows = np.arange(len(seq))
     out = np.zeros_like(seq)
-    for k in range(1, theta + 1):
-        out += (k / win.denom) * (ext[theta + k:theta + k + t_len]
-                                  - ext[theta - k:theta - k + t_len])
-    out[_padding_mask(lengths, t_len)] = 0.0
+    for k in range(1, win.theta + 1):
+        out += (k / win.denom) * (seq[np.minimum(rows + k, ends - 1)]
+                                  - seq[np.maximum(rows - k, starts)])
     return out
 
 
 def delta_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
-    """Adjoint of delta_forward (the map is linear); padded rows are ignored."""
+    """Adjoint of delta_forward (the map is linear)."""
     lengths = _batch_lengths(d_out, lengths)
-    t_len, batch = d_out.shape[:2]
-    theta = win.theta
-    pad = _padding_mask(lengths, t_len)
-    d = d_out.copy()
-    d[pad] = 0.0
-    d_ext = np.zeros((t_len + 2 * theta, *d.shape[1:]), dtype=d.dtype)
+    theta, batch = win.theta, len(lengths)
+    ends = np.cumsum(lengths)
+    first, last = ends - lengths, ends - 1
+    # each sequence's extended block holds theta rows, its frames, then theta
+    # rows; the outer rows all read the edge frame next to them
+    pos = np.arange(len(d_out)) + np.repeat(theta * (2 * np.arange(batch) + 1), lengths)
+    d_ext = np.zeros((len(d_out) + 2 * theta * batch, d_out.shape[1]), dtype=d_out.dtype)
     for k in range(1, theta + 1):
         coeff = k / win.denom
-        d_ext[theta + k:theta + k + t_len] += coeff * d
-        d_ext[theta - k:theta - k + t_len] -= coeff * d
-    # ext rows map one to one onto frames, except the theta rows beyond
-    # either end of a sequence, which all read its edge frame
-    cols = np.arange(batch)
-    head = d_ext[:theta].sum(axis=0)
-    tail = d_ext[lengths + theta + np.arange(theta)[:, None], cols].sum(axis=0)
-    d_seq = d_ext[theta:theta + t_len]
-    d_seq[0] += head
-    d_seq[lengths - 1, cols] += tail
-    d_seq[pad] = 0.0
+        d_ext[pos + k] += coeff * d_out
+        d_ext[pos - k] -= coeff * d_out
+    edge = np.arange(theta)[:, None]
+    head = d_ext[pos[first] - theta + edge].sum(axis=0)
+    tail = d_ext[pos[last] + 1 + edge].sum(axis=0)
+    d_seq = d_ext[pos]
+    d_seq[first] += head
+    d_seq[last] += tail
     return d_seq
 
 
 def append_deltas(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
-    """[T, B, D] -> [T, B, 3D]: the batch with delta and delta-delta appended."""
+    """[N, D] -> [N, 3D]: the frames with delta and delta-delta appended."""
     d1 = delta_forward(seq, win, lengths)
     d2 = delta_forward(d1, win, lengths)
     return np.concatenate([seq, d1, d2], axis=-1)
@@ -237,41 +224,40 @@ def lstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> Lst
 
 
 def _recurrence_slots(lengths: np.ndarray, reverse: bool):
-    """Valid frames in packed recurrence order.
+    """Frames in packed recurrence order.
 
     Ranks the sequences longest first with a stable sort. Returns (offsets,
-    (time, col)): rows offsets[t]:offsets[t + 1] are step t's, rank by
-    rank, and row r reads frame time[r] of sequence col[r]. Reversed
-    sequences read lengths[b] - 1 - step.
+    frames): rows offsets[t]:offsets[t + 1] are step t's, rank by rank, and
+    row r reads concatenated frame frames[r], frame `step` of its sequence,
+    or lengths[b] - 1 - step of a reversed one.
     """
     order = np.argsort(-lengths, kind="stable")
     live = np.arange(lengths.max())[:, None] < lengths[order]
     step, rank = np.nonzero(live)
     col = order[rank]
-    time = lengths[col] - 1 - step if reverse else step
-    return [0, *np.cumsum(live.sum(axis=1)).tolist()], (time, col)
+    ends = np.cumsum(lengths)[col]
+    frames = ends - 1 - step if reverse else ends - lengths[col] + step
+    return [0, *np.cumsum(live.sum(axis=1)).tolist()], frames
 
 
 def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=None):
-    """Run the LSTM recurrence over a time-major batch; returns (h, cache).
+    """Run the LSTM recurrence over each sequence; returns (h, cache).
 
-    seq is [T, B, D] with sequence b in its first lengths[b] frames (all T
-    when lengths is None); h is [T, B, H], zero past each sequence's end.
+    seq is [N, D], the concatenated frames of sequences of the given
+    lengths (one sequence when lengths is None); h is [N, H], row by row.
     With reverse=True each sequence runs backward over its own frames and
     the output is flipped back, so output row t still describes frame t.
 
-    The recurrence runs packed (module docstring) and stops at the longest
-    sequence, so the padding length changes no bit of the result. The state
-    starts at zero, so step 0 has no recurrent product; each later step
-    multiplies its h rows by a C-contiguous copy of wh.T and does its gate
-    math in place in its rows of the input projection, which becomes the
-    gates cache, writing c, tanh(c) and h straight into their caches.
+    The recurrence runs packed (module docstring). The state starts at
+    zero, so step 0 has no recurrent product; each later step multiplies
+    its h rows by a C-contiguous copy of wh.T and does its gate math in
+    place in its rows of the input projection, which becomes the gates
+    cache, writing c, tanh(c) and h straight into their caches.
     """
     lengths = _batch_lengths(seq, lengths)
-    if seq.shape[2] != p.wx.shape[1]:
-        raise ValueError(f"lstm input width {seq.shape[2]} != weight width {p.wx.shape[1]}")
-    t_len, batch, _ = seq.shape
-    hidden, dtype = p.hidden, seq.dtype
+    if seq.shape[1] != p.wx.shape[1]:
+        raise ValueError(f"lstm input width {seq.shape[1]} != weight width {p.wx.shape[1]}")
+    batch, hidden, dtype = len(lengths), p.hidden, seq.dtype
     offsets, frames = _recurrence_slots(lengths, reverse)
     rows = seq[frames]
     gates = _affine(rows, p.wx, p.b)
@@ -301,19 +287,18 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
         np.tanh(c, out=tc_seq[lo:hi])
         h = np.multiply(o, tc_seq[lo:hi], out=h_seq[lo:hi])
     require_finite(h_seq, "lstm activations")
-    out = np.zeros((t_len, batch, hidden), dtype=dtype)
+    out = np.empty_like(h_seq)
     out[frames] = h_seq
-    return out, (rows, gates, c_seq, tc_seq, h_seq, offsets, frames, t_len)
+    return out, (rows, gates, c_seq, tc_seq, h_seq, offsets, frames)
 
 
 def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
     """Full backpropagation through time over the batch.
 
-    d_h_seq has the forward output's shape; its rows past a sequence's end
-    are ignored. Returns (d_seq, grads) with grads = {"wx", "wh", "b"}
-    summed over the batch; d_seq rows past a sequence's end are zero.
+    d_h_seq has the forward output's shape. Returns (d_seq, grads) with
+    grads = {"wx", "wh", "b"} summed over the batch.
     """
-    rows, gates, c_seq, tc_seq, h_seq, offsets, frames, t_len = cache
+    rows, gates, c_seq, tc_seq, h_seq, offsets, frames = cache
     hidden = p.hidden
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     # each gate derivative's last factor (1 - i, 1 - f, 1 - g^2, 1 - o) and
@@ -353,7 +338,7 @@ def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
     d_wx = dz_seq.T @ rows
     d_b = dz_seq.sum(axis=0)
     d_rows = dz_seq @ p.wx
-    d_x = np.zeros((t_len, d_h_seq.shape[1], d_rows.shape[1]), dtype=d_rows.dtype)
+    d_x = np.empty_like(d_rows)
     d_x[frames] = d_rows
     return d_x, {"wx": d_wx, "wh": d_wh, "b": d_b}
 
@@ -375,7 +360,7 @@ def blstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> Bl
 
 
 def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None):
-    """[T, B, D] -> [T, B, 2H]: forward-time and reverse-time states concatenated."""
+    """[N, D] -> [N, 2H]: forward-time and reverse-time states concatenated."""
     h_f, cache_f = lstm_forward(bl.fwd, seq, lengths=lengths)
     h_b, cache_b = lstm_forward(bl.bwd, seq, reverse=True, lengths=lengths)
     return np.concatenate([h_f, h_b], axis=-1), (cache_f, cache_b)
@@ -397,8 +382,7 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over frames; returns (loss, d_logits).
 
     loss = mean over frames of -log softmax(logits_t)[label_t], computed
-    with the log-sum-exp max shift. Padding never reaches it: callers pass
-    only valid frames.
+    with the log-sum-exp max shift.
     """
     n, k = logits.shape
     if n == 0:

@@ -6,12 +6,11 @@ result. Single-stream models put a linear classifier head on the BLSTM
 output; the fusion model concatenates the two stream BLSTM outputs per
 frame, runs a further BLSTM, and classifies per frame.
 
-Entry points take a list of variable-length sequences. The frame encoder
-runs as one matrix product over the concatenated valid frames; its output
-is then zero-padded into a time-major [T_max, B, D] batch with per-sequence
-lengths, and the deltas and every BLSTM run once over the whole batch.
-That layout (`_Layout`) is the only place the program pads.
-Logits come back stacked [sum(T), K] in the order of the input list.
+Entry points take a list of variable-length sequences. Every layer runs
+once over the whole batch, on its sequences' frames concatenated [sum(T), D]:
+the encoder and the heads frame by frame, the deltas and the BLSTMs with
+the per-sequence lengths. Logits come back stacked [sum(T), K] in the order
+of the input list.
 
 `_layers(model)` is the one place that knows how each model kind is laid
 out and named: it lists every parameterised layer of a single-stream model,
@@ -25,6 +24,7 @@ tensor the table does not list.
 from __future__ import annotations
 
 import copy
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -227,65 +227,44 @@ def _blstm_grads(grads: dict[str, np.ndarray], prefix: str, g) -> None:
             grads[f"{prefix}.{half}.{name}"] = g[half][name]
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Where the frames of a list of sequences sit in a time-major batch."""
-
-    lengths: np.ndarray  # [B]
-    slots: tuple[np.ndarray, np.ndarray]  # (time, sequence) of each concatenated frame
-
-    def pad(self, rows: np.ndarray) -> np.ndarray:
-        """[sum(T), D] concatenated frames -> zero-padded [T_max, B, D]."""
-        out = np.zeros((int(self.lengths.max()), len(self.lengths), rows.shape[1]),
-                       dtype=rows.dtype)
-        out[self.slots] = rows
-        return out
-
-
-def _layout(seqs: list[np.ndarray]) -> _Layout:
+def _lengths(seqs: list[np.ndarray]) -> np.ndarray:
     if not seqs:
         raise ValueError("a batch needs at least one sequence")
-    lengths = np.array([s.shape[0] for s in seqs], dtype=np.intp)
-    slots = (np.concatenate([np.arange(n) for n in lengths]),
-             np.repeat(np.arange(len(lengths)), lengths))
-    return _Layout(lengths, slots)
+    return np.array([s.shape[0] for s in seqs], dtype=np.intp)
 
 
-def _net_forward(net: StreamNet, seqs: list[np.ndarray], layout: _Layout):
-    """Encoder over all frames at once, then delta + BLSTM over the padded batch.
-
-    Returns the BLSTM output as a time-major [T_max, B, 2H] batch.
-    """
+def _net_forward(net: StreamNet, seqs: list[np.ndarray], lengths: np.ndarray):
+    """Encoder, deltas and BLSTM over the concatenated frames; returns [sum(T), 2H]."""
     enc_out, enc_caches = _encoder_forward(net.encoder, np.concatenate(seqs, axis=0))
-    feat = append_deltas(layout.pad(enc_out), net.delta, layout.lengths)
-    out, bl_cache = blstm_forward(net.blstm, feat, layout.lengths)
+    feat = append_deltas(enc_out, net.delta, lengths)
+    out, bl_cache = blstm_forward(net.blstm, feat, lengths)
     return out, (enc_caches, bl_cache)
 
 
-def _net_backward(net: StreamNet, cache, layout: _Layout, d_out: np.ndarray,
+def _net_backward(net: StreamNet, cache, lengths: np.ndarray, d_out: np.ndarray,
                   grads: dict[str, np.ndarray], prefix: str = "") -> None:
     enc_caches, bl_cache = cache
     d_feat, g = blstm_backward(net.blstm, bl_cache, d_out)
     _blstm_grads(grads, f"{prefix}blstm", g)
-    d_enc = append_deltas_backward(d_feat, net.delta, layout.lengths)[layout.slots]
+    d_enc = append_deltas_backward(d_feat, net.delta, lengths)
     _encoder_backward(net.encoder, enc_caches, d_enc, grads, prefix)
 
 
 def stream_forward_batch(model: SingleStreamModel, seqs: list[np.ndarray]):
     """Logits for every frame of every sequence, stacked [sum(T), K]."""
-    layout = _layout(seqs)
-    out, net_cache = _net_forward(model.net, seqs, layout)
-    logits, head_cache = fc_forward(model.head, out[layout.slots])
+    lengths = _lengths(seqs)
+    out, net_cache = _net_forward(model.net, seqs, lengths)
+    logits, head_cache = fc_forward(model.head, out)
     require_finite(logits, "stream logits")
-    return logits, (layout, net_cache, head_cache)
+    return logits, (lengths, net_cache, head_cache)
 
 
 def stream_backward_batch(model: SingleStreamModel, cache,
                           d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    layout, net_cache, head_cache = cache
+    lengths, net_cache, head_cache = cache
     grads: dict[str, np.ndarray] = {}
     d_bl, grads["head.w"], grads["head.b"] = fc_backward(model.head, head_cache, d_logits)
-    _net_backward(model.net, net_cache, layout, layout.pad(d_bl), grads)
+    _net_backward(model.net, net_cache, lengths, d_bl, grads)
     return grads
 
 
@@ -297,26 +276,26 @@ def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]]):
     for r, d in zip(raw_seqs, diff_seqs):
         if r.shape[0] != d.shape[0]:
             raise ValueError(f"stream length mismatch: raw {r.shape[0]} vs diff {d.shape[0]}")
-    layout = _layout(raw_seqs)
-    raw_out, raw_cache = _net_forward(model.raw, raw_seqs, layout)
-    diff_out, diff_cache = _net_forward(model.diff, diff_seqs, layout)
-    fused = np.concatenate([raw_out, diff_out], axis=2)
-    fb_out, fb_cache = blstm_forward(model.fusion_blstm, fused, layout.lengths)
-    logits, out_cache = fc_forward(model.out, fb_out[layout.slots])
+    lengths = _lengths(raw_seqs)
+    raw_out, raw_cache = _net_forward(model.raw, raw_seqs, lengths)
+    diff_out, diff_cache = _net_forward(model.diff, diff_seqs, lengths)
+    fused = np.concatenate([raw_out, diff_out], axis=1)
+    fb_out, fb_cache = blstm_forward(model.fusion_blstm, fused, lengths)
+    logits, out_cache = fc_forward(model.out, fb_out)
     require_finite(logits, "fusion logits")
-    return logits, (layout, raw_cache, diff_cache, fb_cache, out_cache)
+    return logits, (lengths, raw_cache, diff_cache, fb_cache, out_cache)
 
 
 def fusion_backward_batch(model: FusionModel, cache,
                           d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    layout, raw_cache, diff_cache, fb_cache, out_cache = cache
+    lengths, raw_cache, diff_cache, fb_cache, out_cache = cache
     grads: dict[str, np.ndarray] = {}
     d_fb, grads["out.w"], grads["out.b"] = fc_backward(model.out, out_cache, d_logits)
-    d_fused, g = blstm_backward(model.fusion_blstm, fb_cache, layout.pad(d_fb))
+    d_fused, g = blstm_backward(model.fusion_blstm, fb_cache, d_fb)
     _blstm_grads(grads, "fusion_blstm", g)
     width = 2 * model.raw.blstm.hidden
-    _net_backward(model.raw, raw_cache, layout, d_fused[..., :width], grads, "raw.")
-    _net_backward(model.diff, diff_cache, layout, d_fused[..., width:], grads, "diff.")
+    _net_backward(model.raw, raw_cache, lengths, d_fused[:, :width], grads, "raw.")
+    _net_backward(model.diff, diff_cache, lengths, d_fused[:, width:], grads, "diff.")
     return grads
 
 
@@ -399,8 +378,8 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise CheckpointError(f"checkpoint truncated: wanted {self.pos + n} bytes, "
-                                  f"file has {len(self.blob)}")
+            raise CheckpointError(f"checkpoint {self.path} truncated: wanted {self.pos + n} "
+                                  f"bytes, file has {len(self.blob)}")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -443,9 +422,16 @@ def _read_raw(path):
             raise CheckpointError(f"checkpoint repeats tensor {name!r}")
         rank = reader.u32()
         shape = tuple(reader.u32() for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(reader.take(4 * count), dtype="<f4")
-        tensors[name] = data.reshape(shape).astype(np.float32)
+        size, left = 4 * math.prod(shape), len(reader.blob) - reader.pos
+        if size > left:
+            raise CheckpointError(f"checkpoint {path} truncated: tensor {name!r} of shape "
+                                  f"{shape} needs {size} bytes, {left} are left")
+        data = np.frombuffer(reader.take(size), dtype="<f4").reshape(shape).astype(np.float32)
+        # a float64 sum of float32 values cannot overflow, so it is finite exactly
+        # when every value is; unlike np.isfinite it allocates no tensor-sized mask
+        if not np.isfinite(data.sum(dtype=np.float64)):
+            raise CheckpointError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
+        tensors[name] = data
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"checkpoint has {len(reader.blob) - reader.pos} trailing bytes")
     return meta, tensors

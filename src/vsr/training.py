@@ -1,11 +1,8 @@
 """Two-stage training: single streams end to end, then fusion fine-tuning.
 
 A batch holds its shuffled samples' own variable-length sequences, one
-label per utterance and the lengths; nothing here pads. The model runs its
-encoder over the concatenated frames and its BLSTMs over a time-major batch
-that it pads itself, only to the longest sequence, with the lengths keeping
-padded frames out of every result, so the padding length cannot influence
-a single bit.
+label per utterance and the lengths. The model runs each layer once over
+the batch's concatenated frames, the deltas and BLSTMs with the lengths.
 Validation scores through the same chunked path as evaluation. Early
 stopping watches validation utterance accuracy and restores the best
 epoch's weights.
@@ -109,7 +106,7 @@ class Batch:
     streams: dict[str, list[np.ndarray]]  # kind -> the B sequences, each [T_b, D]
     labels: np.ndarray                    # [B], one label per utterance
     # nothing in vsr reads the mask; it stays because the benchmark's tracer counts its slots
-    mask: np.ndarray                      # [B, T_pad], 1 on real frames
+    mask: np.ndarray                      # [B, max(lengths)], 1 on each sequence's frames
     lengths: list[int]
 
 
@@ -122,8 +119,7 @@ def samples_from_utterances(utts: list[LoadedUtterance], kinds: tuple[str, ...],
 def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Batch]:
     """Shuffle utterances into batches of at most batch_utts sequences.
 
-    A batch keeps each sample's own arrays, uncopied and unpadded: the
-    model pads, time-major, where it runs its sequence layers.
+    A batch keeps each sample's own arrays, uncopied.
     """
     if not samples:
         raise ValueError("make_batches needs at least one sample")

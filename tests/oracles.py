@@ -59,13 +59,13 @@ def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None, packed=False)
     does. wh_t is the [H, 4H] matrix each step multiplies h by, the
     transposed view of p.wh by default; BLAS may round that product
     differently for a C-contiguous copy at some shapes. The cache is
-    lstm_forward's: the live slots, step by step.
+    lstm_forward's: the live rows, step by step. seq is lstm_forward's
+    [N, D] concatenated frames, and so are h and the input gradient.
     """
     from vsr.layers import _batch_lengths, _recurrence_slots, sigmoid
 
     lengths = _batch_lengths(seq, lengths)
-    t_len, batch, _ = seq.shape
-    hidden, dtype = p.hidden, seq.dtype
+    batch, hidden, dtype = len(lengths), p.hidden, seq.dtype
     offsets, frames = _recurrence_slots(lengths, reverse)
     steps = len(offsets) - 1
     sizes = np.diff(offsets)
@@ -95,11 +95,9 @@ def ref_lstm_steps(p, seq, reverse=False, lengths=None, wh_t=None, packed=False)
         np.multiply(o, tc_seq[t], out=h_seq[t])
         h = np.where(live[t, :, None], h_seq[t], h)
         c = np.where(live[t, :, None], c_t, c)
-    out = np.zeros((t_len, batch, hidden), dtype=dtype)
+    out = np.zeros((len(seq), hidden), dtype=dtype)
     out[frames] = h_seq[live]
-    cache = (rows, gates[live], c_seq[live], tc_seq[live], h_seq[live], offsets, frames,
-             t_len)
-    return out, cache
+    return out, (rows, gates[live], c_seq[live], tc_seq[live], h_seq[live], offsets, frames)
 
 
 def ref_lstm_backward(p, cache, d_h_seq):
@@ -107,7 +105,7 @@ def ref_lstm_backward(p, cache, d_h_seq):
     terms as fresh arrays in formula order, with zero carries into ranks
     that have ended, as padded slots once had. The weight-gradient products
     are lstm_backward's, over the packed rows."""
-    rows, gates, c_seq, tc_seq, h_seq, offsets, frames, t_len = cache
+    rows, gates, c_seq, tc_seq, h_seq, offsets, frames = cache
     hidden = p.hidden
     d_h = d_h_seq[frames]
     dz_seq = np.empty_like(gates)
@@ -131,7 +129,7 @@ def ref_lstm_backward(p, cache, d_h_seq):
         dc_next[:n] = dc * f
     later = np.arange(offsets[1], offsets[-1])
     prev = later - np.repeat(np.diff(offsets)[:-1], np.diff(offsets)[1:])
-    d_x = np.zeros((t_len, d_h_seq.shape[1], p.wx.shape[1]), dtype=gates.dtype)
+    d_x = np.zeros((len(d_h_seq), p.wx.shape[1]), dtype=gates.dtype)
     d_x[frames] = dz_seq @ p.wx
     return d_x, {"wx": dz_seq.T @ rows, "wh": dz_seq[later].T @ h_seq[prev],
                  "b": dz_seq.sum(axis=0)}

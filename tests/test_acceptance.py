@@ -21,18 +21,22 @@ from test_data import (
     cuave_manifest,
     oulu_manifest,
 )
-from test_training import pad_layout_to
 from vsr.data import LoadedUtterance, load_utterance, make_split, save_utterance
 from vsr.evaluation import aggregate_runs, evaluate, render_report
 from vsr.gradcheck import CHECKS, run_checks
-from vsr.layers import DeltaWindow, append_deltas, delta_forward
+from vsr.layers import DeltaWindow, append_deltas, delta_forward, softmax_xent
 from vsr.model import (
     CheckpointError,
     astype_model,
+    build_fusion,
     build_stream,
+    fusion_backward_batch,
+    fusion_forward_batch,
     load_checkpoint,
     named_params,
     save_checkpoint,
+    stream_backward_batch,
+    stream_forward_batch,
 )
 from vsr.numerics import Rng
 from vsr.rbm import PretrainConfig, rbm_init, train_rbm
@@ -102,12 +106,12 @@ def test_02_delta_features_match_a_brute_force_regression():
     rng = Rng(6)
 
     # constant in time: first and second derivative blocks exactly zero
-    const = np.repeat(rng.normal((1, 1, 5)), 7, axis=0)
+    const = np.repeat(rng.normal((1, 5)), 7, axis=0)
     assert np.all(delta_forward(const, win) == 0.0)
-    assert np.all(append_deltas(const, win)[..., 5:] == 0.0)
+    assert np.all(append_deltas(const, win)[:, 5:] == 0.0)
 
     # unit-slope ramp: interior first derivative is 1
-    ramp = np.arange(9.0)[:, None, None] * np.ones((1, 1, 3))
+    ramp = np.arange(9.0)[:, None] * np.ones((1, 3))
     interior = delta_forward(ramp, win)[2:-2]
     assert np.allclose(interior, 1.0, rtol=0, atol=1e-12)
 
@@ -115,8 +119,8 @@ def test_02_delta_features_match_a_brute_force_regression():
     for theta in (1, 2, 3):
         w = DeltaWindow(theta)
         for t_len in (1, 2, 5, 9):
-            seq = rng.normal((t_len, 1, 4))
-            assert np.allclose(delta_forward(seq, w)[:, 0], ref_delta(seq[:, 0], theta),
+            seq = rng.normal((t_len, 4))
+            assert np.allclose(delta_forward(seq, w), ref_delta(seq, theta),
                                rtol=0, atol=1e-12)
 
 
@@ -166,30 +170,46 @@ def test_06_protocol_split_sizes_are_exact():
         assert (len(split.train), len(split.val), len(split.test)) == (546, 182, 182)
 
 
-def test_07_padding_frames_contribute_zero_gradient(bench, monkeypatch):
-    # mixed-length 64-bit batches, trained once with the model's time-major
-    # layout padded to the longest sequence and once padded to 31 frames:
-    # any gradient leaking out of a padding frame would split the twins apart
-    lengths = [5, 9, 14, 20, 7, 12, 20, 3]
-    samples = [SeqSample(streams={"raw": training.stream_features(
-                   u.frames[:t_len], "raw", np.float64)}, label=u.label)
-               for u, t_len in zip(bench.train[:8], lengths)]
-
-    def run():
-        model = build_stream(input_dim=bench.manifest.frame_dim, classes=4,
-                             hidden=5, rng=Rng(3), encoder_sizes=(24, 12),
-                             bottleneck=6, dtype=np.float64)
-        cfg = TrainConfig.for_stream(lr=0.003, precision="f64")
-        loss = train_epoch(model, make_batches(samples, 4, Rng(10)), Adam(), cfg)
-        return loss, {n: p.copy() for n, p in named_params(model).items()}
-
-    loss_a, params_a = run()
-    added = pad_layout_to(monkeypatch, 31)
-    loss_b, params_b = run()
-    assert added and min(added) > 0
-    assert loss_a == loss_b
-    for name in params_a:
-        assert np.array_equal(params_a[name], params_b[name]), name
+def test_07_frames_outside_a_sequence_contribute_zero_gradient(bench):
+    # a mixed-length batch runs twice, the second time with one sequence's
+    # frames swapped for junk a thousand times larger; its rows of d_logits
+    # are zero both times, so an index reaching across a sequence boundary
+    # would move a bit of the other sequences' logits or of some gradient
+    lengths = [5, 9, 1, 20, 7, 12, 20, 3]
+    utts = bench.train[:8]
+    labels = np.repeat([u.label for u in utts], lengths)
+    ends = np.cumsum(lengths)
+    for dtype in (np.float32, np.float64):
+        streams = {kind: [training.stream_features(u.frames, kind, dtype)[:t_len]
+                          for u, t_len in zip(utts, lengths)] for kind in ("raw", "diff")}
+        raw, diff = (build_stream(input_dim=bench.manifest.frame_dim, classes=4, hidden=5,
+                                  rng=Rng(seed), stream_kind=kind, encoder_sizes=(24, 12),
+                                  bottleneck=6, dtype=dtype)
+                     for seed, kind in ((3, "raw"), (4, "diff")))
+        fusion = build_fusion(raw, diff, hidden=4, rng=Rng(5), dtype=dtype)
+        cases = {"stream": (raw, lambda s: stream_forward_batch(raw, s["raw"]),
+                            stream_backward_batch),
+                 "fusion": (fusion, lambda s: fusion_forward_batch(fusion, s),
+                            fusion_backward_batch)}
+        for kind, (model, forward, backward) in cases.items():
+            for junk in (2, 3):  # the one-frame sequence, then the longest
+                rows = np.arange(ends[junk] - lengths[junk], ends[junk])
+                logits, cache = forward(streams)
+                d_logits = softmax_xent(logits, labels)[1]
+                d_logits[rows] = 0.0
+                grads = backward(model, cache, d_logits)
+                spoiled = {k: [(1e3 * Rng(junk).normal(s.shape)).astype(dtype) if b == junk
+                               else s for b, s in enumerate(seqs)]
+                           for k, seqs in streams.items()}
+                spoiled_logits, cache = forward(spoiled)
+                spoiled_grads = backward(model, cache, d_logits)
+                what = (kind, dtype.__name__, junk)
+                assert not np.array_equal(spoiled_logits[rows], logits[rows]), what
+                others = np.delete(np.arange(len(labels)), rows)
+                assert spoiled_logits[others].tobytes() == logits[others].tobytes(), what
+                assert set(spoiled_grads) == set(grads) == set(named_params(model))
+                for name, g in grads.items():
+                    assert spoiled_grads[name].tobytes() == g.tobytes(), (*what, name)
 
 
 def test_08_determinism_and_byte_level_round_trips(bench, tmp_path):

@@ -1,10 +1,11 @@
-"""Time-major batches against per-sequence oracles.
+"""Batches of concatenated sequences against per-sequence oracles.
 
 Every batched path (LSTM, BLSTM, deltas, the stream and fusion models,
 chunked evaluation) must agree with running each sequence alone: within
 1e-12 for single layers, 1e-10 for whole models, since BLAS may round a
-row differently when the batch around it changes. Padding length, by
-contrast, must change no bit at all.
+row differently when the batch around it changes. The deltas compute row
+by row, so they must agree bit for bit, and no index of a sequence layer
+may read or write a frame of the sequence next to it.
 """
 
 import numpy as np
@@ -48,9 +49,14 @@ SEEDS = st.integers(0, 2**16)
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
 
 
-def padded_batch(rng, lengths, width, extra=0):
-    """A [T, B, D] batch of random sequences, padding filled with junk."""
-    return rng.normal((max(lengths) + extra, len(lengths), width))
+def concatenated(rng, lengths, width):
+    """The [N, D] frames of random sequences of the given lengths."""
+    return rng.normal((sum(lengths), width))
+
+
+def split(frames, lengths):
+    """The per-sequence blocks of concatenated frames."""
+    return np.split(frames, np.cumsum(lengths)[:-1])
 
 
 def tiny_stream(seed, kind="raw"):
@@ -62,32 +68,50 @@ def tiny_stream(seed, kind="raw"):
 
 
 @FAST
-@given(lengths=LENGTHS, extra=st.integers(0, 2), seed=SEEDS)
-def test_batched_lstm_and_blstm_match_the_reference(lengths, extra, seed):
+@given(lengths=LENGTHS, seed=SEEDS)
+def test_batched_lstm_and_blstm_match_the_reference(lengths, seed):
     rng = Rng(seed)
     bl = blstm_init(3, 4, rng, dtype=np.float64)
-    x = padded_batch(rng, lengths, 3, extra)
+    x = concatenated(rng, lengths, 3)
     out, _ = blstm_forward(bl, x, lengths)
     for reverse, half, h0 in ((False, bl.fwd, 0), (True, bl.bwd, 4)):
         h, _ = lstm_forward(half, x, reverse=reverse, lengths=lengths)
-        assert np.array_equal(out[..., h0:h0 + 4], h)
-        for b, t_len in enumerate(lengths):
-            want = ref_lstm(half.wx, half.wh, half.b, x[:t_len, b], reverse=reverse)
-            assert np.allclose(h[:t_len, b], want, rtol=0, atol=1e-12)
-            assert np.all(h[t_len:, b] == 0.0)
+        assert np.array_equal(out[:, h0:h0 + 4], h)
+        for got, seq in zip(split(h, lengths), split(x, lengths)):
+            want = ref_lstm(half.wx, half.wh, half.b, seq, reverse=reverse)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 @FAST
-@given(lengths=LENGTHS, extra=st.integers(0, 2), theta=st.integers(1, 3), seed=SEEDS)
-# every sequence as long as the batch: no padding anywhere
-@example(lengths=[6, 6, 6], extra=0, theta=2, seed=1)
-@example(lengths=[3], extra=0, theta=3, seed=2)
-def test_batched_deltas_match_the_reference(lengths, extra, theta, seed):
-    x = padded_batch(Rng(seed), lengths, 4, extra)
+@given(lengths=LENGTHS, theta=st.integers(1, 3), seed=SEEDS)
+@example(lengths=[6, 6, 6], theta=2, seed=1)
+@example(lengths=[3], theta=3, seed=2)
+def test_batched_deltas_match_the_reference(lengths, theta, seed):
+    x = concatenated(Rng(seed), lengths, 4)
     got = delta_forward(x, DeltaWindow(theta), lengths)
-    for b, t_len in enumerate(lengths):
-        assert np.allclose(got[:t_len, b], ref_delta(x[:t_len, b], theta), rtol=0, atol=1e-12)
-        assert np.all(got[t_len:, b] == 0.0)
+    for got_b, seq in zip(split(got, lengths), split(x, lengths)):
+        assert np.allclose(got_b, ref_delta(seq, theta), rtol=0, atol=1e-12)
+
+
+def test_deltas_of_adjacent_sequences_stay_inside_their_own_frames():
+    # sequences on offsets 1e3 apart: a window or an edge row read across a
+    # boundary would move a delta by hundreds
+    lengths, win = [1, 2, 7], DeltaWindow(3)
+    rng = Rng(15)
+    x = concatenated(rng, lengths, 4) + np.repeat([0.0, 1e3, -2e3], lengths)[:, None]
+    d_out = concatenated(rng, lengths, 12)
+    got = append_deltas(x, win, lengths)
+    d_x = append_deltas_backward(d_out, win, lengths)
+    for seq, got_b, d_b, d_x_b in zip(split(x, lengths), split(got, lengths),
+                                      split(d_out, lengths), split(d_x, lengths)):
+        alone = delta_forward(seq, win)
+        assert got_b[:, 4:8].tobytes() == alone.tobytes()
+        assert got_b[:, 8:].tobytes() == delta_forward(alone, win).tobytes()
+        assert d_x_b.tobytes() == append_deltas_backward(d_b, win).tobytes()
+        assert np.allclose(alone, ref_delta(seq, 3), rtol=0, atol=1e-12)
+    # the adjoint identity over the whole batch
+    lhs = float((got * d_out).sum())
+    assert lhs == pytest.approx(float((d_x * x).sum()), rel=1e-12)
 
 
 @FAST
@@ -145,41 +169,21 @@ def test_chunked_labels_match_one_utterance_at_a_time(monkeypatch):
     assert [lg.shape for lg in logits] == [(5, 3), (1, 3)]
 
 
-def test_padding_length_changes_no_bit_of_a_blstm():
-    rng = Rng(5)
-    bl = blstm_init(4, 3, rng, dtype=np.float64)
-    lengths = [6, 2, 5, 1]
-    short = padded_batch(rng, lengths, 4)
-    long = np.concatenate([short, rng.normal((4, 4, 4))])  # junk past the longest
-    d_out = rng.normal((10, 4, 6))
-    results = []
-    for x in (short, long):
-        out, cache = blstm_forward(bl, x, lengths)
-        d_x, grads = blstm_backward(bl, cache, d_out[:x.shape[0]])
-        results.append((out[:6], d_x[:6], grads))
-        assert np.all(out[6:] == 0.0) and np.all(d_x[6:] == 0.0)
-    (out_a, dx_a, g_a), (out_b, dx_b, g_b) = results
-    assert np.array_equal(out_a, out_b)
-    assert np.array_equal(dx_a, dx_b)
-    for half in ("fwd", "bwd"):
-        for name in ("wx", "wh", "b"):
-            assert np.array_equal(g_a[half][name], g_b[half][name]), (half, name)
-
-
 def test_batched_gradients_are_the_sum_over_sequences():
     rng = Rng(6)
     p = lstm_init(3, 4, rng, dtype=np.float64)
     lengths = [4, 1, 3]
-    x = padded_batch(rng, lengths, 3)
-    d_h = rng.normal((4, 3, 4))
+    x = concatenated(rng, lengths, 3)
+    d_h = concatenated(rng, lengths, 4)
     for reverse in (False, True):
         _, cache = lstm_forward(p, x, reverse=reverse, lengths=lengths)
         d_x, grads = lstm_backward(p, cache, d_h)
         total = {name: 0.0 for name in grads}
-        for b, t_len in enumerate(lengths):
-            _, c1 = lstm_forward(p, x[:t_len, b:b + 1], reverse=reverse)
-            d_x1, g1 = lstm_backward(p, c1, d_h[:t_len, b:b + 1])
-            assert np.allclose(d_x[:t_len, b], d_x1[:, 0], rtol=0, atol=1e-12)
+        for seq, d_h1, d_x_b in zip(split(x, lengths), split(d_h, lengths),
+                                    split(d_x, lengths)):
+            _, c1 = lstm_forward(p, seq, reverse=reverse)
+            d_x1, g1 = lstm_backward(p, c1, d_h1)
+            assert np.allclose(d_x_b, d_x1, rtol=0, atol=1e-12)
             for name in grads:
                 total[name] = total[name] + g1[name]
         for name in grads:
@@ -205,18 +209,6 @@ def test_batched_stream_gradients_match_per_sequence_sums():
         assert np.allclose(grads[name], total[name], rtol=0, atol=1e-10), name
 
 
-def test_append_deltas_backward_passes_the_sequence_block_through_padding():
-    win = DeltaWindow(2)
-    rng = Rng(10)
-    lengths = [3, 1]
-    x = padded_batch(rng, lengths, 2, extra=1)
-    d_out = rng.normal((4, 2, 6))
-    got = append_deltas_backward(d_out, win, lengths)
-    # adjoint identity over the whole padded batch, padding rows included
-    lhs = float((append_deltas(x, win, lengths) * d_out).sum())
-    assert lhs == pytest.approx(float((got * x).sum()), abs=1e-12)
-
-
 def test_fc_backward_can_skip_the_input_gradient():
     rng = Rng(11)
     layer = fc_init(4, 3, rng, "relu", dtype=np.float64)
@@ -233,13 +225,13 @@ TIED = [3, 7, 7, 1, 5]
 
 
 def test_lstm_gradcheck_on_unsorted_lengths_with_ties():
-    assert _lstm_error(Rng(12), seq_shape=(7, 5, 3), lengths=TIED, hidden=3) < 1e-5
+    assert _lstm_error(Rng(12), rows=7, lengths=TIED, width=3, hidden=3) < 1e-5
 
 
 def test_blstm_gradcheck_on_unsorted_lengths_with_ties():
     rng = Rng(13)
     bl = Blstm(fwd=_random_lstm(rng, 3, 3), bwd=_random_lstm(rng, 3, 3))
-    seq, proj = rng.normal((7, 5, 3)), rng.normal((7, 5, 6))
+    seq, proj = concatenated(rng, TIED, 3), concatenated(rng, TIED, 6)
     _, cache = blstm_forward(bl, seq, TIED)
     d_seq, grads = blstm_backward(bl, cache, proj)
     arrays = {"seq": seq, **{f"{half}.{name}": getattr(getattr(bl, half), name)
@@ -257,15 +249,20 @@ def test_permuting_the_batch_columns_permutes_the_lstm(dtype, tol, reverse):
     rng = Rng(14)
     p = lstm_init(8, 64, rng, dtype=dtype)
     lengths = np.array(TIED)
-    x = rng.normal((7, 5, 8)).astype(dtype)
-    d_h = rng.normal((7, 5, 64)).astype(dtype)
+    x = concatenated(rng, TIED, 8).astype(dtype)
+    d_h = concatenated(rng, TIED, 64).astype(dtype)
     perm = np.array([4, 2, 0, 3, 1])  # swaps the tied pair too
+
+    def permuted(frames):
+        blocks = split(frames, lengths)
+        return np.concatenate([blocks[b] for b in perm])
+
     out, cache = lstm_forward(p, x, reverse, lengths)
-    out_p, cache_p = lstm_forward(p, x[:, perm], reverse, lengths[perm])
+    out_p, cache_p = lstm_forward(p, permuted(x), reverse, lengths[perm])
     assert all(len(a) == sum(TIED) for a in (*cache[:5], *cache_p[:5]))
-    np.testing.assert_allclose(out_p, out[:, perm], rtol=0, atol=tol)
+    np.testing.assert_allclose(out_p, permuted(out), rtol=0, atol=tol)
     d_x, grads = lstm_backward(p, cache, d_h)
-    d_xp, grads_p = lstm_backward(p, cache_p, d_h[:, perm])
-    np.testing.assert_allclose(d_xp, d_x[:, perm], rtol=0, atol=tol)
+    d_xp, grads_p = lstm_backward(p, cache_p, permuted(d_h))
+    np.testing.assert_allclose(d_xp, permuted(d_x), rtol=0, atol=tol)
     for name in grads:
         np.testing.assert_allclose(grads_p[name], grads[name], rtol=tol, atol=tol)

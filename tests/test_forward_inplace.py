@@ -41,17 +41,16 @@ def library_layout(p, batch):
 @FAST
 @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
        d_in=st.integers(1, 4), hidden=st.integers(1, 40), seed=st.integers(0, 2**16),
-       dtype=st.sampled_from(DTYPES), reverse=st.booleans(), extra=st.integers(0, 1))
-# every sequence as long as the batch: no padding anywhere
-@example(lengths=[5, 5, 5], d_in=3, hidden=7, seed=1, dtype=np.float32, reverse=False,
-         extra=0)
-@example(lengths=[4, 4], d_in=2, hidden=33, seed=2, dtype=np.float64, reverse=True, extra=0)
-@example(lengths=[6], d_in=1, hidden=4, seed=3, dtype=np.float32, reverse=True, extra=0)
+       dtype=st.sampled_from(DTYPES), reverse=st.booleans())
+# every sequence as long as the next: each step runs the whole batch
+@example(lengths=[5, 5, 5], d_in=3, hidden=7, seed=1, dtype=np.float32, reverse=False)
+@example(lengths=[4, 4], d_in=2, hidden=33, seed=2, dtype=np.float64, reverse=True)
+@example(lengths=[6], d_in=1, hidden=4, seed=3, dtype=np.float32, reverse=True)
 def test_lstm_forward_matches_the_allocating_recurrence_bit_for_bit(
-        lengths, d_in, hidden, seed, dtype, reverse, extra):
+        lengths, d_in, hidden, seed, dtype, reverse):
     rng = Rng(seed)
     p = random_lstm(rng, d_in, hidden, dtype)
-    x = rng.normal((max(lengths) + extra, len(lengths), d_in)).astype(dtype)
+    x = rng.normal((sum(lengths), d_in)).astype(dtype)
     out, cache = lstm_forward(p, x, reverse=reverse, lengths=lengths)
     ref, ref_cache = ref_lstm_steps(p, x, reverse, lengths, library_layout(p, len(lengths)),
                                     packed=True)
@@ -60,7 +59,7 @@ def test_lstm_forward_matches_the_allocating_recurrence_bit_for_bit(
         assert got.dtype == want.dtype and got.shape[0] == sum(lengths)
         assert got.tobytes() == want.tobytes()
 
-    d_h = rng.normal(out.shape).astype(dtype)  # junk in padded rows is ignored
+    d_h = rng.normal(out.shape).astype(dtype)
     d_x, grads = lstm_backward(p, cache, d_h)
     ref_dx, ref_grads = ref_lstm_backward(p, ref_cache, d_h)
     assert d_x.tobytes() == ref_dx.tobytes()
@@ -72,7 +71,7 @@ def test_lstm_forward_matches_the_allocating_recurrence_bit_for_bit(
 def test_lstm_forward_single_sequence_matches_the_transposed_view_bit_for_bit(dtype, reverse):
     rng = Rng(3)
     p = random_lstm(rng, 5, 33, dtype)
-    x = rng.normal((7, 1, 5)).astype(dtype)
+    x = rng.normal((7, 5)).astype(dtype)
     out, _ = lstm_forward(p, x, reverse=reverse)
     ref, _ = ref_lstm_steps(p, x, reverse)
     assert out.tobytes() == ref.tobytes()
@@ -85,7 +84,7 @@ def test_lstm_forward_matches_the_transposed_view_within_rounding(dtype, tol, ba
     p = random_lstm(rng, 4, hidden, dtype)
     p.wh *= dtype(1.0 / np.sqrt(hidden))
     lengths = [6 - k % 3 for k in range(batch)]
-    x = rng.normal((6, batch, 4)).astype(dtype)
+    x = rng.normal((sum(lengths), 4)).astype(dtype)
     out, _ = lstm_forward(p, x, lengths=lengths)
     ref, _ = ref_lstm_steps(p, x, False, lengths)
     np.testing.assert_allclose(out, ref, rtol=0, atol=tol)
@@ -133,7 +132,7 @@ def test_preprocess_matches_the_allocating_formulas(name, kind, fn, dtype):
 def test_forward_passes_do_not_mutate_inputs_or_weights():
     rng = Rng(2)
     p = random_lstm(rng, 3, 4, np.float32)
-    x = rng.normal((5, 3, 3)).astype(np.float32)
+    x = rng.normal((11, 3)).astype(np.float32)
     layer = FcLayer(w=rng.normal((4, 3)).astype(np.float32),
                     b=rng.normal((4,)).astype(np.float32), activation="relu")
     frames = utterances()["moving"]
@@ -142,7 +141,7 @@ def test_forward_passes_do_not_mutate_inputs_or_weights():
     for reverse in (False, True):
         lstm_forward(p, x, reverse=reverse, lengths=[5, 2, 4])
         lstm_forward(p, x, reverse=reverse)
-    fc_forward(layer, x.reshape(-1, 3))
+    fc_forward(layer, x)
     preprocess_raw(frames)
     preprocess_diff(frames)
     for a, b in zip(arrays, before):

@@ -106,16 +106,16 @@ def test_sigmoid_matches_reference_and_saturates_cleanly():
 
 def test_delta_constant_sequence_exactly_zero():
     for dtype in (np.float32, np.float64):
-        seq = np.full((9, 1, 5), 3.7, dtype=dtype)
+        seq = np.full((9, 5), 3.7, dtype=dtype)
         for theta in (1, 2, 3):
             out = delta_forward(seq, DeltaWindow(theta))
             assert np.all(out == 0.0), f"theta={theta} dtype={dtype}"
-        assert np.all(append_deltas(seq, DeltaWindow(2))[..., 5:] == 0.0)
+        assert np.all(append_deltas(seq, DeltaWindow(2))[:, 5:] == 0.0)
 
 
 def test_delta_linear_ramp_interior_slope():
     t = np.arange(12, dtype=np.float64)
-    seq = np.repeat(t[:, None, None], 3, axis=2)
+    seq = np.repeat(t[:, None], 3, axis=1)
     out = delta_forward(seq, DeltaWindow(2))
     # away from the replicated edges the regression returns the slope
     assert np.allclose(out[2:-2], 1.0, atol=1e-12)
@@ -125,26 +125,26 @@ def test_delta_matches_per_frame_reference():
     rng = Rng(13)
     for theta in (1, 2, 3):
         for t_len in (1, 2, 5, 9):
-            seq = rng.normal((t_len, 1, 4))
+            seq = rng.normal((t_len, 4))
             got = delta_forward(seq, DeltaWindow(theta))
-            assert np.allclose(got[:, 0], ref_delta(seq[:, 0], theta), atol=1e-12)
+            assert np.allclose(got, ref_delta(seq, theta), atol=1e-12)
 
 
 def test_delta_single_frame_is_zero():
-    seq = Rng(1).normal((1, 1, 6))
+    seq = Rng(1).normal((1, 6))
     assert np.all(delta_forward(seq, DeltaWindow(2)) == 0.0)
 
 
 def test_append_deltas_layout():
     rng = Rng(5)
-    seq = rng.normal((7, 1, 3))
+    seq = rng.normal((7, 3))
     win = DeltaWindow(2)
     out = append_deltas(seq, win)
-    assert out.shape == (7, 1, 9)
-    assert np.array_equal(out[..., :3], seq)
+    assert out.shape == (7, 9)
+    assert np.array_equal(out[:, :3], seq)
     d1 = delta_forward(seq, win)
-    assert np.array_equal(out[..., 3:6], d1)
-    assert np.array_equal(out[..., 6:], delta_forward(d1, win))
+    assert np.array_equal(out[:, 3:6], d1)
+    assert np.array_equal(out[:, 6:], delta_forward(d1, win))
 
 
 def test_delta_backward_is_the_adjoint():
@@ -152,8 +152,8 @@ def test_delta_backward_is_the_adjoint():
     rng = Rng(21)
     for theta in (1, 2, 3):
         win = DeltaWindow(theta)
-        u = rng.normal((8, 1, 4))
-        v = rng.normal((8, 1, 4))
+        u = rng.normal((8, 4))
+        v = rng.normal((8, 4))
         lhs = float((v * delta_forward(u, win)).sum())
         rhs = float((delta_backward(v, win) * u).sum())
         assert abs(lhs - rhs) < 1e-12
@@ -162,8 +162,8 @@ def test_delta_backward_is_the_adjoint():
 def test_append_deltas_backward_is_the_adjoint():
     rng = Rng(22)
     win = DeltaWindow(2)
-    u = rng.normal((6, 1, 3))
-    v = rng.normal((6, 1, 9))
+    u = rng.normal((6, 3))
+    v = rng.normal((6, 9))
     lhs = float((v * append_deltas(u, win)).sum())
     rhs = float((append_deltas_backward(v, win) * u).sum())
     assert abs(lhs - rhs) < 1e-12
@@ -181,12 +181,12 @@ def test_delta_window_validates_theta():
 def test_lstm_matches_step_by_step_reference():
     rng = Rng(31)
     p = lstm_init(5, 4, rng, dtype=np.float64)
-    seq = rng.normal((7, 1, 5))
+    seq = rng.normal((7, 5))
     for reverse in (False, True):
         h, _ = lstm_forward(p, seq, reverse=reverse)
-        want = ref_lstm(p.wx, p.wh, p.b, seq[:, 0], reverse=reverse)
-        assert h.shape == (7, 1, 4)
-        assert np.allclose(h[:, 0], want, atol=1e-12)
+        want = ref_lstm(p.wx, p.wh, p.b, seq, reverse=reverse)
+        assert h.shape == (7, 4)
+        assert np.allclose(h, want, atol=1e-12)
 
 
 def test_lstm_zero_weights_zero_output():
@@ -194,14 +194,14 @@ def test_lstm_zero_weights_zero_output():
     p.wx[:] = 0
     p.wh[:] = 0
     p.b[:] = 0
-    h, _ = lstm_forward(p, Rng(1).normal((5, 1, 3)))
+    h, _ = lstm_forward(p, Rng(1).normal((5, 3)))
     assert np.all(h == 0.0)
 
 
 def test_lstm_reverse_equals_flip_run_flip():
     rng = Rng(32)
     p = lstm_init(4, 3, rng, dtype=np.float64)
-    seq = rng.normal((6, 1, 4))
+    seq = rng.normal((6, 4))
     h_rev, _ = lstm_forward(p, seq, reverse=True)
     h_flip, _ = lstm_forward(p, seq[::-1].copy())
     assert np.allclose(h_rev, h_flip[::-1], atol=1e-15)
@@ -218,8 +218,8 @@ def test_lstm_forget_bias_starts_at_one():
 def test_lstm_backward_against_finite_differences():
     rng = Rng(33)
     p = lstm_init(3, 2, rng, dtype=np.float64)
-    seq = rng.normal((4, 1, 3))
-    d_h = rng.normal((4, 1, 2))
+    seq = rng.normal((4, 3))
+    d_h = rng.normal((4, 2))
     h, cache = lstm_forward(p, seq)
     d_x, grads = lstm_backward(p, cache, d_h)
 
@@ -238,13 +238,13 @@ def test_lstm_backward_against_finite_differences():
 def test_blstm_halves_are_the_two_directions():
     rng = Rng(34)
     bl = blstm_init(4, 3, rng, dtype=np.float64)
-    seq = rng.normal((5, 1, 4))
+    seq = rng.normal((5, 4))
     out, _ = blstm_forward(bl, seq)
-    assert out.shape == (5, 1, 6)
+    assert out.shape == (5, 6)
     h_f, _ = lstm_forward(bl.fwd, seq)
     h_b, _ = lstm_forward(bl.bwd, seq, reverse=True)
-    assert np.array_equal(out[..., :3], h_f)
-    assert np.array_equal(out[..., 3:], h_b)
+    assert np.array_equal(out[:, :3], h_f)
+    assert np.array_equal(out[:, 3:], h_b)
 
 
 def test_blstm_first_frame_sees_the_whole_sequence():
@@ -252,7 +252,7 @@ def test_blstm_first_frame_sees_the_whole_sequence():
     # the reverse-time half.
     rng = Rng(35)
     bl = blstm_init(3, 2, rng, dtype=np.float64)
-    seq = rng.normal((6, 1, 3))
+    seq = rng.normal((6, 3))
     out1, _ = blstm_forward(bl, seq)
     seq2 = seq.copy()
     seq2[-1] += 1.0

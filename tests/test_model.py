@@ -346,6 +346,57 @@ def test_checkpoint_truncation_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_truncation_names_the_file(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(path, tiny_stream())
+    path.write_bytes(path.read_bytes()[:12])  # inside the first metadata key
+    with pytest.raises(CheckpointError, match="truncated: wanted") as err:
+        load_checkpoint(path)
+    assert f"checkpoint {path} truncated" in str(err.value)
+
+
+def test_checkpoint_tensor_cut_short_is_named(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(path, tiny_stream())
+    path.write_bytes(path.read_bytes()[:-4])  # head.b, the last tensor, loses a value
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert (f"checkpoint {path} truncated: tensor 'head.b' of shape (3,) needs 12 bytes, "
+            f"8 are left") in str(err.value)
+
+
+def test_checkpoint_refuses_a_declared_size_past_the_file(tmp_path):
+    # 2**31 * 2**31 * 4 elements wrap to 0 in 64-bit integers
+    path = tmp_path / "huge.ckpt"
+    write_raw(path, {"kind": "encoder"}, [("enc0.w", np.zeros((2, 2), dtype=np.float32))])
+    shape = struct.pack("<I", 2) + struct.pack("<2I", 2, 2)
+    blob = path.read_bytes()
+    assert blob.count(shape) == 1
+    path.write_bytes(blob.replace(shape, struct.pack("<I", 3)
+                                  + struct.pack("<3I", 2**31, 2**31, 4)))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert (f"checkpoint {path} truncated: tensor 'enc0.w' of shape "
+            f"({2**31}, {2**31}, 4) needs {2**66} bytes, 16 are left") in str(err.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_a_non_finite_weight(tmp_path, value):
+    weights = np.zeros((12, 3), dtype=np.float32)
+    weights[5, 1] = value
+    with pytest.raises(CheckpointError) as err:
+        tampered(tmp_path, "stream", tensors={"blstm.bwd.wh": weights})
+    assert (f"checkpoint {tmp_path / 't.ckpt'}: tensor 'blstm.bwd.wh' holds non-finite "
+            f"values") in str(err.value)
+
+
+def test_checkpoint_loads_the_largest_finite_weights(tmp_path):
+    weights = np.full((12, 3), np.finfo(np.float32).max, dtype=np.float32)
+    weights[::2] *= -1
+    model = tampered(tmp_path, "stream", tensors={"blstm.bwd.wh": weights})
+    assert np.array_equal(model.net.blstm.bwd.wh, weights)
+
+
 def test_checkpoint_trailing_garbage_detected(tmp_path):
     path = tmp_path / "g.ckpt"
     save_checkpoint(path, tiny_stream())
