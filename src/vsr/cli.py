@@ -3,12 +3,15 @@ evaluate, repeat, gradcheck.
 
 Every command resolves its settings as defaults <- JSON config file <-
 explicit flags, and the resolved mapping is echoed into each artifact it
-writes, so an artifact names the exact run that produced it.
+writes, so an artifact names the exact run that produced it. Each setting
+is declared once, as a flag in build_parser that carries its default; the
+training, pretraining and architecture defaults come from the library.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,8 +23,10 @@ from .data import (ROI_DIMS, DatasetManifest, holdout_validation, load_manifest,
                    load_utterances, make_split, stream_features, synth_generate)
 from .evaluation import aggregate_runs, evaluate, render_report
 from .fileio import write_atomic
-from .model import (EncoderStack, SingleStreamModel, build_stream,
-                    load_checkpoint, save_checkpoint)
+from .layers import DeltaWindow
+from .model import (DEFAULT_BOTTLENECK, DEFAULT_ENCODER_SIZES, DEFAULT_HIDDEN,
+                    EncoderStack, SingleStreamModel, build_stream, load_checkpoint,
+                    save_checkpoint)
 from .numerics import Rng
 from .rbm import PretrainConfig, pretrain_stack
 from .training import (TrainConfig, TrainingDiverged, samples_from_utterances,
@@ -43,14 +48,15 @@ _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
-def resolve_config(args, defaults: dict) -> dict:
-    """defaults <- JSON config file <- flags that were given explicitly.
+def resolve_config(args) -> dict:
+    """The command's defaults <- JSON config file <- flags given explicitly.
 
     The file holds one JSON object. Each value has the JSON type of its
     key's flag, or is null where the default is unset.
     """
+    defaults = args.defaults
     cfg = dict(defaults)
-    path = getattr(args, "config", None)
+    path = args.config
     if path:
         with open(path, encoding="utf-8") as fh:
             try:
@@ -125,12 +131,7 @@ def _write(path, text: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-SYNTH_DEFAULTS = {"classes": 4, "subjects": 6, "reps": 5, "frames": 20,
-                  "height": 26, "width": 44, "seed": 7, "roi": None, "out": None}
-
-
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args, SYNTH_DEFAULTS)
+def cmd_synth(cfg: dict) -> int:
     _require(cfg, ["out"], "synth")
     if cfg["roi"]:
         if cfg["roi"] not in ROI_DIMS:
@@ -148,16 +149,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-PRETRAIN_DEFAULTS = {"data": None, "protocol": None, "stream": "raw",
-                     "epochs": 20, "batch": 100, "lr": 0.001, "l2": 0.0002,
-                     "seed": 0, "encoder_sizes": "2000,1000,500",
-                     "bottleneck": 50, "out": None, "history": None,
-                     "train_subjects": None, "val_subjects": None,
-                     "test_subjects": None}
-
-
-def cmd_pretrain(args) -> int:
-    cfg = resolve_config(args, PRETRAIN_DEFAULTS)
+def cmd_pretrain(cfg: dict) -> int:
     _require(cfg, ["data", "protocol", "out"], "pretrain")
     manifest = load_manifest(cfg["data"])
     rng = Rng(int(cfg["seed"]))
@@ -183,19 +175,6 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-_FIT_DEFAULTS = {"data": None, "protocol": None, "batch_utts": 10, "patience": 5,
-                 "clip_threshold": 5.0, "max_epochs": 200, "seed": 0, "precision": "f32",
-                 "out": None, "history": None, "track_train_accuracy": None,
-                 "train_subjects": None, "val_subjects": None, "test_subjects": None}
-TRAIN_DEFAULTS = {
-    "stream": {**_FIT_DEFAULTS, "stream": "raw", "encoder": None, "hidden": 250,
-               "lr": 0.0003, "encoder_sizes": "2000,1000,500", "bottleneck": 50,
-               "theta": 2},
-    "fusion": {**_FIT_DEFAULTS, "raw": None, "diff": None, "hidden": None, "lr": 0.0001,
-               "freeze_streams": None},
-}
-
-
 def _run_training(cfg: dict, stage: str):
     """Shared by train-stream, train-fusion and repeat so reruns match run for run."""
     manifest = load_manifest(cfg["data"])
@@ -213,9 +192,8 @@ def _run_training(cfg: dict, stage: str):
     train_samples = samples_from_utterances(train_utts, kinds, tcfg.dtype)
     val_samples = samples_from_utterances(val_utts, kinds, tcfg.dtype)
     if stage == "fusion":
-        hidden = int(cfg["hidden"]) if cfg["hidden"] is not None else None
         model, history = train_fusion(raw, diff, train_samples, val_samples, tcfg,
-                                      hidden=hidden)
+                                      hidden=cfg["hidden"])
         return model, history, split, manifest, val_utts
     encoder_init = None
     if cfg["encoder"]:
@@ -233,10 +211,8 @@ def _run_training(cfg: dict, stage: str):
     return model, history, split, manifest, val_utts
 
 
-def cmd_train(args) -> int:
-    """train-stream or train-fusion, as the subparser set args.stage."""
-    stage = args.stage
-    cfg = resolve_config(args, TRAIN_DEFAULTS[stage])
+def cmd_train(cfg: dict, stage: str) -> int:
+    """train-stream or train-fusion, as stage says."""
     inputs = ["raw", "diff"] if stage == "fusion" else []
     _require(cfg, ["data", "protocol", *inputs, "out"], f"train-{stage}")
     model, history, split, manifest, val_utts = _run_training(cfg, stage)
@@ -254,25 +230,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-EVALUATE_DEFAULTS = {"model": None, "data": None, "protocol": None,
-                     "split": "test", "format": "text", "out": None,
-                     "per_subject": None, "confusion": None, "seed": 0,
-                     "train_subjects": None, "val_subjects": None,
-                     "test_subjects": None}
-
-
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args, EVALUATE_DEFAULTS)
+def cmd_evaluate(cfg: dict) -> int:
     _require(cfg, ["model", "data", "protocol"], "evaluate")
     manifest = load_manifest(cfg["data"])
     model = load_checkpoint(cfg["model"])
     if isinstance(model, EncoderStack):
         raise ValueError("an encoder-only checkpoint cannot be evaluated")
-    want = str(len(manifest.classes))
-    got = model.meta.get("classes")
-    if got != want:
-        raise ValueError(f"model was trained for {got} classes "
-                         f"but the dataset has {want}")
     split = _split_for(manifest, cfg, Rng(int(cfg["seed"])), need_val=False)
     paths = {"train": split.train, "val": split.val, "test": split.test}[cfg["split"]]
     if not paths:
@@ -290,13 +253,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-REPEAT_DEFAULTS = {**TRAIN_DEFAULTS["stream"], "pipeline": "stream", "runs": 10,
-                   "raw": None, "diff": None, "fusion_lr": 0.0001,
-                   "freeze_streams": None}
-
-
-def cmd_repeat(args) -> int:
-    cfg = resolve_config(args, REPEAT_DEFAULTS)
+def cmd_repeat(cfg: dict) -> int:
     _require(cfg, ["data", "protocol"], "repeat")
     runs = int(cfg["runs"])
     if runs < 1:
@@ -342,12 +299,7 @@ def _repeat_one(cfg: dict) -> float:
     return report.accuracy
 
 
-GRADCHECK_DEFAULTS = {"checks": None, "instances": 3, "seed": 0, "tol": gc.GRAD_TOL,
-                      "list": None}
-
-
-def cmd_gradcheck(args) -> int:
-    cfg = resolve_config(args, GRADCHECK_DEFAULTS)
+def cmd_gradcheck(cfg: dict) -> int:
     if cfg["list"]:
         for name in gc.CHECKS:
             print(name)
@@ -365,34 +317,72 @@ def cmd_gradcheck(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each setting is one flag that carries its default
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_STREAM_FIT, _FUSION_FIT = TrainConfig.for_stream(), TrainConfig.for_fusion()
+_PRETRAIN = PretrainConfig()
+
+
+def _flag(p: argparse.ArgumentParser, name: str, default=None, **kwargs) -> None:
+    """Declare one setting of p's command: its flag and its default.
+
+    The flag parses to None unless given, so resolve_config can let a config
+    file override the default and the flag override the file.
+    """
+    flag = p.add_argument(name, **kwargs)
+    p.get_default("defaults")[flag.dest] = default
+    p.get_default("flags")[flag.dest] = flag
+
+
+def _command(sub, name: str, func, summary: str, seed: int = 0) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func, defaults={}, flags={})
     p.add_argument("--config", help="JSON file of settings; flags override it")
-    p.add_argument("--seed", type=int)
+    _flag(p, "--seed", seed, type=int)
+    return p
 
 
 def _add_data(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="dataset directory (manifest + utterances)")
-    p.add_argument("--protocol",
-                   help="oulu | cuave | avletters | avletters2-fold-K | custom")
-    p.add_argument("--train-subjects", dest="train_subjects",
-                   help="custom protocol: comma-separated subject ids")
-    p.add_argument("--val-subjects", dest="val_subjects")
-    p.add_argument("--test-subjects", dest="test_subjects")
+    _flag(p, "--data", help="dataset directory (manifest + utterances)")
+    _flag(p, "--protocol", help="oulu | cuave | avletters | avletters2-fold-K | custom")
+    _flag(p, "--train-subjects", help="custom protocol: comma-separated subject ids")
+    _flag(p, "--val-subjects")
+    _flag(p, "--test-subjects")
 
 
-def _add_train_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-utts", dest="batch_utts", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--clip-threshold", dest="clip_threshold", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--precision", choices=("f32", "f64"))
-    p.add_argument("--track-train-accuracy", dest="track_train_accuracy",
-                   action=BoolFlag)
-    p.add_argument("--history", help="history JSON path (default <out>.history.json)")
+def _add_fit(p: argparse.ArgumentParser, fit: TrainConfig) -> None:
+    """The settings of a fit, with fit's values as their defaults."""
+    _flag(p, "--lr", fit.lr, type=float)
+    _flag(p, "--batch-utts", fit.batch_utts, type=int)
+    _flag(p, "--patience", fit.patience, type=int)
+    _flag(p, "--clip-threshold", fit.clip_threshold, type=float)
+    _flag(p, "--max-epochs", fit.max_epochs, type=int)
+    _flag(p, "--precision", fit.precision, choices=("f32", "f64"))
+    _flag(p, "--track-train-accuracy", action=BoolFlag)
+    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
+
+
+def _add_encoder(p: argparse.ArgumentParser) -> None:
+    _flag(p, "--stream", "raw", choices=("raw", "diff"))
+    _flag(p, "--encoder-sizes", ",".join(map(str, DEFAULT_ENCODER_SIZES)),
+          help="comma-separated widths, e.g. 2000,1000,500")
+    _flag(p, "--bottleneck", DEFAULT_BOTTLENECK, type=int)
+
+
+def _add_stream(p: argparse.ArgumentParser) -> None:
+    """train-stream's model settings, shared with repeat."""
+    _add_encoder(p)
+    _flag(p, "--encoder", help="pretrained encoder checkpoint")
+    _flag(p, "--hidden", DEFAULT_HIDDEN, type=int)
+    _flag(p, "--theta", DeltaWindow.theta, type=int)
+
+
+def _add_fusion(p: argparse.ArgumentParser) -> None:
+    """train-fusion's inputs, shared with repeat."""
+    _flag(p, "--raw", help="trained raw-stream checkpoint")
+    _flag(p, "--diff", help="trained diff-stream checkpoint")
+    _flag(p, "--freeze-streams", action=BoolFlag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,105 +392,69 @@ def build_parser() -> argparse.ArgumentParser:
                     "RBM pretraining, BLSTM training, evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--subjects", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--roi", help=f"ROI preset, one of {sorted(ROI_DIMS)}")
-    p.add_argument("--out", help="output dataset directory")
-    p.set_defaults(func=cmd_synth)
+    p = _command(sub, "synth", cmd_synth, "generate a synthetic dataset", seed=7)
+    for name, default in (("--classes", 4), ("--subjects", 6), ("--reps", 5),
+                          ("--frames", 20), ("--height", 26), ("--width", 44)):
+        _flag(p, name, default, type=int)
+    _flag(p, "--roi", help=f"ROI preset, one of {sorted(ROI_DIMS)}")
+    _flag(p, "--out", help="output dataset directory")
 
-    p = sub.add_parser("pretrain", help="layer-wise RBM pretraining of the encoder")
-    _add_common(p)
+    p = _command(sub, "pretrain", cmd_pretrain, "layer-wise RBM pretraining of the encoder")
     _add_data(p)
-    p.add_argument("--stream", choices=("raw", "diff"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--encoder-sizes", dest="encoder_sizes",
-                   help="comma-separated widths, e.g. 2000,1000,500")
-    p.add_argument("--bottleneck", type=int)
-    p.add_argument("--out", help="encoder checkpoint path")
-    p.add_argument("--history")
-    p.set_defaults(func=cmd_pretrain)
+    _add_encoder(p)
+    _flag(p, "--epochs", _PRETRAIN.epochs, type=int)
+    _flag(p, "--batch", _PRETRAIN.batch, type=int)
+    _flag(p, "--lr", _PRETRAIN.lr, type=float)
+    _flag(p, "--l2", _PRETRAIN.l2, type=float)
+    _flag(p, "--out", help="encoder checkpoint path")
+    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
 
-    p = sub.add_parser("train-stream", help="train one stream end to end")
-    _add_common(p)
+    p = _command(sub, "train-stream", functools.partial(cmd_train, stage="stream"),
+                 "train one stream end to end")
     _add_data(p)
-    _add_train_common(p)
-    p.add_argument("--stream", choices=("raw", "diff"))
-    p.add_argument("--encoder", help="pretrained encoder checkpoint")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--encoder-sizes", dest="encoder_sizes")
-    p.add_argument("--bottleneck", type=int)
-    p.add_argument("--theta", type=int)
-    p.add_argument("--out", help="model checkpoint path")
-    p.set_defaults(func=cmd_train, stage="stream")
+    _add_fit(p, _STREAM_FIT)
+    _add_stream(p)
+    _flag(p, "--out", help="model checkpoint path")
 
-    p = sub.add_parser("train-fusion", help="fuse two trained streams and fine-tune")
-    _add_common(p)
+    p = _command(sub, "train-fusion", functools.partial(cmd_train, stage="fusion"),
+                 "fuse two trained streams and fine-tune")
     _add_data(p)
-    _add_train_common(p)
-    p.add_argument("--raw", help="trained raw-stream checkpoint")
-    p.add_argument("--diff", help="trained diff-stream checkpoint")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--freeze-streams", dest="freeze_streams", action=BoolFlag)
-    p.add_argument("--out", help="model checkpoint path")
-    p.set_defaults(func=cmd_train, stage="fusion")
+    _add_fit(p, _FUSION_FIT)
+    _add_fusion(p)
+    _flag(p, "--hidden", type=int, help="fusion BLSTM width (default: the raw stream's)")
+    _flag(p, "--out", help="model checkpoint path")
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on a split")
-    _add_common(p)
+    p = _command(sub, "evaluate", cmd_evaluate, "score a checkpoint on a split")
     _add_data(p)
-    p.add_argument("--model", help="model checkpoint path")
-    p.add_argument("--split", choices=("train", "val", "test"))
-    p.add_argument("--format", choices=("text", "json", "csv"))
-    p.add_argument("--per-subject", dest="per_subject", action=BoolFlag)
-    p.add_argument("--confusion", action=BoolFlag)
-    p.add_argument("--out", help="write the report here as well as printing it")
-    p.set_defaults(func=cmd_evaluate)
+    _flag(p, "--model", help="model checkpoint path")
+    _flag(p, "--split", "test", choices=("train", "val", "test"))
+    _flag(p, "--format", "text", choices=("text", "json", "csv"))
+    _flag(p, "--per-subject", action=BoolFlag)
+    _flag(p, "--confusion", action=BoolFlag)
+    _flag(p, "--out", help="write the report here as well as printing it")
 
-    p = sub.add_parser("repeat", help="repeat a pipeline over consecutive seeds")
-    _add_common(p)
+    p = _command(sub, "repeat", cmd_repeat, "repeat a pipeline over consecutive seeds")
     _add_data(p)
-    _add_train_common(p)
-    p.add_argument("--pipeline", choices=("stream", "fusion"))
-    p.add_argument("--runs", type=int)
-    p.add_argument("--stream", choices=("raw", "diff"))
-    p.add_argument("--encoder")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--encoder-sizes", dest="encoder_sizes")
-    p.add_argument("--bottleneck", type=int)
-    p.add_argument("--theta", type=int)
-    p.add_argument("--raw", help="fusion pipeline: raw-stream checkpoint")
-    p.add_argument("--diff", help="fusion pipeline: diff-stream checkpoint")
-    p.add_argument("--fusion-lr", dest="fusion_lr", type=float)
-    p.add_argument("--freeze-streams", dest="freeze_streams", action=BoolFlag)
-    p.add_argument("--out", help="aggregate JSON path")
-    p.set_defaults(func=cmd_repeat)
+    _add_fit(p, _STREAM_FIT)
+    _add_stream(p)
+    _add_fusion(p)
+    _flag(p, "--pipeline", "stream", choices=("stream", "fusion"))
+    _flag(p, "--runs", 10, type=int)
+    _flag(p, "--fusion-lr", _FUSION_FIT.lr, type=float)
+    _flag(p, "--out", help="aggregate JSON path")
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(p)
-    p.add_argument("--checks", help=f"comma-separated subset of {list(gc.CHECKS)}")
-    p.add_argument("--instances", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--list", action=BoolFlag, help="list available checks")
-    p.set_defaults(func=cmd_gradcheck)
-
-    for p in sub.choices.values():
-        # resolve_config checks each config-file value against its flag
-        p.set_defaults(flags={a.dest: a for a in p._actions})
+    p = _command(sub, "gradcheck", cmd_gradcheck, "finite-difference gradient verification")
+    _flag(p, "--checks", help=f"comma-separated subset of {list(gc.CHECKS)}")
+    _flag(p, "--instances", 3, type=int)
+    _flag(p, "--tol", gc.GRAD_TOL, type=float)
+    _flag(p, "--list", action=BoolFlag, help="list available checks")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(resolve_config(args))
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -118,13 +118,13 @@ def evaluate(model, utts: list[LoadedUtterance], n_classes: int,
                       split=split, checkpoint=checkpoint)
 
 
-def aggregate_runs(reports: list, seeds: list[int]) -> RunAggregate:
+def aggregate_runs(accuracies: list[float], seeds: list[int]) -> RunAggregate:
     """Mean / sample std (n-1 denominator, 0 for a single run) / max."""
-    if not reports:
-        raise ValueError("aggregate_runs needs at least one report")
-    if len(reports) != len(seeds):
-        raise ValueError(f"{len(reports)} reports but {len(seeds)} seeds")
-    accs = [float(getattr(r, "accuracy", r)) for r in reports]
+    if not accuracies:
+        raise ValueError("aggregate_runs needs at least one accuracy")
+    if len(accuracies) != len(seeds):
+        raise ValueError(f"{len(accuracies)} accuracies but {len(seeds)} seeds")
+    accs = [float(a) for a in accuracies]
     arr = np.asarray(accs, dtype=np.float64)
     std = float(arr.std(ddof=1)) if len(accs) > 1 else 0.0
     return RunAggregate(accuracies=accs, seeds=list(seeds),

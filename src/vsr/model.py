@@ -96,7 +96,7 @@ def build_stream(input_dim: int, classes: int, hidden: int = DEFAULT_HIDDEN,
                  rng: Rng | None = None, stream_kind: str = "raw",
                  encoder_init: list[FcLayer] | None = None,
                  encoder_sizes: tuple[int, ...] = DEFAULT_ENCODER_SIZES,
-                 bottleneck: int = DEFAULT_BOTTLENECK, theta: int = 2,
+                 bottleneck: int = DEFAULT_BOTTLENECK, theta: int = DeltaWindow.theta,
                  dtype=DEFAULT_DTYPE) -> SingleStreamModel:
     """Assemble a single-stream model with a fresh classifier head.
 
@@ -371,15 +371,14 @@ def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> No
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob: bytes):
         self.blob = blob
-        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.blob):
-            raise CheckpointError(f"checkpoint {self.path} truncated: wanted {self.pos + n} "
-                                  f"bytes, file has {len(self.blob)}")
+            raise CheckpointError(f"truncated: wanted {self.pos + n} bytes, "
+                                  f"file has {len(self.blob)}")
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -397,20 +396,19 @@ class _Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             field = what if key is None else f"{what} {key!r}"
-            raise CheckpointError(f"checkpoint {self.path}: {field} is not valid UTF-8 "
+            raise CheckpointError(f"{field} is not valid UTF-8 "
                                   f"({exc.reason} at byte {exc.start})") from None
 
 
 def _read_raw(path):
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
+        reader = _Reader(fh.read())
     magic = reader.take(4)
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     version = reader.u16()
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}, "
-                              f"expected {CHECKPOINT_VERSION}")
+        raise CheckpointError(f"unsupported version {version}, expected {CHECKPOINT_VERSION}")
     meta = {}
     for _ in range(reader.u32()):
         key = reader.string("a metadata key")
@@ -419,32 +417,32 @@ def _read_raw(path):
     for _ in range(reader.u32()):
         name = reader.string("a tensor name")
         if name in tensors:
-            raise CheckpointError(f"checkpoint repeats tensor {name!r}")
+            raise CheckpointError(f"repeats tensor {name!r}")
         rank = reader.u32()
         shape = tuple(reader.u32() for _ in range(rank))
         size, left = 4 * math.prod(shape), len(reader.blob) - reader.pos
         if size > left:
-            raise CheckpointError(f"checkpoint {path} truncated: tensor {name!r} of shape "
-                                  f"{shape} needs {size} bytes, {left} are left")
+            raise CheckpointError(f"truncated: tensor {name!r} of shape {shape} needs "
+                                  f"{size} bytes, {left} are left")
         data = np.frombuffer(reader.take(size), dtype="<f4").reshape(shape).astype(np.float32)
         # a float64 sum of float32 values cannot overflow, so it is finite exactly
         # when every value is; unlike np.isfinite it allocates no tensor-sized mask
         if not np.isfinite(data.sum(dtype=np.float64)):
-            raise CheckpointError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
         tensors[name] = data
     if reader.pos != len(reader.blob):
-        raise CheckpointError(f"checkpoint has {len(reader.blob) - reader.pos} trailing bytes")
+        raise CheckpointError(f"{len(reader.blob) - reader.pos} trailing bytes after the tensors")
     return meta, tensors
 
 
 def _tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
     """The named tensor, checked against shape (None matches any width)."""
     if name not in tensors:
-        raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+        raise CheckpointError(f"missing tensor {name!r}")
     got = tensors[name].shape
     if len(got) != len(shape) or any(w not in (None, g) for g, w in zip(got, shape)):
         want = "x".join("?" if w is None else str(w) for w in shape)
-        raise CheckpointError(f"checkpoint tensor {name!r} has shape "
+        raise CheckpointError(f"tensor {name!r} has shape "
                               f"{'x'.join(map(str, got)) or 'scalar'}, expected {want}")
     return tensors[name]
 
@@ -464,7 +462,7 @@ def _read_encoder(meta, tensors, prefix: str = "") -> list[FcLayer]:
         layers.append(_read_fc(meta, tensors, f"{prefix}enc{len(layers)}", "relu",
                                layers[-1].w.shape[0] if layers else None))
     if not layers:
-        raise CheckpointError(f"checkpoint has no {prefix}enc0.w tensor")
+        raise CheckpointError(f"no {prefix}enc0.w tensor")
     return layers
 
 
@@ -478,15 +476,14 @@ def _read_blstm(tensors, prefix: str, d_in: int) -> Blstm:
     return Blstm(**halves)
 
 
-def _read_delta(meta, path) -> DeltaWindow:
-    """The delta half-window, a decimal integer >= 1 naming the file if not.
+def _read_delta(meta) -> DeltaWindow:
+    """The delta half-window, a decimal integer >= 1.
 
     A window wider than every sequence is valid: frame indices clamp to the edges.
     """
     theta = meta.get("theta", "2")
     if not (theta.isascii() and theta.isdigit() and int(theta) >= 1):
-        raise CheckpointError(f"checkpoint {path}: metadata theta is {theta!r}, "
-                              f"expected an integer >= 1")
+        raise CheckpointError(f"metadata theta is {theta!r}, expected an integer >= 1")
     return DeltaWindow(int(theta))
 
 
@@ -502,24 +499,32 @@ def load_checkpoint(path, expect: dict[str, str] | None = None):
     """Read a checkpoint back into its model object.
 
     `expect` asserts metadata values, e.g. {"classes": "26"}; a differing
-    stored value raises CheckpointError naming both.
+    stored value raises CheckpointError naming both. Every CheckpointError
+    starts `checkpoint <path>: `.
     """
-    meta, tensors = _read_raw(path)
+    try:
+        return _assemble(*_read_raw(path), expect)
+    except CheckpointError as exc:
+        exc.args = (f"checkpoint {path}: {exc}",)
+        raise
+
+
+def _assemble(meta: dict[str, str], tensors: dict[str, np.ndarray], expect):
     kind = meta.get("kind")
     if expect:
         for key, want in expect.items():
             got = meta.get(key)
             if got != want:
-                raise CheckpointError(f"checkpoint metadata mismatch: {key} is {got!r}, "
+                raise CheckpointError(f"metadata mismatch: {key} is {got!r}, "
                                       f"expected {want!r}")
     if kind == "encoder":
         model = EncoderStack(layers=_read_encoder(meta, tensors), meta=meta)
     elif kind == "stream":
-        net = _read_net(meta, tensors, meta.get("stream", "raw"), _read_delta(meta, path))
+        net = _read_net(meta, tensors, meta.get("stream", "raw"), _read_delta(meta))
         head = _read_fc(meta, tensors, "head", "linear", 2 * net.blstm.hidden)
         model = SingleStreamModel(net=net, head=head, meta=meta)
     elif kind == "fusion":
-        delta = _read_delta(meta, path)
+        delta = _read_delta(meta)
         raw = _read_net(meta, tensors, "raw", delta, "raw.")
         diff = _read_net(meta, tensors, "diff", delta, "diff.")
         fusion_blstm = _read_blstm(tensors, "fusion_blstm",
@@ -527,12 +532,12 @@ def load_checkpoint(path, expect: dict[str, str] | None = None):
         out = _read_fc(meta, tensors, "out", "linear", 2 * fusion_blstm.hidden)
         model = FusionModel(raw=raw, diff=diff, fusion_blstm=fusion_blstm, out=out, meta=meta)
     else:
-        raise CheckpointError(f"checkpoint kind {kind!r} is not one of encoder/stream/fusion")
+        raise CheckpointError(f"kind {kind!r} is not one of encoder/stream/fusion")
     unknown = sorted(set(tensors) - set(named_params(model)))
     if unknown:
-        raise CheckpointError(f"checkpoint holds tensors a {kind} model does not have: {unknown}")
+        raise CheckpointError(f"holds tensors a {kind} model does not have: {unknown}")
     if kind != "encoder" and meta.get("classes", str(model.classes)) != str(model.classes):
-        raise CheckpointError(f"checkpoint metadata says {meta['classes']} classes, but "
+        raise CheckpointError(f"metadata says {meta['classes']} classes, but "
                               f"{_layers(model)[-1][0]}.w has {model.classes} rows")
     return model
 

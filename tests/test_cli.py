@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import vsr.gradcheck
 import vsr.layers
-from vsr import cli
 from vsr.cli import build_parser, main, resolve_config
 from vsr.data import ROI_DIMS, load_manifest
 from vsr.gradcheck import CHECKS
@@ -176,12 +175,9 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, doc, named):
     assert "Traceback" not in err
 
 
-COMMAND_DEFAULTS = {
-    "synth": cli.SYNTH_DEFAULTS, "pretrain": cli.PRETRAIN_DEFAULTS,
-    "train-stream": cli.TRAIN_DEFAULTS["stream"], "train-fusion": cli.TRAIN_DEFAULTS["fusion"],
-    "evaluate": cli.EVALUATE_DEFAULTS, "repeat": cli.REPEAT_DEFAULTS,
-    "gradcheck": cli.GRADCHECK_DEFAULTS,
-}
+COMMAND_DEFAULTS = {command: build_parser().parse_args([command]).defaults
+                    for command in ("synth", "pretrain", "train-stream", "train-fusion",
+                                    "evaluate", "repeat", "gradcheck")}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
@@ -201,7 +197,7 @@ def test_resolve_config_returns_or_refuses_any_json_document(command, data):
             json.dump(doc, fh)
         args = build_parser().parse_args([command, "--config", path])
         try:
-            cfg = resolve_config(args, defaults)
+            cfg = resolve_config(args)
         except ValueError as exc:
             assert str(exc).startswith(("config file ", "config file has unknown keys"))
             return
@@ -419,7 +415,24 @@ def test_evaluate_rejects_class_count_mismatch(raw_ckpt, tmp_path, capsys):
                "--protocol", "custom", "--train-subjects", "s00",
                "--test-subjects", "s01"])
     assert rc == 2
-    assert "trained for 3 classes but the dataset has 2" in capsys.readouterr().err
+    assert "model has 3 classes, dataset has 2" in capsys.readouterr().err
+
+
+def test_evaluate_takes_the_class_count_from_the_model(dataset, raw_ckpt, tmp_path, capsys):
+    # the classes metadata is optional: the head's rows give the count
+    entry = struct.pack("<I", 7) + b"classes" + struct.pack("<I", 1) + b"3"
+    blob = Path(raw_ckpt).read_bytes()
+    assert blob.count(entry) == 1
+    pairs = struct.unpack_from("<I", blob, 6)[0]
+    bare = tmp_path / "raw.ckpt"
+    bare.write_bytes(blob[:6] + struct.pack("<I", pairs - 1) + blob[10:].replace(entry, b""))
+    reports = []
+    for ckpt in (raw_ckpt, bare):
+        assert main(["evaluate", "--model", str(ckpt), "--data", str(dataset),
+                     *PROTO_ARGS, "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert "classes" not in load_checkpoint(bare).meta
+    assert reports[0] == reports[1]
 
 
 def test_evaluate_empty_split_is_an_error(dataset, raw_ckpt, capsys):

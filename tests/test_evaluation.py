@@ -105,15 +105,6 @@ def test_aggregate_single_run_has_zero_std():
     assert agg.mean == agg.max == 0.8
 
 
-def test_aggregate_accepts_reports(monkeypatch):
-    model = tiny_model(classes=2)
-    utts = fake_utts([0, 1], ["sa", "sb"])
-    monkeypatch.setattr(evaluation, "model_logits", scripted_logits([0, 1]))
-    report = evaluate(model, utts, n_classes=2)
-    agg = aggregate_runs([report, 0.5], seeds=[0, 1])
-    assert agg.accuracies == [1.0, 0.5]
-
-
 def test_aggregate_matches_streaming_reference():
     rng = Rng(2)
     accs = [float(a) for a in rng.uniform(0.5, 1.0, (9,))]

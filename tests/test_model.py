@@ -352,7 +352,7 @@ def test_checkpoint_truncation_names_the_file(tmp_path):
     path.write_bytes(path.read_bytes()[:12])  # inside the first metadata key
     with pytest.raises(CheckpointError, match="truncated: wanted") as err:
         load_checkpoint(path)
-    assert f"checkpoint {path} truncated" in str(err.value)
+    assert f"checkpoint {path}: truncated" in str(err.value)
 
 
 def test_checkpoint_tensor_cut_short_is_named(tmp_path):
@@ -361,7 +361,7 @@ def test_checkpoint_tensor_cut_short_is_named(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])  # head.b, the last tensor, loses a value
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
-    assert (f"checkpoint {path} truncated: tensor 'head.b' of shape (3,) needs 12 bytes, "
+    assert (f"checkpoint {path}: truncated: tensor 'head.b' of shape (3,) needs 12 bytes, "
             f"8 are left") in str(err.value)
 
 
@@ -376,7 +376,7 @@ def test_checkpoint_refuses_a_declared_size_past_the_file(tmp_path):
                                   + struct.pack("<3I", 2**31, 2**31, 4)))
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
-    assert (f"checkpoint {path} truncated: tensor 'enc0.w' of shape "
+    assert (f"checkpoint {path}: truncated: tensor 'enc0.w' of shape "
             f"({2**31}, {2**31}, 4) needs {2**66} bytes, 16 are left") in str(err.value)
 
 
@@ -606,6 +606,60 @@ def test_load_names_a_string_that_is_not_utf8(tmp_path, stored, broken, named):
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(bad)
     assert f"checkpoint {bad}: {named} is not valid UTF-8" in str(err.value)
+
+
+def _edit_bytes(edit):
+    """Writes a tiny stream checkpoint with edit applied to its bytes."""
+    def write(path):
+        save_checkpoint(path, tiny_stream())
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+def _edit_entries(meta=None, tensors=None, drop=None, extra=()):
+    """Writes a tiny stream checkpoint with its metadata and tensors edited."""
+    def write(path):
+        save_checkpoint(path, tiny_stream())
+        stored_meta, stored = _read_raw(path)
+        stored.update(tensors or {})
+        stored.pop(drop, None)
+        write_raw(path, {**stored_meta, **(meta or {})}, [*stored.items(), *extra])
+    return write
+
+
+@pytest.mark.parametrize("write, expect, named", [
+    (_edit_bytes(lambda b: b + b"xx"), None, "2 trailing bytes"),
+    (_edit_bytes(lambda b: b"XXXX" + b[4:]), None, "bad magic b'XXXX'"),
+    (_edit_bytes(lambda b: b[:4] + struct.pack("<H", 2) + b[6:]), None,
+     "unsupported version 2, expected 1"),
+    (_edit_bytes(lambda b: b[:12]), None, "truncated: wanted"),
+    (_edit_bytes(lambda b: b), {"classes": "26"}, "metadata mismatch: classes is '3'"),
+    (_edit_entries(meta={"kind": "rnn"}), None, "kind 'rnn' is not one of"),
+    (_edit_entries(meta={"theta": "0"}), None, "metadata theta is '0'"),
+    (_edit_entries(meta={"head.activation": "tanh"}), None, "unknown activation 'tanh'"),
+    (_edit_entries(meta={"classes": "4"}), None, "says 4 classes, but head.w has 3 rows"),
+    (_edit_entries(drop="head.b"), None, "missing tensor 'head.b'"),
+    (_edit_entries(drop="enc0.w"), None, "no enc0.w tensor"),
+    (_edit_entries(tensors={"head.w": np.zeros((3, 5), dtype=np.float32)}), None,
+     "tensor 'head.w' has shape 3x5"),
+    (_edit_entries(tensors={"head.b": np.full(3, np.nan, dtype=np.float32)}), None,
+     "tensor 'head.b' holds non-finite values"),
+    (_edit_entries(extra=[("head.b", np.zeros(3, dtype=np.float32))]), None,
+     "repeats tensor 'head.b'"),
+    (_edit_entries(extra=[("extra.w", np.zeros((2, 2), dtype=np.float32))]), None,
+     "does not have: ['extra.w']"),
+], ids=["trailing", "magic", "version", "truncated", "expect", "kind", "theta",
+        "activation", "classes", "missing", "no-encoder", "shape", "non-finite",
+        "repeated", "unknown"])
+def test_every_checkpoint_error_names_the_file_once(tmp_path, write, expect, named):
+    path = tmp_path / "t.ckpt"
+    write(path)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path, expect=expect)
+    message = str(err.value)
+    assert message.startswith(f"checkpoint {path}: ")
+    assert message.count(str(path)) == 1
+    assert named in message
 
 
 def test_load_accepts_a_delta_window_wider_than_any_sequence(tmp_path):

@@ -50,7 +50,7 @@ def test_a_tiny_pipeline_records_every_timed_span(tracer, tmp_path, monkeypatch)
     manifest = vsr.data.synth_generate(2, 3, 2, 5, 4, 5, 1, tmp_path / "data")
     utts = vsr.data.load_utterances(tmp_path / "data", manifest)
     samples = vsr.training.samples_from_utterances(utts, ("raw", "diff"))
-    for i, s in enumerate(samples):  # mixed lengths, so batches have padding
+    for i, s in enumerate(samples):  # mixed lengths, so B x T_max exceeds the frames
         s.streams = {k: a[:3 + i % 3] for k, a in s.streams.items()}
     batches = []
     traced_make_batches = vsr.training.make_batches
@@ -76,8 +76,9 @@ def test_a_tiny_pipeline_records_every_timed_span(tracer, tmp_path, monkeypatch)
     recorded = {span[0] for span in tracer.spans}
     assert set(spans.TIME_METRICS) - recorded == set()
 
-    # the tracer's batch counts: padded slots are the B x T_max a batch's
-    # BLSTMs run, valid frames the frames trained (one epoch per fit)
+    # the tracer's batch counts: padded slots are B x T_max per batch, what a
+    # padded layout would hold (no layer pads), valid frames the frames
+    # trained (one epoch per fit)
     counts = {name: sum(n for (_, key), n in tracer.counts.items() if key == name)
               for name in ("training.valid_frames", "training.padded_slots")}
     trained = 2 * sum(s.streams["raw"].shape[0] for s in samples)
