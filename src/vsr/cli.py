@@ -112,9 +112,8 @@ def _csv(value: str | None) -> list[str] | None:
     return [v for v in value.split(",") if v]
 
 
-def _train_config(cfg: dict, stage: str) -> TrainConfig:
-    return TrainConfig(lr=float(cfg["lr"]), stage=stage,
-                       batch_utts=int(cfg["batch_utts"]),
+def _train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
                        patience=int(cfg["patience"]),
                        clip_threshold=float(cfg["clip_threshold"]),
                        max_epochs=int(cfg["max_epochs"]), seed=int(cfg["seed"]),
@@ -185,7 +184,7 @@ def _run_training(cfg: dict, stage: str):
         for name, m, kind in (("--raw", raw, "raw"), ("--diff", diff, "diff")):
             if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
                 raise ValueError(f"{name} checkpoint is not a trained {kind} stream")
-    tcfg = _train_config(cfg, stage)
+    tcfg = _train_config(cfg)
     kinds = ("raw", "diff") if stage == "fusion" else (cfg["stream"],)
     train_utts, val_utts = (load_utterances(cfg["data"], manifest, paths)
                             for paths in (split.train, split.val))
@@ -352,15 +351,16 @@ def _add_data(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fit(p: argparse.ArgumentParser, fit: TrainConfig) -> None:
-    """The settings of a fit, with fit's values as their defaults."""
+    """The settings of a fit, with fit's values as their defaults.
+
+    The history flags are train-stream's and train-fusion's: repeat keeps no history.
+    """
     _flag(p, "--lr", fit.lr, type=float)
     _flag(p, "--batch-utts", fit.batch_utts, type=int)
     _flag(p, "--patience", fit.patience, type=int)
     _flag(p, "--clip-threshold", fit.clip_threshold, type=float)
     _flag(p, "--max-epochs", fit.max_epochs, type=int)
     _flag(p, "--precision", fit.precision, choices=("f32", "f64"))
-    _flag(p, "--track-train-accuracy", action=BoolFlag)
-    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
 
 
 def _add_encoder(p: argparse.ArgumentParser) -> None:
@@ -413,6 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "train one stream end to end")
     _add_data(p)
     _add_fit(p, _STREAM_FIT)
+    _flag(p, "--track-train-accuracy", action=BoolFlag)
+    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
     _add_stream(p)
     _flag(p, "--out", help="model checkpoint path")
 
@@ -420,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "fuse two trained streams and fine-tune")
     _add_data(p)
     _add_fit(p, _FUSION_FIT)
+    _flag(p, "--track-train-accuracy", action=BoolFlag)
+    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
     _add_fusion(p)
     _flag(p, "--hidden", type=int, help="fusion BLSTM width (default: the raw stream's)")
     _flag(p, "--out", help="model checkpoint path")

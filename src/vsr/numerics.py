@@ -89,64 +89,56 @@ class AdamState:
     t: int = 0
 
 
+# Kingma & Ba's defaults (arXiv:1412.6980), fixed for every fit
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 # 64Ki elements is 256 KiB per float32 array (512 KiB in float64): the six
 # arrays the kernel touches fit a 4 MiB L2 cache.
 ADAM_BLOCK = 1 << 16
 
 
-def _adam_kernel(p, g, m, v, s1, s2, b1, b2, bc1, bc2, eps, lr):
+def _adam_kernel(p, g, m, v, s1, s2, bc1, bc2, lr):
     """The Adam arithmetic on one block, in place; s1 and s2 are scratch.
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;
     p <- p - (lr/bc1) * m / (sqrt(v/bc2) + eps).
     """
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=s1)
-    v *= b2
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=s1)
+    v *= BETA2
     np.square(g, out=s1)
-    s1 *= 1.0 - b2
+    s1 *= 1.0 - BETA2
     v += s1
     np.divide(v, bc2, out=s2)
     np.sqrt(s2, out=s2)
-    s2 += eps
+    s2 += EPS
     np.multiply(m, lr / bc1, out=s1)
     s1 /= s2
     p -= s1
 
 
-def _run_blocks(blocks) -> None:
-    """Apply the kernel to each block in turn, reusing one scratch pair."""
-    size = max(blk[0].size for blk in blocks)
-    scratch = {}
-    for p, g, m, v, coef in blocks:
-        buf = scratch.get(p.dtype)
-        if buf is None:
-            buf = scratch[p.dtype] = np.empty((2, size), p.dtype)
-        s1, s2 = (row[:p.size].reshape(p.shape) for row in buf)
-        _adam_kernel(p, g, m, v, s1, s2, *coef)
-
-
-def _adam_update(jobs, lr: float, beta1: float, beta2: float, eps: float) -> None:
+def _adam_update(jobs, lr: float) -> None:
     """Update checked (param, grad, state) triples whose t is already advanced.
 
-    Each tensor is cut into ADAM_BLOCK-element slices of its flat views (a
-    tensor that is not C-contiguous is one block), and the blocks run in
-    order on the calling thread.
+    Each tensor runs as ADAM_BLOCK-element slices of its flat views, in
+    order on the calling thread (a tensor that is not C-contiguous is one
+    block), every block reusing one scratch pair.
     """
-    blocks = []
+    lr, buf = float(lr), None
     for p, g, st in jobs:
-        coef = (float(beta1), float(beta2), 1.0 - float(beta1) ** st.t,
-                1.0 - float(beta2) ** st.t, float(eps), float(lr))
+        bc1, bc2 = 1.0 - BETA1 ** st.t, 1.0 - BETA2 ** st.t
         arrays = (p, g, st.m, st.v)
-        if not (p.flags.c_contiguous and st.m.flags.c_contiguous
-                and st.v.flags.c_contiguous):
-            blocks.append((*arrays, coef))
-            continue
-        flat = [a.reshape(-1) for a in arrays]
-        blocks += [(*(a[i:i + ADAM_BLOCK] for a in flat), coef)
-                   for i in range(0, p.size, ADAM_BLOCK)]
-    if blocks:
-        _run_blocks(blocks)
+        if p.flags.c_contiguous and st.m.flags.c_contiguous and st.v.flags.c_contiguous:
+            flat = [a.reshape(-1) for a in arrays]
+            blocks = ([a[i:i + ADAM_BLOCK] for a in flat]
+                      for i in range(0, p.size, ADAM_BLOCK))
+        else:
+            blocks = [arrays]
+        for bp, bg, bm, bv in blocks:
+            if buf is None or buf.dtype != bp.dtype or buf.shape[1] < bp.size:
+                buf = np.empty((2, max(bp.size, ADAM_BLOCK)), bp.dtype)
+            s1, s2 = (row[:bp.size].reshape(bp.shape) for row in buf)
+            _adam_kernel(bp, bg, bm, bv, s1, s2, bc1, bc2, lr)
 
 
 def _adam_check(param: np.ndarray, grad: np.ndarray, m_shape, what: str) -> None:
@@ -170,17 +162,14 @@ class Adam:
     param <- param - lr * m_hat / (sqrt(v_hat) + eps).
 
     Arithmetic is in each parameter's dtype: its gradient must share it,
-    and the hyperparameters are applied as Python floats. A step is all or
-    nothing: every shape is checked and every gradient screened for NaN/Inf
-    before any parameter, moment or step count changes. The update itself
-    runs blocked on the calling thread (module docstring), with the same
-    result bit for bit as one tensor at a time.
+    and lr and the fixed BETA1, BETA2 and EPS are applied as Python floats.
+    A step is all or nothing: every shape is checked and every gradient
+    screened for NaN/Inf before any parameter, moment or step count changes.
+    The update itself runs blocked on the calling thread (module docstring),
+    with the same result bit for bit as one tensor at a time.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.state: dict[str, AdamState] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
@@ -195,7 +184,7 @@ class Adam:
                 st = self.state[name] = AdamState(np.zeros_like(p), np.zeros_like(p))
             st.t += 1
             jobs.append((p, grads[name], st))
-        _adam_update(jobs, lr, self.beta1, self.beta2, self.eps)
+        _adam_update(jobs, lr)
 
 
 # float64 elements squared at once when clip_global_norm takes a norm

@@ -25,9 +25,6 @@ from .model import (FusionModel, SingleStreamModel, astype_model, build_fusion,
 from .numerics import Adam, NonFiniteError, Rng, clip_global_norm
 from .layers import softmax_xent
 
-STAGES = ("stream", "fusion")
-
-
 class TrainingDiverged(RuntimeError):
     pass
 
@@ -35,22 +32,16 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float
-    stage: str
     batch_utts: int = 10
     patience: int = 5
     clip_threshold: float = 5.0
     max_epochs: int = 200
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     precision: str = "f32"
     track_train_accuracy: bool = False
     freeze_streams: bool = False
 
     def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
         if self.lr < 0 or self.batch_utts < 1 or self.patience < 0 or self.max_epochs < 0:
             raise ValueError(f"bad training config {self}")
         if self.precision not in ("f32", "f64"):
@@ -58,11 +49,11 @@ class TrainConfig:
 
     @classmethod
     def for_stream(cls, **overrides) -> "TrainConfig":
-        return cls(**{"lr": 0.0003, "stage": "stream", **overrides})
+        return cls(**{"lr": 0.0003, **overrides})
 
     @classmethod
     def for_fusion(cls, **overrides) -> "TrainConfig":
-        return cls(**{"lr": 0.0001, "stage": "fusion", **overrides})
+        return cls(**{"lr": 0.0001, **overrides})
 
     @property
     def dtype(self):
@@ -199,10 +190,11 @@ def _copy_params(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None
 
 
 def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
-         cfg: TrainConfig):
+         cfg: TrainConfig, stage: str):
     """Cast model and samples to cfg's precision, then fit; returns (model, history).
 
-    The best epoch's weights are copied into one snapshot buffer, allocated once.
+    The history records stage, "stream" or "fusion". The best epoch's
+    weights are copied into one snapshot buffer, allocated once.
     """
     if not train_samples:
         raise ValueError("training set is empty")
@@ -213,9 +205,9 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
     train_samples = _cast_samples(train_samples, cfg.dtype)
     val_samples = _cast_samples(val_samples, cfg.dtype)
     rng = Rng(cfg.seed)
-    opt = Adam(beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam()
     params = named_params(model)
-    history = TrainHistory(stage=cfg.stage, seed=cfg.seed, config=asdict(cfg))
+    history = TrainHistory(stage=stage, seed=cfg.seed, config=asdict(cfg))
     best_acc = -np.inf
     best = {n: np.empty_like(p) for n, p in params.items()}
     history.stop_reason = "max-epochs"
@@ -245,9 +237,7 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
 def train_stream(model: SingleStreamModel, train_samples: list[SeqSample],
                  val_samples: list[SeqSample], cfg: TrainConfig):
     """Train a single-stream model in place; returns (model, history)."""
-    if cfg.stage != "stream":
-        raise ValueError(f"train_stream got a {cfg.stage!r}-stage config")
-    return _fit(model, train_samples, val_samples, cfg)
+    return _fit(model, train_samples, val_samples, cfg, "stream")
 
 
 def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
@@ -258,12 +248,10 @@ def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
     The fusion BLSTM and output layer draw fresh Glorot weights from
     cfg.seed; the copied stream weights fine-tune unless cfg.freeze_streams.
     """
-    if cfg.stage != "fusion":
-        raise ValueError(f"train_fusion got a {cfg.stage!r}-stage config")
     if hidden is None:
         hidden = raw.net.blstm.hidden
     model = build_fusion(raw, diff, hidden=hidden, rng=Rng(cfg.seed), dtype=cfg.dtype)
-    return _fit(model, train_samples, val_samples, cfg)
+    return _fit(model, train_samples, val_samples, cfg, "fusion")
 
 
 def _cast_samples(samples: list[SeqSample], dtype) -> list[SeqSample]:

@@ -1,5 +1,6 @@
 """End-to-end tests that drive vsr.cli.main the way a shell user would."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vsr.cli
 import vsr.gradcheck
 import vsr.layers
 from vsr.cli import build_parser, main, resolve_config
 from vsr.data import ROI_DIMS, load_manifest
 from vsr.gradcheck import CHECKS
 from vsr.model import EncoderStack, FusionModel, SingleStreamModel, load_checkpoint
+from vsr.training import TrainConfig
 
 # Small dataset so every training run stays in the tens-of-milliseconds range:
 # 4 subjects x 3 classes x 2 reps of 6 frames at 8x9 pixels.
@@ -362,6 +365,49 @@ def test_train_fusion_rejects_a_hidden_width_below_one(dataset, raw_ckpt, diff_c
     assert not out.exists()
 
 
+# a value unlike either fit's default for every TrainConfig field
+FIT_VALUES = {"lr": 0.002, "batch_utts": 3, "patience": 7, "clip_threshold": 2.5,
+              "max_epochs": 1, "seed": 9, "precision": "f64",
+              "track_train_accuracy": True, "freeze_streams": True}
+
+
+def test_every_fit_setting_has_a_flag_that_reaches_the_history(
+        dataset, raw_ckpt, diff_ckpt, tmp_path, monkeypatch):
+    assert sorted(FIT_VALUES) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+    for name, value in FIT_VALUES.items():
+        for fit in (TrainConfig.for_stream(), TrainConfig.for_fusion()):
+            assert getattr(fit, name) != value, name
+    # the config the library records, before the CLI adds its own settings
+    recorded = {}
+    for stage in ("stream", "fusion"):
+        fit = getattr(vsr.cli, f"train_{stage}")
+
+        def recording(*args, fit=fit, stage=stage, **kwargs):
+            model, history = fit(*args, **kwargs)
+            recorded[stage] = dict(history.config)
+            return model, history
+        monkeypatch.setattr(vsr.cli, f"train_{stage}", recording)
+
+    inputs = {"stream": ARCH_ARGS, "fusion": ["--raw", str(raw_ckpt),
+                                              "--diff", str(diff_ckpt)]}
+    covered = set()
+    for stage, extra in inputs.items():
+        flags = build_parser().parse_args([f"train-{stage}"]).flags
+        given = {k: v for k, v in FIT_VALUES.items() if k in flags}
+        argv = [f"train-{stage}", "--data", str(dataset), *PROTO_ARGS, *extra,
+                "--out", str(tmp_path / f"{stage}.ckpt")]
+        for name, value in given.items():
+            flag = flags[name].option_strings[0]
+            argv += [flag] if value is True else [flag, str(value)]
+        assert main(argv) == 0
+        saved = json.loads((tmp_path / f"{stage}.ckpt.history.json").read_text())
+        for name, value in given.items():
+            assert recorded[stage][name] == value, (stage, name)
+            assert saved["config"][name] == value, (stage, name)
+        covered |= set(given)
+    assert covered == set(FIT_VALUES)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -510,6 +556,22 @@ def test_repeat_rejects_zero_runs(dataset, capsys):
     rc = main(["repeat", "--runs", "0", "--data", str(dataset), *PROTO_ARGS])
     assert rc == 2
     assert "--runs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, flag, value", [
+    ("history", ["--history", "h.json"], "h.json"),
+    ("track_train_accuracy", ["--track-train-accuracy"], True),
+])
+def test_repeat_takes_no_history_settings(dataset, tmp_path, capsys, key, flag, value):
+    """repeat writes only its aggregate, so what a history records is refused."""
+    with pytest.raises(SystemExit) as exc:
+        main(["repeat", "--data", str(dataset), *PROTO_ARGS, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    cfg = tmp_path / "repeat.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["repeat", "--config", str(cfg), "--data", str(dataset), *PROTO_ARGS]) == 2
+    assert f"unknown keys: ['{key}']" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ def toy_samples(n, classes=3, kind="raw", t_range=(3, 7), dim=6, seed=0,
 def test_config_stage_defaults():
     s = TrainConfig.for_stream()
     f = TrainConfig.for_fusion()
-    assert (s.lr, s.stage) == (0.0003, "stream")
-    assert (f.lr, f.stage) == (0.0001, "fusion")
+    assert s.lr == 0.0003
+    assert f.lr == 0.0001
     for cfg in (s, f):
         assert cfg.batch_utts == 10
         assert cfg.patience == 5
@@ -64,11 +64,9 @@ def test_config_stage_defaults():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(lr=0.1, stage="warmup")
+        TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
-        TrainConfig(lr=-0.1, stage="stream")
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.1, stage="stream", precision="f16")
+        TrainConfig(lr=0.1, precision="f16")
     assert TrainConfig.for_stream(precision="f64").dtype == np.float64
 
 
@@ -353,10 +351,8 @@ def test_train_stream_deterministic():
            [e["train_loss"] for e in hist_b.epochs]
 
 
-def test_train_stream_rejects_wrong_stage_and_empty_sets():
+def test_train_stream_rejects_empty_sets():
     model = tiny_model()
-    with pytest.raises(ValueError):
-        train_stream(model, toy_samples(4), toy_samples(2), TrainConfig.for_fusion())
     cfg = TrainConfig.for_stream(max_epochs=1)
     with pytest.raises(ValueError):
         train_stream(model, [], toy_samples(2), cfg)
