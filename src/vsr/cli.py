@@ -6,6 +6,8 @@ explicit flags, and the resolved mapping is echoed into each artifact it
 writes, so an artifact names the exact run that produced it. Each setting
 is declared once, as a flag in build_parser that carries its default; the
 training, pretraining and architecture defaults come from the library.
+repeat has only --runs and --out: it reruns a train command, whose flags
+that command's own parser reads.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ def _canon(obj) -> str:
 
 
 def _parse_sizes(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(",") if v != "")
+    try:
+        return tuple(int(v) for v in value.split(",") if v != "")
+    except ValueError:
+        raise ValueError(f"--encoder-sizes must be comma-separated integers, "
+                         f"not {value!r}") from None
 
 
 # the JSON types a config value may take, by the type its flag parses
@@ -112,16 +118,6 @@ def _csv(value: str | None) -> list[str] | None:
     return [v for v in value.split(",") if v]
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
-                       patience=int(cfg["patience"]),
-                       clip_threshold=float(cfg["clip_threshold"]),
-                       max_epochs=int(cfg["max_epochs"]), seed=int(cfg["seed"]),
-                       precision=cfg["precision"],
-                       track_train_accuracy=bool(cfg.get("track_train_accuracy", False)),
-                       freeze_streams=bool(cfg.get("freeze_streams", False)))
-
-
 def _write(path, text: str) -> None:
     write_atomic(path, text + "\n")
 
@@ -150,12 +146,12 @@ def cmd_synth(cfg: dict) -> int:
 
 def cmd_pretrain(cfg: dict) -> int:
     _require(cfg, ["data", "protocol", "out"], "pretrain")
+    sizes = _parse_sizes(cfg["encoder_sizes"])
     manifest = load_manifest(cfg["data"])
     rng = Rng(int(cfg["seed"]))
     split = _split_for(manifest, cfg, rng, need_val=False)
     utts = load_utterances(cfg["data"], manifest, split.train)
     frames = np.concatenate([stream_features(u.frames, cfg["stream"]) for u in utts])
-    sizes = _parse_sizes(cfg["encoder_sizes"])
     pcfg = PretrainConfig(epochs=int(cfg["epochs"]), batch=int(cfg["batch"]),
                           lr=float(cfg["lr"]), l2=float(cfg["l2"]),
                           seed=int(cfg["seed"]))
@@ -184,7 +180,13 @@ def _run_training(cfg: dict, stage: str):
         for name, m, kind in (("--raw", raw, "raw"), ("--diff", diff, "diff")):
             if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
                 raise ValueError(f"{name} checkpoint is not a trained {kind} stream")
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
+                       patience=int(cfg["patience"]),
+                       clip_threshold=float(cfg["clip_threshold"]),
+                       max_epochs=int(cfg["max_epochs"]), seed=int(cfg["seed"]),
+                       precision=cfg["precision"],
+                       track_train_accuracy=bool(cfg["track_train_accuracy"]),
+                       freeze_streams=stage == "fusion" and bool(cfg["freeze_streams"]))
     kinds = ("raw", "diff") if stage == "fusion" else (cfg["stream"],)
     train_utts, val_utts = (load_utterances(cfg["data"], manifest, paths)
                             for paths in (split.train, split.val))
@@ -199,6 +201,10 @@ def _run_training(cfg: dict, stage: str):
         stack = load_checkpoint(cfg["encoder"])
         if not isinstance(stack, EncoderStack):
             raise ValueError(f"{cfg['encoder']} is not an encoder checkpoint")
+        pretrained_on = stack.meta.get("stream", cfg["stream"])
+        if pretrained_on != cfg["stream"]:
+            raise ValueError(f"--encoder checkpoint was pretrained on the {pretrained_on} "
+                             f"stream, not the {cfg['stream']} stream that --stream names")
         encoder_init = stack.layers
     model = build_stream(input_dim=manifest.frame_dim,
                          classes=len(manifest.classes), hidden=int(cfg["hidden"]),
@@ -210,10 +216,13 @@ def _run_training(cfg: dict, stage: str):
     return model, history, split, manifest, val_utts
 
 
+# the settings a training run cannot start without, by stage
+_TRAIN_INPUTS = {"stream": ["data", "protocol"], "fusion": ["data", "protocol", "raw", "diff"]}
+
+
 def cmd_train(cfg: dict, stage: str) -> int:
     """train-stream or train-fusion, as stage says."""
-    inputs = ["raw", "diff"] if stage == "fusion" else []
-    _require(cfg, ["data", "protocol", *inputs, "out"], f"train-{stage}")
+    _require(cfg, [*_TRAIN_INPUTS[stage], "out"], f"train-{stage}")
     model, history, split, manifest, val_utts = _run_training(cfg, stage)
     history.config.update(cfg)
     save_checkpoint(cfg["out"], model,
@@ -252,18 +261,32 @@ def cmd_evaluate(cfg: dict) -> int:
     return 0
 
 
-def cmd_repeat(cfg: dict) -> int:
-    _require(cfg, ["data", "protocol"], "repeat")
+# what a train command writes or records beside its model; repeat keeps none of it
+_NOT_UNDER_REPEAT = ("out", "history", "track_train_accuracy")
+
+
+def cmd_repeat(cfg: dict, train: list[str]) -> int:
+    """Run the train command in train (its name, then its flags) over
+    consecutive seeds and aggregate the test-split accuracies."""
     runs = int(cfg["runs"])
     if runs < 1:
         raise ValueError(f"--runs must be >= 1, got {runs}")
-    base = int(cfg["seed"])
+    command = train[0] if train else ""
+    if command not in ("train-stream", "train-fusion"):
+        raise ValueError("repeat needs a train command: train-stream or train-fusion, "
+                         "then its flags")
+    stage = command.removeprefix("train-")
+    train_cfg = resolve_config(build_parser().parse_args(train))
+    for key in _NOT_UNDER_REPEAT:
+        if train_cfg[key] is not None:
+            raise ValueError(f"repeat {command} takes no --{key.replace('_', '-')}: "
+                             f"repeat writes no checkpoint and no history")
+    _require(train_cfg, _TRAIN_INPUTS[stage], f"repeat {command}")
+    base = int(train_cfg["seed"])
     results, failures = [], []
     for i in range(runs):
-        run_cfg = dict(cfg)
-        run_cfg["seed"] = base + i
         try:
-            acc = _repeat_one(run_cfg)
+            acc = _repeat_one(dict(train_cfg, seed=base + i), stage)
             results.append((base + i, acc))
         except (ValueError, TrainingDiverged, OSError) as exc:
             failures.append({"seed": base + i, "error": str(exc)})
@@ -276,23 +299,17 @@ def cmd_repeat(cfg: dict) -> int:
         print(f"warning: aggregate covers {len(results)} of {runs} runs",
               file=sys.stderr)
     if cfg["out"]:
-        payload = {"config": cfg, "aggregate": agg.to_dict(), "failures": failures}
+        echo = {k: v for k, v in train_cfg.items() if k not in _NOT_UNDER_REPEAT}
+        payload = {"config": {**echo, "command": command, "runs": runs},
+                   "aggregate": agg.to_dict(), "failures": failures}
         _write(cfg["out"], json.dumps(payload, indent=2, sort_keys=True))
     print(render_report(agg, "text"))
     return 0
 
 
-def _repeat_one(cfg: dict) -> float:
-    """One pipeline run; returns test-split utterance accuracy."""
-    if cfg["pipeline"] == "stream":
-        model, _, split, manifest, _ = _run_training(cfg, "stream")
-    elif cfg["pipeline"] == "fusion":
-        fcfg = dict(cfg)
-        fcfg["lr"] = cfg["fusion_lr"]
-        _require(fcfg, ["raw", "diff"], "repeat --pipeline fusion")
-        model, _, split, manifest, _ = _run_training(fcfg, "fusion")
-    else:
-        raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")
+def _repeat_one(cfg: dict, stage: str) -> float:
+    """One training run; returns test-split utterance accuracy."""
+    model, _, split, manifest, _ = _run_training(cfg, stage)
     test_utts = load_utterances(cfg["data"], manifest, split.test)
     report = evaluate(model, test_utts, len(manifest.classes), split="test")
     return report.accuracy
@@ -319,7 +336,6 @@ def cmd_gradcheck(cfg: dict) -> int:
 # parser: each setting is one flag that carries its default
 # ---------------------------------------------------------------------------
 
-_STREAM_FIT, _FUSION_FIT = TrainConfig.for_stream(), TrainConfig.for_fusion()
 _PRETRAIN = PretrainConfig()
 
 
@@ -350,17 +366,18 @@ def _add_data(p: argparse.ArgumentParser) -> None:
     _flag(p, "--test-subjects")
 
 
-def _add_fit(p: argparse.ArgumentParser, fit: TrainConfig) -> None:
-    """The settings of a fit, with fit's values as their defaults.
-
-    The history flags are train-stream's and train-fusion's: repeat keeps no history.
-    """
+def _add_train(p: argparse.ArgumentParser, fit: TrainConfig) -> None:
+    """The settings train-stream and train-fusion share, with fit's values as defaults."""
+    _add_data(p)
     _flag(p, "--lr", fit.lr, type=float)
     _flag(p, "--batch-utts", fit.batch_utts, type=int)
     _flag(p, "--patience", fit.patience, type=int)
     _flag(p, "--clip-threshold", fit.clip_threshold, type=float)
     _flag(p, "--max-epochs", fit.max_epochs, type=int)
     _flag(p, "--precision", fit.precision, choices=("f32", "f64"))
+    _flag(p, "--track-train-accuracy", action=BoolFlag)
+    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
+    _flag(p, "--out", help="model checkpoint path")
 
 
 def _add_encoder(p: argparse.ArgumentParser) -> None:
@@ -368,21 +385,6 @@ def _add_encoder(p: argparse.ArgumentParser) -> None:
     _flag(p, "--encoder-sizes", ",".join(map(str, DEFAULT_ENCODER_SIZES)),
           help="comma-separated widths, e.g. 2000,1000,500")
     _flag(p, "--bottleneck", DEFAULT_BOTTLENECK, type=int)
-
-
-def _add_stream(p: argparse.ArgumentParser) -> None:
-    """train-stream's model settings, shared with repeat."""
-    _add_encoder(p)
-    _flag(p, "--encoder", help="pretrained encoder checkpoint")
-    _flag(p, "--hidden", DEFAULT_HIDDEN, type=int)
-    _flag(p, "--theta", DeltaWindow.theta, type=int)
-
-
-def _add_fusion(p: argparse.ArgumentParser) -> None:
-    """train-fusion's inputs, shared with repeat."""
-    _flag(p, "--raw", help="trained raw-stream checkpoint")
-    _flag(p, "--diff", help="trained diff-stream checkpoint")
-    _flag(p, "--freeze-streams", action=BoolFlag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,22 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "train-stream", functools.partial(cmd_train, stage="stream"),
                  "train one stream end to end")
-    _add_data(p)
-    _add_fit(p, _STREAM_FIT)
-    _flag(p, "--track-train-accuracy", action=BoolFlag)
-    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
-    _add_stream(p)
-    _flag(p, "--out", help="model checkpoint path")
+    _add_train(p, TrainConfig.for_stream())
+    _add_encoder(p)
+    _flag(p, "--encoder", help="pretrained encoder checkpoint")
+    _flag(p, "--hidden", DEFAULT_HIDDEN, type=int)
+    _flag(p, "--theta", DeltaWindow.theta, type=int)
 
     p = _command(sub, "train-fusion", functools.partial(cmd_train, stage="fusion"),
                  "fuse two trained streams and fine-tune")
-    _add_data(p)
-    _add_fit(p, _FUSION_FIT)
-    _flag(p, "--track-train-accuracy", action=BoolFlag)
-    _flag(p, "--history", help="history JSON path (default <out>.history.json)")
-    _add_fusion(p)
+    _add_train(p, TrainConfig.for_fusion())
+    _flag(p, "--raw", help="trained raw-stream checkpoint")
+    _flag(p, "--diff", help="trained diff-stream checkpoint")
+    _flag(p, "--freeze-streams", action=BoolFlag)
     _flag(p, "--hidden", type=int, help="fusion BLSTM width (default: the raw stream's)")
-    _flag(p, "--out", help="model checkpoint path")
 
     p = _command(sub, "evaluate", cmd_evaluate, "score a checkpoint on a split")
     _add_data(p)
@@ -437,15 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--confusion", action=BoolFlag)
     _flag(p, "--out", help="write the report here as well as printing it")
 
-    p = _command(sub, "repeat", cmd_repeat, "repeat a pipeline over consecutive seeds")
-    _add_data(p)
-    _add_fit(p, _STREAM_FIT)
-    _add_stream(p)
-    _add_fusion(p)
-    _flag(p, "--pipeline", "stream", choices=("stream", "fusion"))
+    # repeat's settings are its own two; the run's are the train command's
+    p = sub.add_parser("repeat", help="repeat a train command over consecutive seeds")
+    p.set_defaults(func=cmd_repeat, defaults={}, flags={}, config=None)
     _flag(p, "--runs", 10, type=int)
-    _flag(p, "--fusion-lr", _FUSION_FIT.lr, type=float)
     _flag(p, "--out", help="aggregate JSON path")
+    p.add_argument("train", nargs=argparse.REMAINDER,
+                   metavar="train-stream|train-fusion ...",
+                   help="the train command and its flags; the first run uses its "
+                        "--seed, each next run one more")
 
     p = _command(sub, "gradcheck", cmd_gradcheck, "finite-difference gradient verification")
     _flag(p, "--checks", help=f"comma-separated subset of {list(gc.CHECKS)}")
@@ -458,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(resolve_config(args))
+        cfg = resolve_config(args)
+        return args.func(cfg, args.train) if args.command == "repeat" else args.func(cfg)
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

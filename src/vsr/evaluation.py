@@ -67,19 +67,21 @@ def model_logits(model, chunk: list[dict[str, np.ndarray]]) -> list[np.ndarray]:
     return np.split(logits, np.cumsum(lengths)[:-1])
 
 
-def predict_labels(model, utterances: list[dict[str, np.ndarray]]) -> list[int]:
-    """Majority-vote label of each preprocessed utterance.
+def predict_labels(model, items: list, features=lambda item: item) -> list[int]:
+    """Majority-vote label of each item, as preprocessed by features.
 
-    Utterances are scored SCORE_CHUNK at a time in the order given. Callers
-    sort by length, so a chunk holds utterances of similar length (its
-    recurrence runs as many steps as its longest has frames), and the
-    chunks, which decide how BLAS rounds each logit, do not depend on the
-    order of the split.
+    Items are preprocessed and scored SCORE_CHUNK at a time in the order
+    given, so only one chunk's features are held at once. Callers sort by
+    length, so a chunk holds utterances of similar length (its recurrence
+    runs as many steps as its longest has frames), and the chunks, which
+    decide how BLAS rounds each logit, do not depend on the order of the
+    split.
     """
     labels = []
-    for start in range(0, len(utterances), SCORE_CHUNK):
-        chunk = utterances[start:start + SCORE_CHUNK]
+    for start in range(0, len(items), SCORE_CHUNK):
+        chunk = [features(item) for item in items[start:start + SCORE_CHUNK]]
         labels += [predict_label(logits) for logits in model_logits(model, chunk)]
+        del chunk  # gone before the next chunk's features are made
     return labels
 
 
@@ -101,14 +103,12 @@ def evaluate(model, utts: list[LoadedUtterance], n_classes: int,
     subj_total: dict[str, int] = {}
     subj_correct: dict[str, int] = {}
     ordered = sorted(utts, key=lambda u: (u.frames.shape[0], u.path))
-    for start in range(0, len(ordered), SCORE_CHUNK):
-        chunk = ordered[start:start + SCORE_CHUNK]
-        preds = predict_labels(model, [{k: stream_features(u.frames, k, dtype) for k in kinds}
-                                       for u in chunk])
-        for u, pred in zip(chunk, preds):
-            confusion[u.label, pred] += 1
-            subj_total[u.subject] = subj_total.get(u.subject, 0) + 1
-            subj_correct[u.subject] = subj_correct.get(u.subject, 0) + int(pred == u.label)
+    preds = predict_labels(model, ordered, lambda u: {k: stream_features(u.frames, k, dtype)
+                                                      for k in kinds})
+    for u, pred in zip(ordered, preds):
+        confusion[u.label, pred] += 1
+        subj_total[u.subject] = subj_total.get(u.subject, 0) + 1
+        subj_correct[u.subject] = subj_correct.get(u.subject, 0) + int(pred == u.label)
     accuracy = float(np.trace(confusion)) / len(utts)
     per_subject = {s: {"n_utterances": subj_total[s],
                        "accuracy": subj_correct[s] / subj_total[s]}

@@ -176,10 +176,10 @@ def _jitter_biases(model, rng: Rng) -> None:
             p += 0.3 * _randn(rng, *p.shape)
 
 
-def _tiny_stream(rng: Rng, input_dim: int, classes: int):
+def _tiny_stream(rng: Rng, input_dim: int, classes: int, kind: str):
     from .model import build_stream
     model = build_stream(input_dim=input_dim, classes=classes, hidden=3, rng=rng,
-                         stream_kind="raw", encoder_sizes=(6, 5), bottleneck=3,
+                         stream_kind=kind, encoder_sizes=(6, 5), bottleneck=3,
                          dtype=np.float64)
     _jitter_biases(model, rng)
     return model
@@ -190,11 +190,10 @@ def _model_error(rng: Rng, lengths: tuple[int, ...], fusion: bool) -> float:
     from .model import (build_fusion, fusion_backward_batch, fusion_forward_batch,
                         named_params, stream_backward_batch, stream_forward_batch)
     input_dim, classes = 4, 3
-    model = _tiny_stream(rng, input_dim, classes)
+    model = _tiny_stream(rng, input_dim, classes, "raw")
     forward, backward = stream_forward_batch, stream_backward_batch
     if fusion:
-        diff = _tiny_stream(rng, input_dim, classes)
-        diff.net.stream_kind = "diff"
+        diff = _tiny_stream(rng, input_dim, classes, "diff")
         model = build_fusion(model, diff, hidden=2, rng=rng, dtype=np.float64)
         _jitter_biases(model, rng)
         forward, backward = fusion_forward_batch, fusion_backward_batch

@@ -180,7 +180,7 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, doc, named):
 
 COMMAND_DEFAULTS = {command: build_parser().parse_args([command]).defaults
                     for command in ("synth", "pretrain", "train-stream", "train-fusion",
-                                    "evaluate", "repeat", "gradcheck")}
+                                    "evaluate", "gradcheck")}
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
@@ -315,6 +315,37 @@ def test_train_stream_rejects_a_model_as_encoder(dataset, raw_ckpt, tmp_path, ca
                str(tmp_path / "m.ckpt")])
     assert rc == 2
     assert "not an encoder checkpoint" in capsys.readouterr().err
+
+
+def test_train_stream_rejects_an_encoder_of_the_other_stream(dataset, tmp_path, capsys):
+    enc = tmp_path / "enc.ckpt"
+    assert main(["pretrain", "--data", str(dataset), *PROTO_ARGS, "--stream", "diff",
+                 "--encoder-sizes", "16,8", "--bottleneck", "4",
+                 "--epochs", "1", "--out", str(enc)]) == 0
+    out = tmp_path / "m.ckpt"
+    rc = main(["train-stream", "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS,
+               *FIT_ARGS, "--stream", "raw", "--encoder", str(enc), "--out", str(out)])
+    assert rc == 2
+    assert ("--encoder checkpoint was pretrained on the diff stream, not the raw stream"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train-stream"])
+@pytest.mark.parametrize("in_file", [False, True], ids=["flag", "config"])
+def test_malformed_encoder_sizes_names_the_setting(dataset, tmp_path, capsys, command,
+                                                   in_file):
+    argv = [command, "--data", str(dataset), *PROTO_ARGS, "--out", str(tmp_path / "m.ckpt")]
+    if in_file:
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"encoder_sizes": "16,abc"}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--encoder-sizes", "16,abc"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--encoder-sizes must be comma-separated integers, not '16,abc'" in err
+    assert "Traceback" not in err
 
 
 def test_train_stream_missing_flags(capsys):
@@ -524,11 +555,16 @@ def test_evaluate_malformed_manifest_value_exits_2(dataset, raw_ckpt, tmp_path, 
 # repeat
 # ---------------------------------------------------------------------------
 
-def test_repeat_aggregates_and_matches_single_runs(dataset, tmp_path, capsys):
+@pytest.mark.parametrize("stage", ["stream", "fusion"])
+def test_repeat_aggregates_and_matches_single_runs(dataset, raw_ckpt, diff_ckpt, tmp_path,
+                                                   capsys, stage):
+    model = {"stream": ARCH_ARGS, "fusion": ["--raw", str(raw_ckpt), "--diff", str(diff_ckpt)]}
+    # at seed 23 a fusion BLSTM of the stream default width (250) scores
+    # otherwise than one of the raw stream's width (4), so the match below
+    # also checks which width repeat gives it
+    flags = ["--data", str(dataset), *PROTO_ARGS, *model[stage], *FIT_ARGS, "--seed", "23"]
     agg_path = tmp_path / "agg.json"
-    rc = main(["repeat", "--pipeline", "stream", "--runs", "2", "--seed", "21",
-               "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS, *FIT_ARGS,
-               "--out", str(agg_path)])
+    rc = main(["repeat", "--runs", "2", "--out", str(agg_path), f"train-{stage}", *flags])
     assert rc == 0
     out = capsys.readouterr().out
     assert "runs: 2" in out
@@ -536,15 +572,18 @@ def test_repeat_aggregates_and_matches_single_runs(dataset, tmp_path, capsys):
 
     payload = json.loads(agg_path.read_text())
     agg = payload["aggregate"]
-    assert agg["seeds"] == [21, 22]
+    assert agg["seeds"] == [23, 24]
     assert len(agg["accuracies"]) == 2
     assert payload["failures"] == []
+    config = payload["config"]
+    assert (config["command"], config["runs"], config["seed"]) == (f"train-{stage}", 2, 23)
+    assert not {"out", "history", "track_train_accuracy"} & set(config)
 
-    # The first repeat run must reproduce a plain train-stream + evaluate
-    # with the same seed, down to the exact accuracy.
+    # The first repeat run must reproduce a plain train command + evaluate
+    # with the same flags, down to the exact accuracy; for fusion that takes
+    # the fusion BLSTM's width from the raw stream, as train-fusion does.
     ckpt = tmp_path / "single.ckpt"
-    assert main(["train-stream", "--data", str(dataset), *PROTO_ARGS,
-                 *ARCH_ARGS, *FIT_ARGS, "--seed", "21", "--out", str(ckpt)]) == 0
+    assert main([f"train-{stage}", *flags, "--out", str(ckpt)]) == 0
     capsys.readouterr()
     assert main(["evaluate", "--model", str(ckpt), "--data", str(dataset),
                  *PROTO_ARGS, "--split", "test", "--format", "json"]) == 0
@@ -553,25 +592,44 @@ def test_repeat_aggregates_and_matches_single_runs(dataset, tmp_path, capsys):
 
 
 def test_repeat_rejects_zero_runs(dataset, capsys):
-    rc = main(["repeat", "--runs", "0", "--data", str(dataset), *PROTO_ARGS])
+    rc = main(["repeat", "--runs", "0", "train-stream", "--data", str(dataset), *PROTO_ARGS])
     assert rc == 2
     assert "--runs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train", [[], ["evaluate"]])
+def test_repeat_needs_a_train_command(capsys, train):
+    assert main(["repeat", *train]) == 2
+    assert "repeat needs a train command" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, flag, value", [
+    ("out", ["--out", "m.ckpt"], "m.ckpt"),
     ("history", ["--history", "h.json"], "h.json"),
     ("track_train_accuracy", ["--track-train-accuracy"], True),
+    ("track_train_accuracy", ["--no-track-train-accuracy"], False),
 ])
-def test_repeat_takes_no_history_settings(dataset, tmp_path, capsys, key, flag, value):
-    """repeat writes only its aggregate, so what a history records is refused."""
-    with pytest.raises(SystemExit) as exc:
-        main(["repeat", "--data", str(dataset), *PROTO_ARGS, *flag])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-    cfg = tmp_path / "repeat.json"
+def test_repeat_takes_no_output_settings(dataset, tmp_path, capsys, key, flag, value):
+    """repeat writes only its aggregate, so the train command's outputs are refused."""
+    named = f"repeat train-stream takes no --{key.replace('_', '-')}"
+    train = ["train-stream", "--data", str(dataset), *PROTO_ARGS]
+    assert main(["repeat", *train, *flag]) == 2
+    assert named in capsys.readouterr().err
+    cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps({key: value}))
-    assert main(["repeat", "--config", str(cfg), "--data", str(dataset), *PROTO_ARGS]) == 2
-    assert f"unknown keys: ['{key}']" in capsys.readouterr().err
+    assert main(["repeat", *train, "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("train", [["train-stream", "--raw", "x.ckpt"],
+                                   ["train-fusion", "--encoder", "x.ckpt"],
+                                   ["train-fusion", "--pipeline", "fusion"]])
+def test_repeat_refuses_flags_the_train_command_lacks(dataset, capsys, train):
+    with pytest.raises(SystemExit) as exc:
+        main(["repeat", train[0], "--data", str(dataset), *PROTO_ARGS, *train[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(train[1:])}" in err
 
 
 # ---------------------------------------------------------------------------

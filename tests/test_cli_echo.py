@@ -10,7 +10,8 @@ from vsr.cli import build_parser, main
 
 # every setting of every command with no flag and no config file given,
 # recorded before the defaults moved onto the flags (repeat has since lost
-# --history and --track-train-accuracy, which it never used)
+# every setting but --runs and --out: it takes the train command it repeats,
+# with that command's own flags)
 DEFAULTS = {
     "synth": {"classes": 4, "subjects": 6, "reps": 5, "frames": 20, "height": 26,
               "width": 44, "seed": 7, "roi": None, "out": None},
@@ -36,13 +37,7 @@ DEFAULTS = {
                  "format": "text", "out": None, "per_subject": None, "confusion": None,
                  "seed": 0, "train_subjects": None, "val_subjects": None,
                  "test_subjects": None},
-    "repeat": {"data": None, "protocol": None, "batch_utts": 10, "patience": 5,
-               "clip_threshold": 5.0, "max_epochs": 200, "seed": 0, "precision": "f32",
-               "out": None, "train_subjects": None, "val_subjects": None,
-               "test_subjects": None, "stream": "raw", "encoder": None, "hidden": 250,
-               "lr": 0.0003, "encoder_sizes": "2000,1000,500", "bottleneck": 50,
-               "theta": 2, "pipeline": "stream", "runs": 10, "raw": None, "diff": None,
-               "fusion_lr": 0.0001, "freeze_streams": None},
+    "repeat": {"runs": 10, "out": None},
     "gradcheck": {"checks": None, "instances": 3, "seed": 0, "tol": 1e-05, "list": None},
 }
 
@@ -64,7 +59,9 @@ def test_each_command_resolves_its_pinned_defaults(command):
 # defaults moved onto the flags, the three training histories and the two
 # repeat aggregates again when their echoed configs lost the settings that
 # changed nothing (TrainConfig's stage and Adam constants, repeat's
-# --history and --track-train-accuracy)
+# --history and --track-train-accuracy), and the two repeat aggregates once
+# more when repeat came to wrap a train command and echo only its settings
+# (the aggregate blocks themselves did not change)
 PIPELINE = {
     "diff.ckpt": "3f5edaf2bfd378449a5242e777167be7b4554dbbf346cf6aad05038a7a980101",
     "diff.ckpt.history.json": "392cfb74620c1b04ae555cf61e432f1aac8f3ccb1e24c13188106d213fbec380",
@@ -78,8 +75,8 @@ PIPELINE = {
     "raw.ckpt": "58fdf8c3589d8a3906eb923e8448839e93a817fdf9c3126211ce3646ebe01a6e",
     "raw.ckpt.history.json": "21c63b693fce980182c91ba14ca816e5b8dd161ba78b9b141741180c941f64eb",
     "raw.ckpt.val.json": "65118c9ea88b7ed4e22fd71807c78cd72696f2b3a8fb22f12d3c4fe88cb360e9",
-    "repeat.json": "a0571a9e3fc2ba23f84c8991fd2535f27981abd9dd9a6bf1c11a5289e364de43",
-    "repeat_fusion.json": "34d6e0438d8f490946043d9a72cdaeeb58288d783c42e9d6e8c5c170c99dfd95",
+    "repeat.json": "f2fa35305ac5bd4f4244b9f71d4647a75b39b0d7b188dca8e6f6a8a43f825dd4",
+    "repeat_fusion.json": "dfd40c06b214b5eb10d597f2785c2d02f15caf2e8e70d430798634209449eb14",
     "stdout": "8b36a5d7eeccf019aabb6939d49d5aa44eb91ff35e33783959a78c27853f4fac",
 }
 
@@ -101,9 +98,9 @@ def _pipeline_digests(root, capsys) -> dict[str, str]:
          "--freeze-streams", "--out", "fused.ckpt"],
         ["evaluate", *DATA, "--model", "fused.ckpt", "--format", "json",
          "--out", "eval.json"],
-        ["repeat", *DATA, *ARCH, *FIT, "--runs", "2", "--out", "repeat.json"],
-        ["repeat", *DATA, "--pipeline", "fusion", "--raw", "raw.ckpt", "--diff", "diff.ckpt",
-         "--hidden", "4", "--max-epochs", "1", "--runs", "1", "--out", "repeat_fusion.json"],
+        ["repeat", "--runs", "2", "--out", "repeat.json", "train-stream", *DATA, *ARCH, *FIT],
+        ["repeat", "--runs", "1", "--out", "repeat_fusion.json", "train-fusion", *DATA,
+         "--raw", "raw.ckpt", "--diff", "diff.ckpt", "--hidden", "4", "--max-epochs", "1"],
     ]
     for argv in runs:
         assert main(argv) == 0, argv
