@@ -170,16 +170,37 @@ def cmd_pretrain(cfg: dict) -> int:
     return 0
 
 
-def _run_training(cfg: dict, stage: str):
-    """Shared by train-stream, train-fusion and repeat so reruns match run for run."""
+def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
+    """The manifest and the checked model inputs, which no seed changes: a
+    fusion's --raw and --diff streams, or a stream's encoder widths and
+    --encoder weights. repeat reads them once, before its first run.
+    """
     manifest = load_manifest(cfg["data"])
+    if stage == "fusion":
+        streams = {kind: load_checkpoint(cfg[kind]) for kind in ("raw", "diff")}
+        for kind, m in streams.items():
+            if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
+                raise ValueError(f"--{kind} checkpoint is not a trained {kind} stream")
+        return manifest, streams
+    encoder = {"encoder_sizes": _parse_sizes(cfg["encoder_sizes"]), "encoder_init": None}
+    if cfg["encoder"]:
+        stack = load_checkpoint(cfg["encoder"])
+        if not isinstance(stack, EncoderStack):
+            raise ValueError(f"{cfg['encoder']} is not an encoder checkpoint")
+        pretrained_on = stack.meta.get("stream", cfg["stream"])
+        if pretrained_on != cfg["stream"]:
+            raise ValueError(f"--encoder checkpoint was pretrained on the {pretrained_on} "
+                             f"stream, not the {cfg['stream']} stream that --stream names")
+        encoder["encoder_init"] = stack.layers
+    return manifest, encoder
+
+
+def _run_training(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]):
+    """Split, build and fit on _training_inputs' result. Shared by train-stream,
+    train-fusion and repeat so reruns match run for run."""
+    manifest, model_inputs = inputs
     rng = Rng(int(cfg["seed"]))
     split = _split_for(manifest, cfg, rng, need_val=True)
-    if stage == "fusion":
-        raw, diff = load_checkpoint(cfg["raw"]), load_checkpoint(cfg["diff"])
-        for name, m, kind in (("--raw", raw, "raw"), ("--diff", diff, "diff")):
-            if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
-                raise ValueError(f"{name} checkpoint is not a trained {kind} stream")
     tcfg = TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
                        patience=int(cfg["patience"]),
                        clip_threshold=float(cfg["clip_threshold"]),
@@ -193,23 +214,12 @@ def _run_training(cfg: dict, stage: str):
     train_samples = samples_from_utterances(train_utts, kinds, tcfg.dtype)
     val_samples = samples_from_utterances(val_utts, kinds, tcfg.dtype)
     if stage == "fusion":
-        model, history = train_fusion(raw, diff, train_samples, val_samples, tcfg,
-                                      hidden=cfg["hidden"])
+        model, history = train_fusion(model_inputs["raw"], model_inputs["diff"],
+                                      train_samples, val_samples, tcfg, hidden=cfg["hidden"])
         return model, history, split, manifest, val_utts
-    encoder_init = None
-    if cfg["encoder"]:
-        stack = load_checkpoint(cfg["encoder"])
-        if not isinstance(stack, EncoderStack):
-            raise ValueError(f"{cfg['encoder']} is not an encoder checkpoint")
-        pretrained_on = stack.meta.get("stream", cfg["stream"])
-        if pretrained_on != cfg["stream"]:
-            raise ValueError(f"--encoder checkpoint was pretrained on the {pretrained_on} "
-                             f"stream, not the {cfg['stream']} stream that --stream names")
-        encoder_init = stack.layers
     model = build_stream(input_dim=manifest.frame_dim,
                          classes=len(manifest.classes), hidden=int(cfg["hidden"]),
-                         rng=rng, stream_kind=cfg["stream"], encoder_init=encoder_init,
-                         encoder_sizes=_parse_sizes(cfg["encoder_sizes"]),
+                         rng=rng, stream_kind=cfg["stream"], **model_inputs,
                          bottleneck=int(cfg["bottleneck"]), theta=int(cfg["theta"]),
                          dtype=tcfg.dtype)
     model, history = train_stream(model, train_samples, val_samples, tcfg)
@@ -223,7 +233,8 @@ _TRAIN_INPUTS = {"stream": ["data", "protocol"], "fusion": ["data", "protocol", 
 def cmd_train(cfg: dict, stage: str) -> int:
     """train-stream or train-fusion, as stage says."""
     _require(cfg, [*_TRAIN_INPUTS[stage], "out"], f"train-{stage}")
-    model, history, split, manifest, val_utts = _run_training(cfg, stage)
+    model, history, split, manifest, val_utts = _run_training(
+        cfg, stage, _training_inputs(cfg, stage))
     history.config.update(cfg)
     save_checkpoint(cfg["out"], model,
                     extra_meta={"config": _canon(cfg), "seed": str(cfg["seed"])})
@@ -282,11 +293,12 @@ def cmd_repeat(cfg: dict, train: list[str]) -> int:
             raise ValueError(f"repeat {command} takes no --{key.replace('_', '-')}: "
                              f"repeat writes no checkpoint and no history")
     _require(train_cfg, _TRAIN_INPUTS[stage], f"repeat {command}")
+    inputs = _training_inputs(train_cfg, stage)
     base = int(train_cfg["seed"])
     results, failures = [], []
     for i in range(runs):
         try:
-            acc = _repeat_one(dict(train_cfg, seed=base + i), stage)
+            acc = _repeat_one(dict(train_cfg, seed=base + i), stage, inputs)
             results.append((base + i, acc))
         except (ValueError, TrainingDiverged, OSError) as exc:
             failures.append({"seed": base + i, "error": str(exc)})
@@ -307,9 +319,9 @@ def cmd_repeat(cfg: dict, train: list[str]) -> int:
     return 0
 
 
-def _repeat_one(cfg: dict, stage: str) -> float:
+def _repeat_one(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]) -> float:
     """One training run; returns test-split utterance accuracy."""
-    model, _, split, manifest, _ = _run_training(cfg, stage)
+    model, _, split, manifest, _ = _run_training(cfg, stage, inputs)
     test_utts = load_utterances(cfg["data"], manifest, split.test)
     report = evaluate(model, test_utts, len(manifest.classes), split="test")
     return report.accuracy

@@ -359,10 +359,18 @@ def blstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> Bl
                  bwd=lstm_init(input_dim, hidden, rng, dtype))
 
 
-def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None):
-    """[N, D] -> [N, 2H]: forward-time and reverse-time states concatenated."""
+def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None, keep_cache: bool = True):
+    """[N, D] -> [N, 2H]: forward-time and reverse-time states concatenated.
+
+    Without keep_cache both directions' caches are None, each dropped as
+    soon as its direction has run.
+    """
     h_f, cache_f = lstm_forward(bl.fwd, seq, lengths=lengths)
+    if not keep_cache:
+        cache_f = None
     h_b, cache_b = lstm_forward(bl.bwd, seq, reverse=True, lengths=lengths)
+    if not keep_cache:
+        cache_b = None
     return np.concatenate([h_f, h_b], axis=-1), (cache_f, cache_b)
 
 

@@ -202,12 +202,13 @@ def clip_group(names) -> list[str]:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _encoder_forward(layers: list[FcLayer], frames: np.ndarray):
+def _encoder_forward(layers: list[FcLayer], x: np.ndarray, keep_cache: bool = True):
     caches = []
-    x = frames
     for layer in layers:
         x, cache = fc_forward(layer, x)
-        caches.append(cache)
+        if keep_cache:
+            caches.append(cache)
+        del cache  # without keep_cache, the last reference to the layer's input
     return x, caches
 
 
@@ -233,12 +234,14 @@ def _lengths(seqs: list[np.ndarray]) -> np.ndarray:
     return np.array([s.shape[0] for s in seqs], dtype=np.intp)
 
 
-def _net_forward(net: StreamNet, seqs: list[np.ndarray], lengths: np.ndarray):
+def _net_forward(net: StreamNet, seqs: list[np.ndarray], lengths: np.ndarray,
+                 keep_cache: bool = True):
     """Encoder, deltas and BLSTM over the concatenated frames; returns [sum(T), 2H]."""
-    enc_out, enc_caches = _encoder_forward(net.encoder, np.concatenate(seqs, axis=0))
+    enc_out, enc_caches = _encoder_forward(net.encoder, np.concatenate(seqs, axis=0),
+                                           keep_cache)
     feat = append_deltas(enc_out, net.delta, lengths)
-    out, bl_cache = blstm_forward(net.blstm, feat, lengths)
-    return out, (enc_caches, bl_cache)
+    out, bl_cache = blstm_forward(net.blstm, feat, lengths, keep_cache)
+    return out, (enc_caches, bl_cache) if keep_cache else None
 
 
 def _net_backward(net: StreamNet, cache, lengths: np.ndarray, d_out: np.ndarray,
@@ -250,13 +253,19 @@ def _net_backward(net: StreamNet, cache, lengths: np.ndarray, d_out: np.ndarray,
     _encoder_backward(net.encoder, enc_caches, d_enc, grads, prefix)
 
 
-def stream_forward_batch(model: SingleStreamModel, seqs: list[np.ndarray]):
-    """Logits for every frame of every sequence, stacked [sum(T), K]."""
+def stream_forward_batch(model: SingleStreamModel, seqs: list[np.ndarray],
+                         keep_cache: bool = True):
+    """Logits for every frame of every sequence, stacked [sum(T), K], and the cache.
+
+    Without keep_cache the cache is None: the same layers run in the same
+    order, but each layer's cache is dropped as soon as the layer has run,
+    so a pass that runs no backward holds a fraction of the memory.
+    """
     lengths = _lengths(seqs)
-    out, net_cache = _net_forward(model.net, seqs, lengths)
+    out, net_cache = _net_forward(model.net, seqs, lengths, keep_cache)
     logits, head_cache = fc_forward(model.head, out)
     require_finite(logits, "stream logits")
-    return logits, (lengths, net_cache, head_cache)
+    return logits, (lengths, net_cache, head_cache) if keep_cache else None
 
 
 def stream_backward_batch(model: SingleStreamModel, cache,
@@ -268,8 +277,10 @@ def stream_backward_batch(model: SingleStreamModel, cache,
     return grads
 
 
-def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]]):
-    """Logits for matched raw/diff sequence lists, stacked [sum(T), K]."""
+def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]],
+                         keep_cache: bool = True):
+    """Logits for matched raw/diff sequence lists, stacked [sum(T), K], and the
+    cache, None without keep_cache (as in stream_forward_batch)."""
     raw_seqs, diff_seqs = seqs["raw"], seqs["diff"]
     if len(raw_seqs) != len(diff_seqs):
         raise ValueError("raw and diff batches differ in sequence count")
@@ -277,13 +288,15 @@ def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]]):
         if r.shape[0] != d.shape[0]:
             raise ValueError(f"stream length mismatch: raw {r.shape[0]} vs diff {d.shape[0]}")
     lengths = _lengths(raw_seqs)
-    raw_out, raw_cache = _net_forward(model.raw, raw_seqs, lengths)
-    diff_out, diff_cache = _net_forward(model.diff, diff_seqs, lengths)
+    raw_out, raw_cache = _net_forward(model.raw, raw_seqs, lengths, keep_cache)
+    diff_out, diff_cache = _net_forward(model.diff, diff_seqs, lengths, keep_cache)
     fused = np.concatenate([raw_out, diff_out], axis=1)
-    fb_out, fb_cache = blstm_forward(model.fusion_blstm, fused, lengths)
+    del raw_out, diff_out
+    fb_out, fb_cache = blstm_forward(model.fusion_blstm, fused, lengths, keep_cache)
     logits, out_cache = fc_forward(model.out, fb_out)
     require_finite(logits, "fusion logits")
-    return logits, (lengths, raw_cache, diff_cache, fb_cache, out_cache)
+    cache = (lengths, raw_cache, diff_cache, fb_cache, out_cache)
+    return logits, cache if keep_cache else None
 
 
 def fusion_backward_batch(model: FusionModel, cache,

@@ -90,6 +90,7 @@ def save_history(path, history: TrainHistory) -> None:
 class SeqSample:
     streams: dict[str, np.ndarray]  # kind -> [T, D]
     label: int
+    path: str = ""  # the utterance's container; validation orders ties by it
 
 
 @dataclass
@@ -104,7 +105,7 @@ class Batch:
 def samples_from_utterances(utts: list[LoadedUtterance], kinds: tuple[str, ...],
                             dtype=np.float32) -> list[SeqSample]:
     return [SeqSample(streams={k: stream_features(u.frames, k, dtype) for k in kinds},
-                      label=u.label) for u in utts]
+                      label=u.label, path=u.path) for u in utts]
 
 
 def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Batch]:
@@ -177,9 +178,11 @@ def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> flo
 def _validation_accuracy(model, samples: list[SeqSample]) -> float:
     """Utterance accuracy by per-frame majority vote. Stubbed in some tests.
 
-    Scores through evaluation.predict_labels, shortest utterances first.
+    Scores through evaluation.predict_labels in evaluate's (length, path)
+    order, so both score a split in the same chunks.
     """
-    ordered = sorted(samples, key=lambda s: next(iter(s.streams.values())).shape[0])
+    ordered = sorted(samples, key=lambda s: (next(iter(s.streams.values())).shape[0],
+                                             s.path))
     preds = predict_labels(model, [s.streams for s in ordered])
     return sum(pred == s.label for pred, s in zip(preds, ordered)) / len(samples)
 
@@ -261,5 +264,5 @@ def _cast_samples(samples: list[SeqSample], dtype) -> list[SeqSample]:
             out.append(s)
         else:
             out.append(SeqSample(streams={k: a.astype(dtype) for k, a in s.streams.items()},
-                                 label=s.label))
+                                 label=s.label, path=s.path))
     return out

@@ -8,12 +8,15 @@ by row, so they must agree bit for bit, and no index of a sequence layer
 may read or write a frame of the sequence next to it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vsr.evaluation as evaluation
+import vsr.training as training
 from oracles import ref_delta, ref_lstm
 from vsr.data import LoadedUtterance
 from vsr.evaluation import evaluate, model_logits, predict_labels, render_report
@@ -167,6 +170,58 @@ def test_chunked_labels_match_one_utterance_at_a_time(monkeypatch):
     assert got == want
     logits = model_logits(model, streams[:2])
     assert [lg.shape for lg in logits] == [(5, 3), (1, 3)]
+
+
+def test_validation_and_evaluate_score_a_split_in_the_same_chunks(monkeypatch):
+    """Past one chunk, with tied lengths listed against path order, the fit's
+    validation pass and evaluate hand model_logits the same chunks, so the
+    .val.json report scores what the history's best epoch scored."""
+    model = tiny_stream(5)
+    n = evaluation.SCORE_CHUNK + 6
+    utts = fake_utts([4 + i % 2 for i in range(n)], 5)[::-1]
+    chunks = []
+    real = evaluation.model_logits
+
+    def recording(m, chunk):
+        chunks.append([s["raw"] for s in chunk])
+        return real(m, chunk)
+
+    monkeypatch.setattr(evaluation, "model_logits", recording)
+    evaluate(model, utts, 3)
+    by_evaluate = chunks[:]
+    chunks.clear()
+    training._validation_accuracy(model, training.samples_from_utterances(
+        utts, ("raw",), np.float64))
+    assert [len(c) for c in chunks] == [len(c) for c in by_evaluate] == [
+        evaluation.SCORE_CHUNK, 6]
+    for ours, theirs in zip(chunks, by_evaluate):
+        assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_holds_less_than_half_of_the_training_forward():
+    """model_logits keeps no backward cache: on the same fusion chunk it peaks
+    below half of what the cache-keeping forward holds."""
+    shape = dict(classes=3, hidden=16, encoder_sizes=(64, 32), bottleneck=8,
+                 dtype=np.float32)
+    fused = build_fusion(build_stream(40, rng=Rng(1), stream_kind="raw", **shape),
+                         build_stream(40, rng=Rng(2), stream_kind="diff", **shape),
+                         hidden=16, rng=Rng(3), dtype=np.float32)
+    rng = Rng(4)
+    chunk = [{k: rng.normal((t_len, 40)).astype(np.float32) for k in ("raw", "diff")}
+             for t_len in range(20, 41, 2)]
+    seqs = {k: [s[k] for s in chunk] for k in ("raw", "diff")}
+    cached = _traced_peak(lambda: fusion_forward_batch(fused, seqs))
+    scoring = _traced_peak(lambda: model_logits(fused, chunk))
+    assert scoring < cached / 2, (scoring, cached)
 
 
 def test_batched_gradients_are_the_sum_over_sequences():

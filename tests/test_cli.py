@@ -591,6 +591,22 @@ def test_repeat_aggregates_and_matches_single_runs(dataset, raw_ckpt, diff_ckpt,
     assert report["accuracy"] == agg["accuracies"][0]
 
 
+@pytest.mark.parametrize("stage, flags, named", [
+    ("stream", ["--encoder-sizes", "16,abc"],
+     "--encoder-sizes must be comma-separated integers, not '16,abc'"),
+    ("fusion", ["--raw", "{diff}", "--diff", "{diff}"],
+     "--raw checkpoint is not a trained raw stream"),
+])
+def test_repeat_reports_a_setting_every_run_shares_once(dataset, diff_ckpt, capsys, stage,
+                                                        flags, named):
+    flags = [f.format(diff=diff_ckpt) for f in flags]
+    rc = main(["repeat", "--runs", "3", f"train-{stage}", "--data", str(dataset),
+               *PROTO_ARGS, *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"
+
+
 def test_repeat_rejects_zero_runs(dataset, capsys):
     rc = main(["repeat", "--runs", "0", "train-stream", "--data", str(dataset), *PROTO_ARGS])
     assert rc == 2

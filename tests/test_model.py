@@ -481,6 +481,24 @@ def test_backward_passes_return_every_named_param():
     assert all(grads[n].shape == p.shape for n, p in params.items())
 
 
+@pytest.mark.parametrize("kind", ["stream", "fusion"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_cache_free_forward_keeps_the_logits_bits(kind, dtype):
+    """keep_cache=False runs the same layers in the same order, so on the
+    same mixed-length batch its logits equal the training forward's."""
+    model = astype_model(KINDS[kind](), dtype)
+    rng = Rng(19)
+    seqs = {k: [rng.normal((t_len, 6)).astype(dtype) for t_len in (5, 1, 8, 3, 8)]
+            for k in ("raw", "diff")}
+    forward = {"stream": lambda **kw: stream_forward_batch(model, seqs["raw"], **kw),
+               "fusion": lambda **kw: fusion_forward_batch(model, seqs, **kw)}[kind]
+    cached, cache = forward()
+    logits, none = forward(keep_cache=False)
+    assert cache is not None and none is None
+    assert logits.dtype == dtype and logits.shape == (25, 3)
+    assert np.array_equal(logits, cached)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_astype_model_shares_no_array_with_its_source(kind, dtype):

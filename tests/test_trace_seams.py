@@ -86,3 +86,17 @@ def test_a_tiny_pipeline_records_every_timed_span(tracer, tmp_path, monkeypatch)
     assert counts["training.padded_slots"] == sum(len(b.lengths) * max(b.lengths)
                                                   for b in batches)
     assert counts["training.padded_slots"] > trained
+
+
+def test_scoring_alone_records_the_forward_span(tracer, tmp_path):
+    """evaluate reaches the model through the tracer's forward wraps, so a
+    scoring path around them would read 0 in model.forward.s."""
+    manifest = vsr.data.synth_generate(2, 3, 1, 4, 4, 5, 1, tmp_path / "data")
+    utts = vsr.data.load_utterances(tmp_path / "data", manifest)
+    shape = dict(encoder_sizes=(6,), bottleneck=3)
+    raw = vsr.model.build_stream(20, 2, 3, Rng(1), "raw", **shape)
+    diff = vsr.model.build_stream(20, 2, 3, Rng(2), "diff", **shape)
+    for model in (raw, vsr.model.build_fusion(raw, diff, 3, Rng(3))):
+        tracer.spans.clear()
+        vsr.evaluation.evaluate(model, utts, 2)
+        assert "model.forward.s" in {span[0] for span in tracer.spans}
