@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LoadedUtterance, stream_features
-from .model import (FusionModel, SingleStreamModel, fusion_forward_batch,
-                    named_params, predict_label, stream_forward_batch)
+from .model import (fusion_forward_batch, named_params, predict_label,
+                    stream_forward_batch, stream_kinds)
 
 
 @dataclass
@@ -64,16 +64,10 @@ def model_logits(model, chunk: list[dict[str, np.ndarray]]) -> list[np.ndarray]:
     keeps no backward cache: the logits are those of the training forward
     on the same batch, bit for bit.
     """
-    if isinstance(model, SingleStreamModel):
-        logits, _ = stream_forward_batch(model, [s[model.net.stream_kind] for s in chunk],
-                                         keep_cache=False)
-    elif isinstance(model, FusionModel):
-        logits, _ = fusion_forward_batch(model, {"raw": [s["raw"] for s in chunk],
-                                                 "diff": [s["diff"] for s in chunk]},
-                                         keep_cache=False)
-    else:
-        raise TypeError(f"cannot evaluate {type(model).__name__}")
+    streams = {kind: [s[kind] for s in chunk] for kind in stream_kinds(model)}
+    feats, _ = stream_forward_batch(model, streams, keep_cache=False)
     lengths = [next(iter(s.values())).shape[0] for s in chunk]
+    logits, _ = fusion_forward_batch(model, feats, lengths, keep_cache=False)
     return np.split(logits, np.cumsum(lengths)[:-1])
 
 
@@ -104,10 +98,9 @@ def evaluate(model, utts: list[LoadedUtterance], n_classes: int,
     """
     if not utts:
         raise ValueError("cannot evaluate an empty split")
+    kinds = stream_kinds(model)
     if model.classes != n_classes:
         raise ValueError(f"model has {model.classes} classes, dataset has {n_classes}")
-    kinds = ("raw", "diff") if isinstance(model, FusionModel) \
-        else (model.net.stream_kind,)
     dtype = next(iter(named_params(model).values())).dtype
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     subj_total: dict[str, int] = {}

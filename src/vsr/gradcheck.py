@@ -188,25 +188,27 @@ def _tiny_stream(rng: Rng, input_dim: int, classes: int, kind: str):
 def _model_error(rng: Rng, lengths: tuple[int, ...], fusion: bool) -> float:
     """Every parameter of a tiny raw stream, or of a fusion of two streams."""
     from .model import (build_fusion, fusion_backward_batch, fusion_forward_batch,
-                        named_params, stream_backward_batch, stream_forward_batch)
+                        named_params, stream_backward_batch, stream_forward_batch,
+                        stream_kinds)
     input_dim, classes = 4, 3
     model = _tiny_stream(rng, input_dim, classes, "raw")
-    forward, backward = stream_forward_batch, stream_backward_batch
     if fusion:
         diff = _tiny_stream(rng, input_dim, classes, "diff")
         model = build_fusion(model, diff, hidden=2, rng=rng, dtype=np.float64)
         _jitter_biases(model, rng)
-        forward, backward = fusion_forward_batch, fusion_backward_batch
     seqs = {kind: [_randn(rng, t_len, input_dim) for t_len in lengths]
-            for kind in (("raw", "diff") if fusion else ("raw",))}
-    if not fusion:
-        seqs = seqs["raw"]
+            for kind in stream_kinds(model)}
     labels = rng.integers(classes, (sum(lengths),))
 
-    logits, cache = forward(model, seqs)
-    grads = backward(model, cache, softmax_xent(logits, labels)[1])
+    def forward():
+        feats, stream_cache = stream_forward_batch(model, seqs)
+        return (*fusion_forward_batch(model, feats, lengths), stream_cache)
+
+    logits, cache, stream_cache = forward()
+    d_feats, grads = fusion_backward_batch(model, cache, softmax_xent(logits, labels)[1])
+    stream_backward_batch(model, stream_cache, d_feats, grads)
     return _worst_error(named_params(model), grads,
-                        lambda: softmax_xent(forward(model, seqs)[0], labels)[0])
+                        lambda: softmax_xent(forward()[0], labels)[0])
 
 
 CHECKS: dict[str, Callable[[Rng], float]] = {

@@ -2,23 +2,25 @@
 
 A stream net encodes each frame with a small FC stack, appends delta and
 delta-delta features to the bottleneck sequence, and runs a BLSTM over the
-result. Single-stream models put a linear classifier head on the BLSTM
-output; the fusion model concatenates the two stream BLSTM outputs per
-frame, runs a further BLSTM, and classifies per frame.
+result. A single-stream model puts a linear head on one stream net; a
+fusion model runs a further BLSTM over its raw and diff nets' outputs,
+concatenated per frame, and a linear output layer after it.
 
-Entry points take a list of variable-length sequences. Every layer runs
-once over the whole batch, on its sequences' frames concatenated [sum(T), D]:
-the encoder and the heads frame by frame, the deltas and the BLSTMs with
-the per-sequence lengths. Logits come back stacked [sum(T), K] in the order
-of the input list.
+Every model runs the same two stages: `stream_forward_batch` runs each
+stream net over its own kind's sequences and concatenates their outputs,
+`fusion_forward_batch` the fusion BLSTM, if any, and the output layer.
+`fusion_backward_batch` returns the gradient of the stream outputs, and
+`stream_backward_batch` adds the stream nets' gradients; a fit that
+freezes the streams skips it. Each layer runs once over a batch's frames
+concatenated [sum(T), D], the deltas and BLSTMs with the per-sequence
+lengths; logits come back stacked [sum(T), K] in the order of the input.
 
-`_layers(model)` is the one place that knows how each model kind is laid
-out and named: it lists every parameterised layer of a single-stream model,
-a fusion model or an encoder stack by name, in checkpoint order. Parameter
-names (`named_params`), the checkpoint's `*.activation` metadata and the
-dtype cast (`astype_model`) are all derived from it. Loading checks every
-tensor's shape along the encoder -> BLSTM -> head chain and refuses a
-tensor the table does not list.
+`_parts(model)` is the one place that tells the model kinds apart, and
+`_layers(model)` names every parameterised layer of a model or an encoder
+stack in checkpoint order. Parameter names (`named_params`), the
+checkpoint's `*.activation` metadata and the dtype cast (`astype_model`)
+derive from it. Loading checks every tensor's shape along the encoder ->
+BLSTM -> head chain and refuses a tensor the table does not list.
 """
 
 from __future__ import annotations
@@ -167,16 +169,30 @@ def _net_layers(net: StreamNet, prefix: str = ""):
             *_blstm_layers(f"{prefix}blstm", net.blstm)]
 
 
+def _parts(model):
+    """(stream nets with their name prefixes, fusion BLSTM or None, named output layer)."""
+    if isinstance(model, SingleStreamModel):
+        return [("", model.net)], None, ("head", model.head)
+    if isinstance(model, FusionModel):
+        return ([("raw.", model.raw), ("diff.", model.diff)], model.fusion_blstm,
+                ("out", model.out))
+    raise TypeError(f"{type(model).__name__} is not a stream or fusion model")
+
+
 def _layers(model) -> list[tuple[str, FcLayer | LstmParams]]:
     """Every parameterised layer of a model by name, in checkpoint order."""
-    if isinstance(model, SingleStreamModel):
-        return [*_net_layers(model.net), ("head", model.head)]
-    if isinstance(model, FusionModel):
-        return [*_net_layers(model.raw, "raw."), *_net_layers(model.diff, "diff."),
-                *_blstm_layers("fusion_blstm", model.fusion_blstm), ("out", model.out)]
     if isinstance(model, EncoderStack):
         return [(f"enc{k}", layer) for k, layer in enumerate(model.layers)]
-    raise TypeError(f"no parameters for {type(model).__name__}")
+    nets, fusion_blstm, out = _parts(model)
+    layers = [layer for prefix, net in nets for layer in _net_layers(net, prefix)]
+    if fusion_blstm is not None:
+        layers += _blstm_layers("fusion_blstm", fusion_blstm)
+    return [*layers, out]
+
+
+def stream_kinds(model) -> tuple[str, ...]:
+    """The stream kinds a model reads, in the order its nets run."""
+    return tuple(net.stream_kind for _, net in _parts(model)[0])
 
 
 # the tensor fields of each layer type, in checkpoint order
@@ -244,72 +260,64 @@ def _net_forward(net: StreamNet, seqs: list[np.ndarray], lengths: np.ndarray,
     return out, (enc_caches, bl_cache) if keep_cache else None
 
 
-def _net_backward(net: StreamNet, cache, lengths: np.ndarray, d_out: np.ndarray,
-                  grads: dict[str, np.ndarray], prefix: str = "") -> None:
-    enc_caches, bl_cache = cache
-    d_feat, g = blstm_backward(net.blstm, bl_cache, d_out)
-    _blstm_grads(grads, f"{prefix}blstm", g)
-    d_enc = append_deltas_backward(d_feat, net.delta, lengths)
-    _encoder_backward(net.encoder, enc_caches, d_enc, grads, prefix)
-
-
-def stream_forward_batch(model: SingleStreamModel, seqs: list[np.ndarray],
-                         keep_cache: bool = True):
-    """Logits for every frame of every sequence, stacked [sum(T), K], and the cache.
+def stream_forward_batch(model, streams: dict[str, list[np.ndarray]], keep_cache: bool = True):
+    """Each stream net over its own kind's sequences; returns their outputs
+    concatenated per frame, [sum(T), sum of 2H], and the cache.
 
     Without keep_cache the cache is None: the same layers run in the same
     order, but each layer's cache is dropped as soon as the layer has run,
     so a pass that runs no backward holds a fraction of the memory.
     """
-    lengths = _lengths(seqs)
-    out, net_cache = _net_forward(model.net, seqs, lengths, keep_cache)
-    logits, head_cache = fc_forward(model.head, out)
-    require_finite(logits, "stream logits")
-    return logits, (lengths, net_cache, head_cache) if keep_cache else None
+    nets = _parts(model)[0]
+    lengths = [_lengths(streams[net.stream_kind]) for _, net in nets]
+    if any(not np.array_equal(n, lengths[0]) for n in lengths):
+        raise ValueError("stream length mismatch: " + ", ".join(
+            f"{net.stream_kind} {n.tolist()}" for (_, net), n in zip(nets, lengths)))
+    outs, caches = [], []
+    for _, net in nets:
+        out, cache = _net_forward(net, streams[net.stream_kind], lengths[0], keep_cache)
+        outs.append(out)
+        caches.append(cache)
+    feats = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    return feats, (lengths[0], caches) if keep_cache else None
 
 
-def stream_backward_batch(model: SingleStreamModel, cache,
-                          d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    lengths, net_cache, head_cache = cache
-    grads: dict[str, np.ndarray] = {}
-    d_bl, grads["head.w"], grads["head.b"] = fc_backward(model.head, head_cache, d_logits)
-    _net_backward(model.net, net_cache, lengths, d_bl, grads)
-    return grads
+def fusion_forward_batch(model, feats: np.ndarray, lengths, keep_cache: bool = True):
+    """Logits [sum(T), K] from the stream outputs: the fusion BLSTM, if the model
+    has one, then the output layer; and the cache, None without keep_cache."""
+    _, fusion_blstm, (_, out) = _parts(model)
+    fb_cache = None
+    if fusion_blstm is not None:
+        feats, fb_cache = blstm_forward(fusion_blstm, feats, lengths, keep_cache)
+    logits, out_cache = fc_forward(out, feats)
+    require_finite(logits, "model logits")
+    return logits, (fb_cache, out_cache) if keep_cache else None
 
 
-def fusion_forward_batch(model: FusionModel, seqs: dict[str, list[np.ndarray]],
-                         keep_cache: bool = True):
-    """Logits for matched raw/diff sequence lists, stacked [sum(T), K], and the
-    cache, None without keep_cache (as in stream_forward_batch)."""
-    raw_seqs, diff_seqs = seqs["raw"], seqs["diff"]
-    if len(raw_seqs) != len(diff_seqs):
-        raise ValueError("raw and diff batches differ in sequence count")
-    for r, d in zip(raw_seqs, diff_seqs):
-        if r.shape[0] != d.shape[0]:
-            raise ValueError(f"stream length mismatch: raw {r.shape[0]} vs diff {d.shape[0]}")
-    lengths = _lengths(raw_seqs)
-    raw_out, raw_cache = _net_forward(model.raw, raw_seqs, lengths, keep_cache)
-    diff_out, diff_cache = _net_forward(model.diff, diff_seqs, lengths, keep_cache)
-    fused = np.concatenate([raw_out, diff_out], axis=1)
-    del raw_out, diff_out
-    fb_out, fb_cache = blstm_forward(model.fusion_blstm, fused, lengths, keep_cache)
-    logits, out_cache = fc_forward(model.out, fb_out)
-    require_finite(logits, "fusion logits")
-    cache = (lengths, raw_cache, diff_cache, fb_cache, out_cache)
-    return logits, cache if keep_cache else None
+def fusion_backward_batch(model, cache, d_logits: np.ndarray):
+    """(d_feats, grads): the stream outputs' gradient, and the fusion stage's by name."""
+    _, fusion_blstm, (out_name, out) = _parts(model)
+    fb_cache, out_cache = cache
+    d_feats, d_w, d_b = fc_backward(out, out_cache, d_logits)
+    grads = {f"{out_name}.w": d_w, f"{out_name}.b": d_b}
+    if fusion_blstm is not None:
+        d_feats, g = blstm_backward(fusion_blstm, fb_cache, d_feats)
+        _blstm_grads(grads, "fusion_blstm", g)
+    return d_feats, grads
 
 
-def fusion_backward_batch(model: FusionModel, cache,
-                          d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    lengths, raw_cache, diff_cache, fb_cache, out_cache = cache
-    grads: dict[str, np.ndarray] = {}
-    d_fb, grads["out.w"], grads["out.b"] = fc_backward(model.out, out_cache, d_logits)
-    d_fused, g = blstm_backward(model.fusion_blstm, fb_cache, d_fb)
-    _blstm_grads(grads, "fusion_blstm", g)
-    width = 2 * model.raw.blstm.hidden
-    _net_backward(model.raw, raw_cache, lengths, d_fused[:, :width], grads, "raw.")
-    _net_backward(model.diff, diff_cache, lengths, d_fused[:, width:], grads, "diff.")
-    return grads
+def stream_backward_batch(model, cache, d_feats: np.ndarray, grads: dict[str, np.ndarray]):
+    """Add each stream net's parameter gradients to grads, from its columns of d_feats."""
+    lengths, net_caches = cache
+    start = 0
+    for (prefix, net), (enc_caches, bl_cache) in zip(_parts(model)[0], net_caches):
+        width = 2 * net.blstm.hidden
+        d_feat, g = blstm_backward(net.blstm, bl_cache, d_feats[:, start:start + width])
+        _blstm_grads(grads, f"{prefix}blstm", g)
+        d_enc = append_deltas_backward(d_feat, net.delta, lengths)
+        _encoder_backward(net.encoder, enc_caches, d_enc, grads, prefix)
+        del d_feat, d_enc  # gone before the next stream's backward allocates its own
+        start += width
 
 
 # ---------------------------------------------------------------------------

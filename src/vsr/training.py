@@ -19,9 +19,9 @@ import numpy as np
 from .data import LoadedUtterance, stream_features
 from .evaluation import predict_labels
 from .fileio import write_atomic
-from .model import (FusionModel, SingleStreamModel, astype_model, build_fusion,
-                    clip_group, fusion_forward_batch, fusion_backward_batch,
-                    named_params, stream_backward_batch, stream_forward_batch)
+from .model import (SingleStreamModel, astype_model, build_fusion, clip_group,
+                    fusion_forward_batch, fusion_backward_batch, named_params,
+                    stream_backward_batch, stream_forward_batch)
 from .numerics import Adam, NonFiniteError, Rng, clip_global_norm
 from .layers import softmax_xent
 
@@ -71,11 +71,7 @@ class TrainHistory:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {"stage": self.stage, "seed": self.seed,
-                   "stop_reason": self.stop_reason, "best_epoch": self.best_epoch,
-                   "best_val_accuracy": self.best_val_accuracy,
-                   "epochs": self.epochs, "config": self.config}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def save_history(path, history: TrainHistory) -> None:
@@ -132,41 +128,39 @@ def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Ba
 # the fit loop
 # ---------------------------------------------------------------------------
 
-def _forward_backward(model, batch: Batch):
+def _forward_backward(model, batch: Batch, freeze_streams: bool):
+    """(loss, grads, frames) of a batch; frozen streams keep no cache and get no grads."""
     labels = np.repeat(batch.labels, batch.lengths)
-    if isinstance(model, SingleStreamModel):
-        logits, cache = stream_forward_batch(model, batch.streams[model.net.stream_kind])
-        loss, d_logits = softmax_xent(logits, labels)
-        grads = stream_backward_batch(model, cache, d_logits)
-    elif isinstance(model, FusionModel):
-        logits, cache = fusion_forward_batch(model, batch.streams)
-        loss, d_logits = softmax_xent(logits, labels)
-        grads = fusion_backward_batch(model, cache, d_logits)
-    else:
-        raise TypeError(f"cannot train {type(model).__name__}")
+    feats, stream_cache = stream_forward_batch(model, batch.streams,
+                                               keep_cache=not freeze_streams)
+    logits, cache = fusion_forward_batch(model, feats, batch.lengths)
+    del feats  # the fusion stage's cache keeps what its backward needs
+    loss, d_logits = softmax_xent(logits, labels)
+    d_feats, grads = fusion_backward_batch(model, cache, d_logits)
+    if not freeze_streams:
+        stream_backward_batch(model, stream_cache, d_feats, grads)
     return loss, grads, len(labels)
 
 
 def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> float:
-    """One pass of gradient steps, one batch's gradients alive at a time; mean loss per frame."""
-    trainable = named_params(model)
-    if cfg.freeze_streams and isinstance(model, FusionModel):
-        trainable = {n: p for n, p in trainable.items()
-                     if n.startswith(("fusion_blstm.", "out."))}
+    """One pass of gradient steps, one batch's gradients alive at a time; mean loss per frame.
+
+    A step updates the parameters that have gradients (_forward_backward).
+    """
+    params = named_params(model)
     total_loss, total_frames = 0.0, 0
     for b_idx, batch in enumerate(batches):
         try:
-            loss, grads, n_frames = _forward_backward(model, batch)
+            loss, grads, n_frames = _forward_backward(model, batch, cfg.freeze_streams)
         except NonFiniteError as exc:
             raise TrainingDiverged(f"non-finite forward pass in batch {b_idx}: {exc}") from exc
         if not np.isfinite(loss):
             raise TrainingDiverged(f"training loss became non-finite in batch {b_idx}")
-        # frozen gradients are never applied, so they stay out of the norm
-        clip_names = [n for n in clip_group(grads) if n in trainable]
+        clip_names = clip_group(grads)
         try:
             clipped, _ = clip_global_norm([grads[n] for n in clip_names], cfg.clip_threshold)
             grads.update(zip(clip_names, clipped))
-            opt.step(trainable, {n: grads[n] for n in trainable}, cfg.lr)
+            opt.step({n: p for n, p in params.items() if n in grads}, grads, cfg.lr)
         except NonFiniteError as exc:
             raise TrainingDiverged(f"non-finite gradient in batch {b_idx}: {exc}") from exc
         del grads, clipped  # gone before the next backward allocates its own
@@ -240,6 +234,8 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
 def train_stream(model: SingleStreamModel, train_samples: list[SeqSample],
                  val_samples: list[SeqSample], cfg: TrainConfig):
     """Train a single-stream model in place; returns (model, history)."""
+    if cfg.freeze_streams:
+        raise ValueError("freeze_streams is a fusion setting: train_stream trains the stream")
     return _fit(model, train_samples, val_samples, cfg, "stream")
 
 

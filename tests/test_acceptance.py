@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import stages
 import vsr.evaluation as evaluation
 import vsr.training as training
 from oracles import ref_delta
@@ -30,13 +31,9 @@ from vsr.model import (
     astype_model,
     build_fusion,
     build_stream,
-    fusion_backward_batch,
-    fusion_forward_batch,
     load_checkpoint,
     named_params,
     save_checkpoint,
-    stream_backward_batch,
-    stream_forward_batch,
 )
 from vsr.numerics import Rng
 from vsr.rbm import PretrainConfig, rbm_init, train_rbm
@@ -187,10 +184,8 @@ def test_07_frames_outside_a_sequence_contribute_zero_gradient(bench):
                                   bottleneck=6, dtype=dtype)
                      for seed, kind in ((3, "raw"), (4, "diff")))
         fusion = build_fusion(raw, diff, hidden=4, rng=Rng(5), dtype=dtype)
-        cases = {"stream": (raw, lambda s: stream_forward_batch(raw, s["raw"]),
-                            stream_backward_batch),
-                 "fusion": (fusion, lambda s: fusion_forward_batch(fusion, s),
-                            fusion_backward_batch)}
+        cases = {"stream": (raw, lambda s: stages.forward(raw, s), stages.backward),
+                 "fusion": (fusion, lambda s: stages.forward(fusion, s), stages.backward)}
         for kind, (model, forward, backward) in cases.items():
             for junk in (2, 3):  # the one-frame sequence, then the longest
                 rows = np.arange(ends[junk] - lengths[junk], ends[junk])

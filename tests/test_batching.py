@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import vsr.evaluation as evaluation
 import vsr.training as training
 from oracles import ref_delta, ref_lstm
+from stages import backward, forward
 from vsr.data import LoadedUtterance
 from vsr.evaluation import evaluate, model_logits, predict_labels, render_report
 from vsr.gradcheck import _lstm_error, _random_lstm, _worst_error
@@ -37,14 +38,7 @@ from vsr.layers import (
     lstm_forward,
     lstm_init,
 )
-from vsr.model import (
-    build_fusion,
-    build_stream,
-    fusion_forward_batch,
-    predict_label,
-    stream_backward_batch,
-    stream_forward_batch,
-)
+from vsr.model import build_fusion, build_stream, predict_label
 from vsr.numerics import Rng
 
 LENGTHS = st.lists(st.integers(1, 9), min_size=1, max_size=6)
@@ -126,13 +120,13 @@ def test_stream_and_fusion_logits_match_scoring_alone(lengths, seed):
     seqs = {k: [rng.normal((t_len, 6)) for t_len in lengths] for k in ("raw", "diff")}
     splits = np.cumsum(lengths)[:-1]
 
-    batch, _ = stream_forward_batch(raw, seqs["raw"])
+    batch, _ = forward(raw, {"raw": seqs["raw"]})
     for got, seq in zip(np.split(batch, splits), seqs["raw"]):
-        assert np.allclose(got, stream_forward_batch(raw, [seq])[0], rtol=0, atol=1e-10)
+        assert np.allclose(got, forward(raw, {"raw": [seq]})[0], rtol=0, atol=1e-10)
 
-    batch, _ = fusion_forward_batch(fused, seqs)
+    batch, _ = forward(fused, seqs)
     for b, got in enumerate(np.split(batch, splits)):
-        alone, _ = fusion_forward_batch(fused, {k: [v[b]] for k, v in seqs.items()})
+        alone, _ = forward(fused, {k: [v[b]] for k, v in seqs.items()})
         assert np.allclose(got, alone, rtol=0, atol=1e-10)
 
 
@@ -166,7 +160,7 @@ def test_chunked_labels_match_one_utterance_at_a_time(monkeypatch):
                         lambda m, chunk: calls.append(len(chunk)) or real(m, chunk))
     got = predict_labels(model, streams)
     assert calls == [3, 3, 1]
-    want = [predict_label(stream_forward_batch(model, [s["raw"]])[0]) for s in streams]
+    want = [predict_label(forward(model, {"raw": [s["raw"]]})[0]) for s in streams]
     assert got == want
     logits = model_logits(model, streams[:2])
     assert [lg.shape for lg in logits] == [(5, 3), (1, 3)]
@@ -219,7 +213,7 @@ def test_scoring_holds_less_than_half_of_the_training_forward():
     chunk = [{k: rng.normal((t_len, 40)).astype(np.float32) for k in ("raw", "diff")}
              for t_len in range(20, 41, 2)]
     seqs = {k: [s[k] for s in chunk] for k in ("raw", "diff")}
-    cached = _traced_peak(lambda: fusion_forward_batch(fused, seqs))
+    cached = _traced_peak(lambda: forward(fused, seqs))
     scoring = _traced_peak(lambda: model_logits(fused, chunk))
     assert scoring < cached / 2, (scoring, cached)
 
@@ -250,12 +244,12 @@ def test_batched_stream_gradients_match_per_sequence_sums():
     rng = Rng(9)
     seqs = [rng.normal((t_len, 6)) for t_len in (3, 6, 1)]
     d_logits = rng.normal((10, 3))
-    logits, cache = stream_forward_batch(model, seqs)
-    grads = stream_backward_batch(model, cache, d_logits)
+    logits, cache = forward(model, {"raw": seqs})
+    grads = backward(model, cache, d_logits)
     start, total = 0, {}
     for seq in seqs:
-        _, c1 = stream_forward_batch(model, [seq])
-        g1 = stream_backward_batch(model, c1, d_logits[start:start + len(seq)])
+        _, c1 = forward(model, {"raw": [seq]})
+        g1 = backward(model, c1, d_logits[start:start + len(seq)])
         start += len(seq)
         for name, g in g1.items():
             total[name] = total.get(name, 0.0) + g

@@ -14,7 +14,7 @@ from vsr.evaluation import (
     format_percent,
     render_report,
 )
-from vsr.model import build_stream
+from vsr.model import EncoderStack, build_stream
 from vsr.numerics import Rng
 
 
@@ -22,6 +22,12 @@ def tiny_model(classes=2, dtype=np.float64):
     return build_stream(input_dim=9, classes=classes, hidden=2, rng=Rng(0),
                         encoder_sizes=(4,), bottleneck=2, dtype=dtype)
 
+
+
+def test_model_logits_names_a_model_it_cannot_score():
+    stack = EncoderStack(layers=tiny_model().net.encoder)
+    with pytest.raises(TypeError, match="EncoderStack"):
+        evaluation.model_logits(stack, [{"raw": np.zeros((4, 9))}])
 
 def fake_utts(labels, subjects):
     rng = Rng(1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import ref_delta, ref_lstm, ref_softmax
+from stages import backward, forward
 from vsr.layers import DeltaWindow, FcLayer, fc_init
 from vsr.model import (
     CheckpointError,
@@ -16,14 +17,10 @@ from vsr.model import (
     build_fusion,
     build_stream,
     clip_group,
-    fusion_backward_batch,
-    fusion_forward_batch,
     load_checkpoint,
     named_params,
     predict_label,
     save_checkpoint,
-    stream_backward_batch,
-    stream_forward_batch,
 )
 from vsr.numerics import Rng
 from vsr.rbm import PretrainConfig, pretrain_stack
@@ -134,7 +131,7 @@ def test_stream_forward_matches_stagewise_reference():
     model = tiny_stream(dtype=np.float64)
     rng = Rng(9)
     seq = rng.normal((7, 6))
-    got, _ = stream_forward_batch(model, [seq])
+    got, _ = forward(model, {"raw": [seq]})
 
     x = seq
     for layer in model.net.encoder:
@@ -156,15 +153,15 @@ def test_stream_forward_batch_matches_singles():
     model = tiny_stream(dtype=np.float64)
     rng = Rng(10)
     seqs = [rng.normal((t, 6)) for t in (3, 5, 2)]
-    stacked, _ = stream_forward_batch(model, seqs)
+    stacked, _ = forward(model, {"raw": seqs})
     assert stacked.shape == (10, 3)
-    singles = [stream_forward_batch(model, [s])[0] for s in seqs]
+    singles = [forward(model, {"raw": [s]})[0] for s in seqs]
     assert np.allclose(stacked, np.concatenate(singles), atol=1e-10)
 
 
 def test_stream_forward_single_frame():
     model = tiny_stream(dtype=np.float64)
-    logits, _ = stream_forward_batch(model, [Rng(11).normal((1, 6))])
+    logits, _ = forward(model, {"raw": [Rng(11).normal((1, 6))]})
     assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits))
 
@@ -173,7 +170,7 @@ def blstm_output(net, seq):
     """A stream net's BLSTM output [T, 2H], read through an identity head."""
     width = 2 * net.blstm.hidden
     probe = SingleStreamModel(net=net, head=FcLayer(np.eye(width), np.zeros(width)))
-    return stream_forward_batch(probe, [seq])[0]
+    return forward(probe, {net.stream_kind: [seq]})[0]
 
 
 def test_fusion_forward_matches_manual_concat():
@@ -182,7 +179,7 @@ def test_fusion_forward_matches_manual_concat():
     fused = build_fusion(raw, diff, hidden=3, rng=Rng(4), dtype=np.float64)
     rng = Rng(12)
     seq_raw, seq_diff = rng.normal((5, 6)), rng.normal((5, 6))
-    logits, _ = fusion_forward_batch(fused, {"raw": [seq_raw], "diff": [seq_diff]})
+    logits, _ = forward(fused, {"raw": [seq_raw], "diff": [seq_diff]})
 
     h_raw = blstm_output(fused.raw, seq_raw)
     h_diff = blstm_output(fused.diff, seq_diff)
@@ -200,8 +197,7 @@ def test_fusion_rejects_length_mismatch():
                          hidden=3, rng=Rng(0), dtype=np.float64)
     rng = Rng(13)
     with pytest.raises(ValueError, match="length"):
-        fusion_forward_batch(fused, {"raw": [rng.normal((4, 6))],
-                                     "diff": [rng.normal((5, 6))]})
+        forward(fused, {"raw": [rng.normal((4, 6))], "diff": [rng.normal((5, 6))]})
 
 
 def test_fusion_head_zeroed_outputs_its_bias():
@@ -210,8 +206,7 @@ def test_fusion_head_zeroed_outputs_its_bias():
     fused.out.w[:] = 0.0
     fused.out.b[:] = np.array([1.0, -2.0, 0.5])
     rng = Rng(14)
-    logits, _ = fusion_forward_batch(fused, {"raw": [rng.normal((4, 6))],
-                                             "diff": [rng.normal((4, 6))]})
+    logits, _ = forward(fused, {"raw": [rng.normal((4, 6))], "diff": [rng.normal((4, 6))]})
     assert np.allclose(logits, [1.0, -2.0, 0.5], atol=1e-12)
 
 
@@ -290,8 +285,8 @@ def test_checkpoint_roundtrip_stream(tmp_path):
     assert again.net.delta.theta == model.net.delta.theta
     # logits agree bit for bit
     seq = Rng(17).normal((4, 6)).astype(np.float32)
-    assert np.array_equal(stream_forward_batch(model, [seq])[0],
-                          stream_forward_batch(again, [seq])[0])
+    assert np.array_equal(forward(model, {"raw": [seq]})[0],
+                          forward(again, {"raw": [seq]})[0])
 
 
 def test_checkpoint_roundtrip_fusion(tmp_path):
@@ -466,16 +461,16 @@ def test_checkpoint_names_follow_the_layer_table(tmp_path, kind):
 def test_backward_passes_return_every_named_param():
     rng = Rng(18)
     model = tiny_stream()
-    logits, cache = stream_forward_batch(model, [rng.normal((4, 6)), rng.normal((2, 6))])
-    grads = stream_backward_batch(model, cache, np.ones_like(logits))
+    logits, cache = forward(model, {"raw": [rng.normal((4, 6)), rng.normal((2, 6))]})
+    grads = backward(model, cache, np.ones_like(logits))
     params = named_params(model)
     assert set(grads) == set(params)
     assert all(grads[n].shape == p.shape for n, p in params.items())
 
     fused = tiny_fusion()
     seqs = {"raw": [rng.normal((3, 6))], "diff": [rng.normal((3, 6))]}
-    logits, cache = fusion_forward_batch(fused, seqs)
-    grads = fusion_backward_batch(fused, cache, np.ones_like(logits))
+    logits, cache = forward(fused, seqs)
+    grads = backward(fused, cache, np.ones_like(logits))
     params = named_params(fused)
     assert set(grads) == set(params)
     assert all(grads[n].shape == p.shape for n, p in params.items())
@@ -490,10 +485,8 @@ def test_the_cache_free_forward_keeps_the_logits_bits(kind, dtype):
     rng = Rng(19)
     seqs = {k: [rng.normal((t_len, 6)).astype(dtype) for t_len in (5, 1, 8, 3, 8)]
             for k in ("raw", "diff")}
-    forward = {"stream": lambda **kw: stream_forward_batch(model, seqs["raw"], **kw),
-               "fusion": lambda **kw: fusion_forward_batch(model, seqs, **kw)}[kind]
-    cached, cache = forward()
-    logits, none = forward(keep_cache=False)
+    cached, cache = forward(model, seqs)
+    logits, none = forward(model, seqs, keep_cache=False)
     assert cache is not None and none is None
     assert logits.dtype == dtype and logits.shape == (25, 3)
     assert np.array_equal(logits, cached)
@@ -683,5 +676,5 @@ def test_every_checkpoint_error_names_the_file_once(tmp_path, write, expect, nam
 def test_load_accepts_a_delta_window_wider_than_any_sequence(tmp_path):
     model = tampered(tmp_path, "stream", meta={"theta": "99"})
     assert model.net.delta.theta == 99
-    logits, _ = stream_forward_batch(model, [Rng(0).normal((4, 6))])
+    logits, _ = forward(model, {"raw": [Rng(0).normal((4, 6))]})
     assert np.isfinite(logits).all()

@@ -4,9 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
+import vsr.model
 import vsr.training as training
-from vsr.model import (build_fusion, build_stream, clip_group, named_params,
-                       save_checkpoint)
+from vsr.model import (EncoderStack, build_fusion, build_stream, clip_group,
+                       named_params, save_checkpoint)
 from vsr.numerics import Adam, Rng
 from vsr.training import (
     SeqSample,
@@ -176,8 +177,8 @@ def test_train_epoch_non_finite_gradient_names_the_batch(monkeypatch, clipped):
     real = training._forward_backward
     calls = []
 
-    def poisoned(model, batch):
-        loss, grads, n = real(model, batch)
+    def poisoned(model, batch, freeze_streams):
+        loss, grads, n = real(model, batch, freeze_streams)
         calls.append(None)
         if len(calls) == 2:
             name = clip_group(grads)[0] if clipped else "head.b"
@@ -235,12 +236,12 @@ def test_gradients_flow_only_through_valid_frames():
     samples = toy_samples(3, dtype=np.float64, t_range=(3, 5))
     batch = make_batches(samples, 3, Rng(11))[0]
     assert len(set(batch.lengths)) > 1
-    loss_batch, grads, n_frames = training._forward_backward(model, batch)
+    loss_batch, grads, n_frames = training._forward_backward(model, batch, False)
     assert n_frames == sum(batch.lengths)
 
     want_loss, want_grads = 0.0, {}
     for s in samples:
-        loss, g, n = training._forward_backward(model, make_batches([s], 1, Rng(0))[0])
+        loss, g, n = training._forward_backward(model, make_batches([s], 1, Rng(0))[0], False)
         want_loss += loss * n / n_frames
         for name, arr in g.items():
             want_grads[name] = want_grads.get(name, 0.0) + arr * (n / n_frames)
@@ -415,8 +416,8 @@ def test_frozen_fusion_clips_only_the_gradients_it_applies(monkeypatch):
     batch_grads, clipped = [], []
     true_forward_backward, true_clip = training._forward_backward, training.clip_global_norm
 
-    def forward_backward(model, batch):
-        out = true_forward_backward(model, batch)
+    def forward_backward(model, batch, freeze_streams):
+        out = true_forward_backward(model, batch, freeze_streams)
         batch_grads.append(out[1])
         return out
 
@@ -438,6 +439,35 @@ def test_frozen_fusion_clips_only_the_gradients_it_applies(monkeypatch):
     assert all(names == fusion_blstm for names in clipped)
 
 
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_frozen_fusion_fit_runs_no_stream_backward(monkeypatch, frozen):
+    """With freeze_streams the backward pass stops at the stream outputs:
+    no stream net's delta backward runs, against one per net in a one-batch
+    fit that trains them."""
+    raw, diff = two_trained_streams(seed=20)
+    calls = []
+    real = vsr.model.append_deltas_backward
+    monkeypatch.setattr(vsr.model, "append_deltas_backward",
+                        lambda *a, **k: calls.append(None) or real(*a, **k))
+    cfg = TrainConfig.for_fusion(lr=0.01, max_epochs=1, seed=9, freeze_streams=frozen)
+    train_fusion(raw, diff, toy_samples(8, kinds=("raw", "diff")),
+                 toy_samples(4, kinds=("raw", "diff"), seed=10), cfg)
+    assert len(calls) == (0 if frozen else 2)
+
+
+def test_train_stream_refuses_freeze_streams():
+    cfg = TrainConfig.for_stream(max_epochs=1, freeze_streams=True)
+    with pytest.raises(ValueError, match="freeze_streams"):
+        train_stream(tiny_model(), toy_samples(4), toy_samples(2, seed=1), cfg)
+
+
+def test_train_epoch_names_a_model_it_cannot_train():
+    stack = EncoderStack(layers=tiny_model().net.encoder)
+    batches = make_batches(toy_samples(3), 3, Rng(0))
+    with pytest.raises(TypeError, match="EncoderStack"):
+        train_epoch(stack, batches, Adam(), TrainConfig.for_stream())
+
 @pytest.mark.parametrize("fit", ["stream", "fusion", "frozen-fusion"])
 def test_batch_gradients_are_gone_before_the_next_backward(monkeypatch, fit):
     """train_epoch drops a batch's gradients, clipped copies included,
@@ -445,11 +475,11 @@ def test_batch_gradients_are_gone_before_the_next_backward(monkeypatch, fit):
     true_forward_backward, true_clip = training._forward_backward, training.clip_global_norm
     previous, calls = [], []
 
-    def forward_backward(model, batch):
+    def forward_backward(model, batch, freeze_streams):
         alive = [name for name, ref in previous if ref() is not None]
         assert not alive, f"call {len(calls)}: gradients of the last batch still alive: {alive}"
         previous.clear()
-        out = true_forward_backward(model, batch)
+        out = true_forward_backward(model, batch, freeze_streams)
         previous.extend((name, weakref.ref(g)) for name, g in out[1].items())
         calls.append(None)
         return out
