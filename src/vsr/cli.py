@@ -263,9 +263,8 @@ def cmd_evaluate(cfg: dict) -> int:
     utts = load_utterances(cfg["data"], manifest, paths)
     report = evaluate(model, utts, len(manifest.classes), split=cfg["split"],
                       checkpoint=os.path.basename(cfg["model"]))
-    doc = render_report(report, cfg["format"],
-                        per_subject=bool(cfg["per_subject"]) or cfg["format"] != "text",
-                        confusion=bool(cfg["confusion"]) or cfg["format"] != "text")
+    doc = render_report(report, cfg["format"], per_subject=bool(cfg["per_subject"]),
+                        confusion=bool(cfg["confusion"]))
     if cfg["out"]:
         _write(cfg["out"], doc)
     print(doc)
@@ -444,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--model", help="model checkpoint path")
     _flag(p, "--split", "test", choices=("train", "val", "test"))
     _flag(p, "--format", "text", choices=("text", "json", "csv"))
-    _flag(p, "--per-subject", action=BoolFlag)
-    _flag(p, "--confusion", action=BoolFlag)
+    _flag(p, "--per-subject", action=BoolFlag, help="text format: add per-subject accuracies")
+    _flag(p, "--confusion", action=BoolFlag, help="text format: add the confusion matrix")
     _flag(p, "--out", help="write the report here as well as printing it")
 
     # repeat's settings are its own two; the run's are the train command's

@@ -283,11 +283,6 @@ def _subject_number(subject: str) -> int:
     return int(m.group())
 
 
-def _paths_for(manifest: DatasetManifest, subjects) -> list[str]:
-    chosen = set(subjects)
-    return [r.path for r in manifest.records if r.subject in chosen]
-
-
 def make_split(manifest: DatasetManifest, protocol: str, rng: Rng | None = None,
                train_subjects: list[str] | None = None,
                val_subjects: list[str] | None = None,
@@ -297,39 +292,30 @@ def make_split(manifest: DatasetManifest, protocol: str, rng: Rng | None = None,
     oulu: the last 12 subjects (numeric order) are the designated test set;
     the other 40 are split 35/5 at random. cuave: odd-numbered subjects
     test; even-numbered, the first 12 train and the last 6 validate.
-    avletters: per (subject, letter), the first two repetitions train and
-    the third tests; no validation set (see holdout_validation). avletters2
-    uses protocol names avletters2-fold-0 .. -4: subjects rotate through
-    one test and one validation slot per fold. custom takes explicit
-    subject lists.
+    avletters2 uses protocol names avletters2-fold-0 .. -4: subjects rotate
+    through one test and one validation slot per fold. custom takes explicit
+    subject lists. Each of these picks three subject lists, and a split
+    lists their utterances in manifest order. avletters splits by
+    repetition instead: per (subject, letter), the first two repetitions
+    train and the third tests; no validation set (see holdout_validation).
     """
     subjects = sorted({r.subject for r in manifest.records}, key=_subject_sort_key)
-
+    fold = re.fullmatch(r"avletters2-fold-(\d)", protocol)
     if protocol == "oulu":
         if len(subjects) != 52:
             raise ValueError(f"oulu protocol expects 52 subjects, manifest has {len(subjects)}")
-        test_s = subjects[-12:]
         rest = subjects[:-12]
-        if rng is None:
-            rng = Rng(0)
-        order = rng.permutation(len(rest))
-        train_s = [rest[i] for i in order[:35]]
-        val_s = [rest[i] for i in order[35:]]
-        return ProtocolSplit(train=_paths_for(manifest, train_s),
-                             val=_paths_for(manifest, val_s),
-                             test=_paths_for(manifest, test_s), protocol=protocol)
-
-    if protocol == "cuave":
+        order = (Rng(0) if rng is None else rng).permutation(len(rest))
+        chosen = ([rest[i] for i in order[:35]], [rest[i] for i in order[35:]],
+                  subjects[-12:])
+    elif protocol == "cuave":
         odd = [s for s in subjects if _subject_number(s) % 2 == 1]
         even = [s for s in subjects if _subject_number(s) % 2 == 0]
         if len(odd) != 18 or len(even) != 18:
             raise ValueError(f"cuave protocol expects 18 odd and 18 even subjects, "
                              f"manifest has {len(odd)} odd and {len(even)} even")
-        return ProtocolSplit(train=_paths_for(manifest, even[:12]),
-                             val=_paths_for(manifest, even[12:]),
-                             test=_paths_for(manifest, odd), protocol=protocol)
-
-    if protocol == "avletters":
+        chosen = even[:12], even[12:], odd
+    elif protocol == "avletters":
         groups: dict[tuple[str, int], list[str]] = {}
         for r in manifest.records:
             groups.setdefault((r.subject, r.label), []).append(r.path)
@@ -342,39 +328,32 @@ def make_split(manifest: DatasetManifest, protocol: str, rng: Rng | None = None,
             train += paths[:2]
             test += paths[2:]
         return ProtocolSplit(train=train, val=[], test=test, protocol=protocol)
-
-    m = re.fullmatch(r"avletters2-fold-(\d)", protocol)
-    if m:
-        fold = int(m.group(1))
+    elif fold:
+        k = int(fold.group(1))
         if len(subjects) != 5:
             raise ValueError(f"avletters2 protocol expects 5 subjects, "
                              f"manifest has {len(subjects)}")
-        if fold > 4:
-            raise ValueError(f"avletters2 fold must be 0..4, got {fold}")
-        test_s = [subjects[fold]]
-        val_s = [subjects[(fold + 1) % 5]]
-        train_s = [s for s in subjects if s not in test_s + val_s]
-        return ProtocolSplit(train=_paths_for(manifest, train_s),
-                             val=_paths_for(manifest, val_s),
-                             test=_paths_for(manifest, test_s), protocol=protocol)
-
-    if protocol == "custom":
+        if k > 4:
+            raise ValueError(f"avletters2 fold must be 0..4, got {k}")
+        test_s, val_s = subjects[k], subjects[(k + 1) % 5]
+        chosen = [s for s in subjects if s not in (test_s, val_s)], [val_s], [test_s]
+    elif protocol == "custom":
         if not train_subjects or not test_subjects:
             raise ValueError("custom protocol needs explicit train and test subjects")
-        listed = set(train_subjects) | set(val_subjects or []) | set(test_subjects)
-        overlap = (set(train_subjects) & set(test_subjects)) \
-            | (set(train_subjects) & set(val_subjects or [])) \
-            | (set(val_subjects or []) & set(test_subjects))
+        chosen = train_subjects, val_subjects or [], test_subjects
+        train_set, val_set, test_set = map(set, chosen)
+        overlap = (train_set & test_set) | (train_set & val_set) | (val_set & test_set)
         if overlap:
             raise ValueError(f"custom subject lists overlap: {sorted(overlap)}")
-        unknown = listed - set(subjects)
+        unknown = (train_set | val_set | test_set) - set(subjects)
         if unknown:
             raise ValueError(f"custom subjects not in manifest: {sorted(unknown)}")
-        return ProtocolSplit(train=_paths_for(manifest, train_subjects),
-                             val=_paths_for(manifest, val_subjects or []),
-                             test=_paths_for(manifest, test_subjects), protocol=protocol)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
 
-    raise ValueError(f"unknown protocol {protocol!r}")
+    train, val, test = ([r.path for r in manifest.records if r.subject in part]
+                        for part in map(set, chosen))
+    return ProtocolSplit(train=train, val=val, test=test, protocol=protocol)
 
 
 def holdout_validation(split: ProtocolSplit, rng: Rng) -> ProtocolSplit:
@@ -410,19 +389,16 @@ def class_motion_params(k: int) -> dict:
 
 def _render_utterance(t_len: int, height: int, width: int, motion: dict,
                       base: np.ndarray, bar_amp: float, noise: np.ndarray) -> np.ndarray:
+    """The soft bar at each frame's position [T], as profiles [T, dim]
+    across the rows or the columns, on the subject's base image plus noise."""
     dim = height if motion["orientation"] == 0 else width
-    center = (dim - 1) / 2.0
-    swing = 0.35 * dim
+    t = np.arange(t_len)
+    pos = (dim - 1) / 2.0 + 0.35 * dim * np.sin(2 * np.pi * motion["frequency"] * t / t_len
+                                                  + motion["phase"])
     coord = np.arange(dim, dtype=np.float64)
-    img = np.empty((t_len, height, width), dtype=np.float64)
-    for t in range(t_len):
-        pos = center + swing * np.sin(2 * np.pi * motion["frequency"] * t / t_len
-                                      + motion["phase"])
-        profile = bar_amp * np.exp(-((coord - pos) ** 2) / (2 * 1.5 ** 2))
-        frame = base + (profile[:, None] if motion["orientation"] == 0 else profile[None, :])
-        img[t] = frame
-    img += noise
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    profiles = bar_amp * np.exp(-((coord - pos[:, None]) ** 2) / (2 * 1.5 ** 2))
+    bars = profiles[:, :, None] if motion["orientation"] == 0 else profiles[:, None, :]
+    return np.clip(np.rint(base + bars + noise), 0, 255).astype(np.uint8)
 
 
 def synth_generate(classes: int, subjects: int, reps: int, frames: int,

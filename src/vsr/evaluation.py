@@ -147,56 +147,39 @@ def format_percent(x: float) -> str:
 
 def render_report(obj, fmt: str = "text", per_subject: bool = True,
                   confusion: bool = True) -> str:
-    """Render an EvalReport or RunAggregate as text, json, or csv.
+    """Render an EvalReport as text, json or csv, or a RunAggregate as text.
 
     Text for an aggregate is the one-row "Mean (Std) | Max" table; for a
-    report, an accuracy line plus optional per-subject and confusion
-    sections. CSV carries per-subject rows for a report and per-run rows
-    for an aggregate. JSON is sorted and indented, so rendering a parsed
-    document reproduces it exactly.
+    report, an accuracy line plus the per-subject and confusion sections
+    that per_subject and confusion ask for, the only format they shape.
+    JSON carries the whole report, sorted and indented, so rendering a
+    parsed document reproduces it exactly; CSV its per-subject rows.
     """
-    if fmt == "json":
-        payload = obj.to_dict()
-        if isinstance(obj, EvalReport):
-            if not per_subject:
-                payload.pop("per_subject")
-            if not confusion:
-                payload.pop("confusion")
-        return json.dumps(payload, indent=2, sort_keys=True)
-
     if isinstance(obj, RunAggregate):
-        if fmt == "text":
-            row = (f"{format_percent(obj.mean)} ({format_percent(obj.std)}) | "
-                   f"{format_percent(obj.max)}")
-            return f"runs: {len(obj.accuracies)}\nMean (Std) | Max\n{row}"
-        if fmt == "csv":
-            lines = ["run,seed,accuracy"]
-            lines += [f"{i},{seed},{acc:.6f}"
-                      for i, (seed, acc) in enumerate(zip(obj.seeds, obj.accuracies))]
-            return "\n".join(lines)
+        if fmt != "text":
+            raise ValueError(f"a run aggregate renders as text, not {fmt!r}")
+        row = (f"{format_percent(obj.mean)} ({format_percent(obj.std)}) | "
+               f"{format_percent(obj.max)}")
+        return f"runs: {len(obj.accuracies)}\nMean (Std) | Max\n{row}"
+    if fmt == "json":
+        return json.dumps(obj.to_dict(), indent=2, sort_keys=True)
+    if fmt == "csv":
+        lines = ["subject,n_utterances,accuracy"]
+        lines += [f"{s},{d['n_utterances']},{d['accuracy']:.6f}"
+                  for s, d in obj.per_subject.items()]
+        return "\n".join(lines)
+    if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-
-    if isinstance(obj, EvalReport):
-        if fmt == "text":
-            lines = [f"utterances: {obj.n_utterances}",
-                     f"accuracy: {format_percent(obj.accuracy)}"]
-            if obj.split:
-                lines.insert(0, f"split: {obj.split}")
-            if per_subject and obj.per_subject:
-                lines.append("per-subject:")
-                for s, d in obj.per_subject.items():
-                    lines.append(f"  {s}: {format_percent(d['accuracy'])} "
-                                 f"({d['n_utterances']} utterances)")
-            if confusion:
-                lines.append("confusion (rows true, columns predicted):")
-                for row in obj.confusion:
-                    lines.append("  " + " ".join(f"{int(c):4d}" for c in row))
-            return "\n".join(lines)
-        if fmt == "csv":
-            lines = ["subject,n_utterances,accuracy"]
-            lines += [f"{s},{d['n_utterances']},{d['accuracy']:.6f}"
-                      for s, d in obj.per_subject.items()]
-            return "\n".join(lines)
-        raise ValueError(f"unknown report format {fmt!r}")
-
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    lines = [f"utterances: {obj.n_utterances}", f"accuracy: {format_percent(obj.accuracy)}"]
+    if obj.split:
+        lines.insert(0, f"split: {obj.split}")
+    if per_subject and obj.per_subject:
+        lines.append("per-subject:")
+        for s, d in obj.per_subject.items():
+            lines.append(f"  {s}: {format_percent(d['accuracy'])} "
+                         f"({d['n_utterances']} utterances)")
+    if confusion:
+        lines.append("confusion (rows true, columns predicted):")
+        for row in obj.confusion:
+            lines.append("  " + " ".join(f"{int(c):4d}" for c in row))
+    return "\n".join(lines)

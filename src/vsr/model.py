@@ -132,12 +132,13 @@ def build_stream(input_dim: int, classes: int, hidden: int = DEFAULT_HIDDEN,
 
 
 def build_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
-                 hidden: int = DEFAULT_HIDDEN, rng: Rng | None = None,
+                 hidden: int | None = None, rng: Rng | None = None,
                  dtype=DEFAULT_DTYPE) -> FusionModel:
     """Fuse two trained streams; their classifier heads are dropped.
 
-    Stream weights are deep-copied, so later fine-tuning leaves the source
-    models untouched.
+    The fusion BLSTM is hidden wide, by default as wide as the raw stream's
+    BLSTM. Stream weights are copied in dtype, so the model holds one
+    precision and later fine-tuning leaves the source models untouched.
     """
     if raw.net.stream_kind != "raw" or diff.net.stream_kind != "diff":
         raise ValueError(f"expected a raw and a diff stream, got "
@@ -148,11 +149,12 @@ def build_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
         raise ValueError("streams disagree on the delta window")
     if rng is None:
         rng = Rng(0)
+    hidden = raw.net.blstm.hidden if hidden is None else hidden
     width = 2 * raw.net.blstm.hidden + 2 * diff.net.blstm.hidden
     fusion_blstm = blstm_init(width, hidden, rng, dtype)
     out = fc_init(2 * hidden, raw.classes, rng, "linear", dtype)
     meta = {"kind": "fusion", "theta": str(raw.net.delta.theta)}
-    return FusionModel(raw=copy.deepcopy(raw.net), diff=copy.deepcopy(diff.net),
+    return FusionModel(raw=astype_model(raw, dtype).net, diff=astype_model(diff, dtype).net,
                        fusion_blstm=fusion_blstm, out=out, meta=meta)
 
 
@@ -468,8 +470,17 @@ def _tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarr
     return tensors[name]
 
 
-def _read_fc(meta, tensors, name: str, activation: str, d_in: int | None) -> FcLayer:
-    act = meta.get(f"{name}.activation", activation)
+def _meta_value(meta, key: str, valid=lambda v: True, expected: str = "") -> str:
+    """A metadata value that save_checkpoint always writes, refused unless valid."""
+    if key not in meta:
+        raise CheckpointError(f"missing metadata key {key!r}")
+    if not valid(meta[key]):
+        raise CheckpointError(f"metadata {key} is {meta[key]!r}, expected {expected}")
+    return meta[key]
+
+
+def _read_fc(meta, tensors, name: str, d_in: int | None) -> FcLayer:
+    act = _meta_value(meta, f"{name}.activation")
     if act not in ACTIVATIONS:
         raise CheckpointError(f"unknown activation {act!r} for {name}")
     w = _tensor(tensors, f"{name}.w", (None, d_in))
@@ -480,7 +491,7 @@ def _read_encoder(meta, tensors, prefix: str = "") -> list[FcLayer]:
     """Each layer's input width must be the previous layer's output width."""
     layers: list[FcLayer] = []
     while f"{prefix}enc{len(layers)}.w" in tensors:
-        layers.append(_read_fc(meta, tensors, f"{prefix}enc{len(layers)}", "relu",
+        layers.append(_read_fc(meta, tensors, f"{prefix}enc{len(layers)}",
                                layers[-1].w.shape[0] if layers else None))
     if not layers:
         raise CheckpointError(f"no {prefix}enc0.w tensor")
@@ -502,9 +513,8 @@ def _read_delta(meta) -> DeltaWindow:
 
     A window wider than every sequence is valid: frame indices clamp to the edges.
     """
-    theta = meta.get("theta", "2")
-    if not (theta.isascii() and theta.isdigit() and int(theta) >= 1):
-        raise CheckpointError(f"metadata theta is {theta!r}, expected an integer >= 1")
+    theta = _meta_value(meta, "theta", lambda v: v.isascii() and v.isdigit() and int(v) >= 1,
+                        "an integer >= 1")
     return DeltaWindow(int(theta))
 
 
@@ -541,8 +551,10 @@ def _assemble(meta: dict[str, str], tensors: dict[str, np.ndarray], expect):
     if kind == "encoder":
         model = EncoderStack(layers=_read_encoder(meta, tensors), meta=meta)
     elif kind == "stream":
-        net = _read_net(meta, tensors, meta.get("stream", "raw"), _read_delta(meta))
-        head = _read_fc(meta, tensors, "head", "linear", 2 * net.blstm.hidden)
+        stream = _meta_value(meta, "stream", STREAM_KINDS.__contains__,
+                             f"one of {'/'.join(STREAM_KINDS)}")
+        net = _read_net(meta, tensors, stream, _read_delta(meta))
+        head = _read_fc(meta, tensors, "head", 2 * net.blstm.hidden)
         model = SingleStreamModel(net=net, head=head, meta=meta)
     elif kind == "fusion":
         delta = _read_delta(meta)
@@ -550,7 +562,7 @@ def _assemble(meta: dict[str, str], tensors: dict[str, np.ndarray], expect):
         diff = _read_net(meta, tensors, "diff", delta, "diff.")
         fusion_blstm = _read_blstm(tensors, "fusion_blstm",
                                    2 * raw.blstm.hidden + 2 * diff.blstm.hidden)
-        out = _read_fc(meta, tensors, "out", "linear", 2 * fusion_blstm.hidden)
+        out = _read_fc(meta, tensors, "out", 2 * fusion_blstm.hidden)
         model = FusionModel(raw=raw, diff=diff, fusion_blstm=fusion_blstm, out=out, meta=meta)
     else:
         raise CheckpointError(f"kind {kind!r} is not one of encoder/stream/fusion")

@@ -247,8 +247,6 @@ def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
     The fusion BLSTM and output layer draw fresh Glorot weights from
     cfg.seed; the copied stream weights fine-tune unless cfg.freeze_streams.
     """
-    if hidden is None:
-        hidden = raw.net.blstm.hidden
     model = build_fusion(raw, diff, hidden=hidden, rng=Rng(cfg.seed), dtype=cfg.dtype)
     return _fit(model, train_samples, val_samples, cfg, "fusion")
 

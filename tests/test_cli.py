@@ -1,6 +1,7 @@
 """End-to-end tests that drive vsr.cli.main the way a shell user would."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -459,6 +460,31 @@ def test_evaluate_text_report_sections(dataset, raw_ckpt, capsys):
     assert "confusion (rows true, columns predicted):" in full
 
 
+# SHA-256 of what evaluate prints for each format and section flag, recorded
+# before json and csv stopped reading --per-subject and --confusion (both
+# always carry every section)
+EVALUATE_STDOUT = {
+    (): "3f54a692c35fe6f9961000aaab2bffd05d07c71499bdea15e6cbcd00cfe1d999",
+    ("--per-subject",): "d976c59aab87ec60db34e1b8f5eb1cc9e64f3bd66c2ab0a76f831f0b5bf7de71",
+    ("--confusion",): "13db5499af4c7b76b4d027d7c41e218cfedc621fb9de20042b642dc5fe971f6f",
+    ("--per-subject", "--confusion"):
+        "e8205f1e350ade14e6fd274b48be27467af823a76c9a921ed6cfa0769730192a",
+    ("--format", "json"): "65118c9ea88b7ed4e22fd71807c78cd72696f2b3a8fb22f12d3c4fe88cb360e9",
+    ("--format", "json", "--per-subject", "--confusion"):
+        "65118c9ea88b7ed4e22fd71807c78cd72696f2b3a8fb22f12d3c4fe88cb360e9",
+    ("--format", "csv"): "2349a77f5788e50816700e7a7bf662b824554904eae5b8e321596d084662c9b3",
+}
+
+
+@pytest.mark.parametrize("flags", list(EVALUATE_STDOUT),
+                         ids=lambda flags: "+".join(f.lstrip("-") for f in flags) or "plain")
+def test_evaluate_prints_its_pinned_report(dataset, raw_ckpt, capsys, flags):
+    assert main(["evaluate", "--model", str(raw_ckpt), "--data", str(dataset),
+                 *PROTO_ARGS, "--split", "val", *flags]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == EVALUATE_STDOUT[flags]
+
+
 def test_evaluate_csv_and_out_file(dataset, raw_ckpt, tmp_path, capsys):
     out = tmp_path / "report.csv"
     rc = main(["evaluate", "--model", str(raw_ckpt), "--data", str(dataset),
@@ -733,4 +759,17 @@ def test_evaluate_bad_delta_window_exits_2(raw_ckpt, dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"checkpoint {bad}: metadata theta is 'x'" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_unknown_stream_kind_exits_2(raw_ckpt, dataset, tmp_path, capsys):
+    stream = struct.pack("<I", 6) + b"stream" + struct.pack("<I", 3)
+    blob = Path(raw_ckpt).read_bytes()
+    assert blob.count(stream + b"raw") == 1
+    bad = tmp_path / "bad_stream.ckpt"
+    bad.write_bytes(blob.replace(stream + b"raw", stream + b"foo"))
+    rc = main(["evaluate", "--model", str(bad), "--data", str(dataset), *PROTO_ARGS])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"checkpoint {bad}: metadata stream is 'foo'" in err
     assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -456,6 +457,51 @@ def test_unknown_protocol():
         make_split(avletters2_manifest(), "grid")
 
 
+# SHA-256 of each split's exact (train, val, test) path lists, recorded
+# before the protocols came to share one return; counts, parity and
+# disjointness (above) do not say which subject lands where
+SPLIT_DIGESTS = {
+    "oulu-0": "69670b0938d97da6a4fb7d424c5908c868952bbff4035946eeff15af17287f56",
+    "oulu-1": "4e6eafe9053b4c6a5f9fb5959f14589214623c515244af2f93fd6a293f891385",
+    "cuave": "c5663a01fbbfaf7e7a043c5319be38cfb7898f5a2c2d63262158962f373282d8",
+    "avletters": "e58802125f7a9028f0641012ac92fa7e40e3272721856813d1cb067e6848fcf7",
+    "avletters2-fold-0": "5e71ec4c4990e396cf7d9835f11b93d6cf5e7ac894d6523291e36509586e09c7",
+    "avletters2-fold-1": "11b97a0306a566560e8124035141d2e12856353b42d17a2b3352fd1702ab509d",
+    "avletters2-fold-2": "03cc3ffe471734b569641f152ac4d1c7cc75e7094cce8589c5bae489cc6f3a97",
+    "avletters2-fold-3": "f7194cee7a3116c5fe95ec860c492ec0ec2d3cf3a9f6b152fdfe58493ffb4ba3",
+    "avletters2-fold-4": "803522c1fc81e4752fdd77a272e736750c8251cab58f1a38c77209ecd2a776c1",
+    "custom": "2bdcd280b375f3237bf52b556ee721e125396f8b58ae20e8b730b07292bab2d4",
+}
+
+SPLIT_CASES = {
+    "oulu-0": (oulu_manifest, "oulu", {"rng": Rng(0)}),
+    "oulu-1": (oulu_manifest, "oulu", {"rng": Rng(1)}),
+    "cuave": (cuave_manifest, "cuave", {}),
+    "avletters": (avletters_manifest, "avletters", {}),
+    **{f"avletters2-fold-{k}": (avletters2_manifest, f"avletters2-fold-{k}", {})
+       for k in range(5)},
+    "custom": (avletters2_manifest, "custom",
+               {"train_subjects": ["s4", "s1"], "val_subjects": ["s5"],
+                "test_subjects": ["s2"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_each_protocol_keeps_its_exact_lists(case):
+    manifest, protocol, kwargs = SPLIT_CASES[case]
+    split = make_split(manifest(), protocol, **kwargs)
+    lists = json.dumps([split.train, split.val, split.test]).encode()
+    assert hashlib.sha256(lists).hexdigest() == SPLIT_DIGESTS[case]
+    assert split.protocol == protocol
+
+
+@pytest.mark.parametrize("seed, val", [(0, ["p02", "p05", "p06", "p30", "p39"]),
+                                       (1, ["p12", "p24", "p32", "p39", "p40"])])
+def test_oulu_validation_speakers_are_pinned(seed, val):
+    m = oulu_manifest()
+    assert sorted(subjects_of(m, make_split(m, "oulu", Rng(seed)).val)) == val
+
+
 def test_holdout_validation_carves_ten_percent():
     m = avletters_manifest()
     split = make_split(m, "avletters")
@@ -489,6 +535,19 @@ def test_synth_generate_counts_and_determinism(tmp_path):
     assert names == sorted(p.name for p in b_dir.iterdir())
     for name in names:
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_synth_generate_tree_is_pinned(tmp_path):
+    """Both bar orientations (classes 0 and 1) on a frame whose height is
+    not its width; the digest was recorded before frames were rendered as
+    one array instead of one at a time."""
+    synth_generate(3, 2, 2, 5, 6, 11, seed=4, out_dir=tmp_path)
+    digest = hashlib.sha256()
+    for name in sorted(p.name for p in tmp_path.iterdir()):
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == \
+        "cbc86402598b8ef5bdda68cbc89b4ff53a1b8da03062165b90f81e8c142e5857"
 
 
 def test_synth_generate_seed_changes_pixels(tmp_path):

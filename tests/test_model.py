@@ -99,6 +99,31 @@ def test_build_fusion_copies_stream_weights():
     assert not np.array_equal(fused.raw.encoder[0].w, raw.net.encoder[0].w)
 
 
+def test_build_fusion_defaults_to_the_raw_streams_width():
+    raw = tiny_stream(kind="raw", hidden=3)
+    diff = tiny_stream(kind="diff", seed=1, hidden=5)
+    fused = build_fusion(raw, diff, rng=Rng(0), dtype=np.float64)
+    assert fused.fusion_blstm.hidden == 3
+    assert fused.fusion_blstm.fwd.wx.shape == (12, 2 * 3 + 2 * 5)
+    assert fused.out.w.shape == (3, 6)
+
+
+@pytest.mark.parametrize("source, dtype", [(np.float32, np.float64),
+                                           (np.float64, np.float32)])
+def test_build_fusion_holds_one_precision(source, dtype):
+    """The copied streams take the fusion layers' dtype, so no layer call
+    of the built model mixes precisions."""
+    raw = tiny_stream(kind="raw", dtype=source)
+    diff = tiny_stream(kind="diff", seed=1, dtype=source)
+    fused = build_fusion(raw, diff, hidden=2, rng=Rng(0), dtype=dtype)
+    assert {p.dtype for p in named_params(fused).values()} == {np.dtype(dtype)}
+    assert all(p.dtype == source for p in named_params(raw).values())
+    rng = Rng(2)
+    logits, _ = forward(fused, {k: [rng.normal((4, 6)).astype(dtype)]
+                                for k in ("raw", "diff")}, keep_cache=False)
+    assert logits.dtype == dtype
+
+
 def test_named_params_cover_everything_once():
     model = tiny_stream()
     names = list(named_params(model))
@@ -627,13 +652,15 @@ def _edit_bytes(edit):
     return write
 
 
-def _edit_entries(meta=None, tensors=None, drop=None, extra=()):
-    """Writes a tiny stream checkpoint with its metadata and tensors edited."""
+def _edit_entries(meta=None, tensors=None, drop=None, extra=(), unset=None):
+    """Writes a tiny stream checkpoint with its metadata and tensors edited;
+    drop names a tensor to leave out, unset a metadata key."""
     def write(path):
         save_checkpoint(path, tiny_stream())
         stored_meta, stored = _read_raw(path)
         stored.update(tensors or {})
         stored.pop(drop, None)
+        stored_meta.pop(unset, None)
         write_raw(path, {**stored_meta, **(meta or {})}, [*stored.items(), *extra])
     return write
 
@@ -659,9 +686,16 @@ def _edit_entries(meta=None, tensors=None, drop=None, extra=()):
      "repeats tensor 'head.b'"),
     (_edit_entries(extra=[("extra.w", np.zeros((2, 2), dtype=np.float32))]), None,
      "does not have: ['extra.w']"),
+    # save_checkpoint always writes these values, so the reader requires them
+    (_edit_entries(meta={"stream": "foo"}), None,
+     "metadata stream is 'foo', expected one of raw/diff"),
+    (_edit_entries(unset="enc2.activation"), None,  # the linear bottleneck
+     "missing metadata key 'enc2.activation'"),
+    (_edit_entries(unset="stream"), None, "missing metadata key 'stream'"),
+    (_edit_entries(unset="theta"), None, "missing metadata key 'theta'"),
 ], ids=["trailing", "magic", "version", "truncated", "expect", "kind", "theta",
         "activation", "classes", "missing", "no-encoder", "shape", "non-finite",
-        "repeated", "unknown"])
+        "repeated", "unknown", "stream", "no-activation", "no-stream", "no-theta"])
 def test_every_checkpoint_error_names_the_file_once(tmp_path, write, expect, named):
     path = tmp_path / "t.ckpt"
     write(path)
