@@ -181,6 +181,9 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
         for kind, m in streams.items():
             if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
                 raise ValueError(f"--{kind} checkpoint is not a trained {kind} stream")
+            if m.classes != len(manifest.classes):
+                raise ValueError(f"--{kind} model has {m.classes} classes, "
+                                 f"dataset has {len(manifest.classes)}")
         return manifest, streams
     encoder = {"encoder_sizes": _parse_sizes(cfg["encoder_sizes"]), "encoder_init": None}
     if cfg["encoder"]:
@@ -216,14 +219,14 @@ def _run_training(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]):
     if stage == "fusion":
         model, history = train_fusion(model_inputs["raw"], model_inputs["diff"],
                                       train_samples, val_samples, tcfg, hidden=cfg["hidden"])
-        return model, history, split, manifest, val_utts
+        return model, history, split, manifest
     model = build_stream(input_dim=manifest.frame_dim,
                          classes=len(manifest.classes), hidden=int(cfg["hidden"]),
                          rng=rng, stream_kind=cfg["stream"], **model_inputs,
                          bottleneck=int(cfg["bottleneck"]), theta=int(cfg["theta"]),
                          dtype=tcfg.dtype)
     model, history = train_stream(model, train_samples, val_samples, tcfg)
-    return model, history, split, manifest, val_utts
+    return model, history, split, manifest
 
 
 # the settings a training run cannot start without, by stage
@@ -233,14 +236,13 @@ _TRAIN_INPUTS = {"stream": ["data", "protocol"], "fusion": ["data", "protocol", 
 def cmd_train(cfg: dict, stage: str) -> int:
     """train-stream or train-fusion, as stage says."""
     _require(cfg, [*_TRAIN_INPUTS[stage], "out"], f"train-{stage}")
-    model, history, split, manifest, val_utts = _run_training(
-        cfg, stage, _training_inputs(cfg, stage))
+    model, history, _, _ = _run_training(cfg, stage, _training_inputs(cfg, stage))
     history.config.update(cfg)
     save_checkpoint(cfg["out"], model,
                     extra_meta={"config": _canon(cfg), "seed": str(cfg["seed"])})
     save_history(cfg["history"] or cfg["out"] + ".history.json", history)
-    report = evaluate(model, val_utts, len(manifest.classes), split="val",
-                      checkpoint=os.path.basename(cfg["out"]))
+    report = history.val_report  # the returned weights' own, scored as evaluate scores
+    report.split, report.checkpoint = "val", os.path.basename(cfg["out"])
     _write(cfg["out"] + ".val.json", render_report(report, "json"))
     trained = "fusion model" if stage == "fusion" else f"{cfg['stream']} stream"
     print(f"trained {trained}: best epoch {history.best_epoch}, "
@@ -320,7 +322,7 @@ def cmd_repeat(cfg: dict, train: list[str]) -> int:
 
 def _repeat_one(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]) -> float:
     """One training run; returns test-split utterance accuracy."""
-    model, _, split, manifest, _ = _run_training(cfg, stage, inputs)
+    model, _, split, manifest = _run_training(cfg, stage, inputs)
     test_utts = load_utterances(cfg["data"], manifest, split.test)
     report = evaluate(model, test_utts, len(manifest.classes), split="test")
     return report.accuracy

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .numerics import DEFAULT_DTYPE, Rng
 
 UTT_MAGIC = b"VSRU"
 UTT_VERSION = 1
+UTT_HEADER = struct.Struct("<4sHIII")  # magic, version, T, H, W
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -78,6 +80,10 @@ class LoadedUtterance:
     label: int
     frames: np.ndarray  # [T, H, W] u8
 
+    @property
+    def n_frames(self) -> int:
+        return self.frames.shape[0]
+
 
 # ---------------------------------------------------------------------------
 # utterance container
@@ -99,29 +105,54 @@ def save_utterance(path, frames: np.ndarray) -> None:
     if t_len < 2:
         raise ContainerError(f"utterance needs at least 2 frames, got {t_len}")
     with open(path, "wb") as fh:
-        fh.write(UTT_MAGIC)
-        fh.write(struct.pack("<HIII", UTT_VERSION, t_len, h, w))
+        fh.write(UTT_HEADER.pack(UTT_MAGIC, UTT_VERSION, t_len, h, w))
         fh.write(np.ascontiguousarray(frames).tobytes())
 
 
 def load_utterance(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 18:
-        raise ContainerError(f"utterance file too short to hold a header: {len(blob)} bytes")
-    magic = blob[:4]
-    if magic != UTT_MAGIC:
-        raise ContainerError(f"bad utterance magic {magic!r}, expected {UTT_MAGIC!r}")
-    version, t_len, h, w = struct.unpack("<HIII", blob[4:18])
-    if version != UTT_VERSION:
-        raise ContainerError(f"unsupported utterance version {version}, expected {UTT_VERSION}")
-    if t_len < 2:
-        raise ContainerError(f"utterance needs at least 2 frames, header says {t_len}")
-    expected = 18 + t_len * h * w
-    if len(blob) != expected:
-        raise ContainerError(f"utterance payload mismatch: header implies {expected} bytes, "
-                             f"file has {len(blob)}")
-    return np.frombuffer(blob[18:], dtype=np.uint8).reshape(t_len, h, w).copy()
+    """Read a container's frames [T, H, W]. Every ContainerError starts
+    `utterance <path>: `.
+
+    Only the header, then exactly the payload it declares, are read, once
+    the file is known to be a regular file of that size, so a record that
+    names a device or a huge file allocates nothing before it is refused.
+    """
+    try:
+        return _read_utterance(path)
+    except ContainerError as exc:
+        exc.args = (f"utterance {path}: {exc}",)
+        raise
+
+
+def _open_nonblocking(path, flags):
+    # a FIFO opens at once instead of waiting for a writer, so fstat can refuse it
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+
+
+def _read_utterance(path) -> np.ndarray:
+    with open(path, "rb", opener=_open_nonblocking) as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ContainerError("not a regular file")
+        header = fh.read(UTT_HEADER.size)
+        if len(header) < UTT_HEADER.size:
+            raise ContainerError(f"file too short to hold a header: {len(header)} bytes")
+        magic, version, t_len, h, w = UTT_HEADER.unpack(header)
+        if magic != UTT_MAGIC:
+            raise ContainerError(f"bad magic {magic!r}, expected {UTT_MAGIC!r}")
+        if version != UTT_VERSION:
+            raise ContainerError(f"unsupported version {version}, expected {UTT_VERSION}")
+        if t_len < 2:
+            raise ContainerError(f"needs at least 2 frames, header says {t_len}")
+        expected = UTT_HEADER.size + t_len * h * w
+        if info.st_size != expected:
+            raise ContainerError(f"payload mismatch: header implies {expected} bytes, "
+                                 f"file has {info.st_size}")
+        payload = fh.read(expected - UTT_HEADER.size)
+    if len(payload) != expected - UTT_HEADER.size:  # the file shrank since fstat
+        raise ContainerError(f"payload mismatch: header implies {expected} bytes, "
+                             f"read {UTT_HEADER.size + len(payload)}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(t_len, h, w).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +187,7 @@ def _manifest_object(path, lineno: int, line: str, keys: dict) -> dict:
     """Parse one manifest line as a JSON object holding a valid value for every key."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an over-long int, deep nesting
         raise ValueError(f"{path} line {lineno}: not JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{path} line {lineno}: expected a JSON object, "
@@ -172,10 +203,15 @@ def _manifest_object(path, lineno: int, line: str, keys: dict) -> dict:
 
 def load_manifest(root) -> DatasetManifest:
     path = os.path.join(root, MANIFEST_NAME)
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
-        raise ValueError(f"empty manifest at {path}")
+        raise ValueError(f"{path}: empty manifest")
     header = _manifest_object(path, *lines[0], _HEADER_KEYS)
     classes = header["classes"]
     records = []
@@ -183,11 +219,16 @@ def load_manifest(root) -> DatasetManifest:
     for lineno, ln in lines[1:]:
         obj = _manifest_object(path, lineno, ln, _RECORD_KEYS)
         rec = UtteranceRecord(path=obj["path"], subject=obj["subject"], label=obj["label"])
+        where = f"{path} line {lineno}"
+        if ("\0" in rec.path or os.path.isabs(rec.path)
+                or os.path.normpath(rec.path).split(os.sep)[0] == os.pardir):
+            raise ValueError(f"{where}: 'path' must be a relative path inside the dataset, "
+                             f"got {json.dumps(rec.path)}")
         if not 0 <= rec.label < len(classes):
-            raise ValueError(f"manifest record {rec.path!r} label {rec.label} "
+            raise ValueError(f"{where}: record {rec.path!r} label {rec.label} "
                              f"outside [0, {len(classes)})")
         if rec.path in seen_paths:
-            raise ValueError(f"manifest repeats path {rec.path!r}")
+            raise ValueError(f"{where}: manifest repeats path {rec.path!r}")
         seen_paths.add(rec.path)
         records.append(rec)
     return DatasetManifest(classes=classes, height=header["height"],
@@ -202,10 +243,11 @@ def load_utterances(root, manifest: DatasetManifest,
     for rec in manifest.records:
         if wanted is not None and rec.path not in wanted:
             continue
-        frames = load_utterance(os.path.join(root, rec.path))
+        full = os.path.join(root, rec.path)
+        frames = load_utterance(full)
         if frames.shape[1:] != (manifest.height, manifest.width):
-            raise ValueError(f"{rec.path}: frames are {frames.shape[1:]}, manifest says "
-                             f"({manifest.height}, {manifest.width})")
+            raise ContainerError(f"utterance {full}: frames are {frames.shape[1:]}, "
+                                 f"manifest says ({manifest.height}, {manifest.width})")
         out.append(LoadedUtterance(rec.path, rec.subject, rec.label, frames))
     if wanted is not None and len(out) != len(wanted):
         missing = wanted - {u.path for u in out}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,10 +76,7 @@ def predict_labels(model, items: list, features=lambda item: item) -> list[int]:
 
     Items are preprocessed and scored SCORE_CHUNK at a time in the order
     given, through model_logits, so only one chunk's features and no
-    backward cache are held at once. Callers sort by (length, path), so a
-    chunk holds utterances of similar length (its recurrence runs as many
-    steps as its longest has frames), and the chunks, which decide how
-    BLAS rounds each logit, do not depend on the order of the split.
+    backward cache are held at once.
     """
     labels = []
     for start in range(0, len(items), SCORE_CHUNK):
@@ -89,36 +86,42 @@ def predict_labels(model, items: list, features=lambda item: item) -> list[int]:
     return labels
 
 
+def score_split(model, items: list, features, split: str = "",
+                checkpoint: str = "") -> EvalReport:
+    """The EvalReport of a split's items (utterances or training samples, each
+    with path, subject, label and n_frames; features(item) gives its streams).
+
+    Training's validation and evaluate both score here, in (length, path)
+    order: a chunk holds items of similar length, and the chunks, which
+    decide how BLAS rounds each logit, do not depend on the split's order.
+    """
+    ordered = sorted(items, key=lambda item: (item.n_frames, item.path))
+    confusion = np.zeros((model.classes, model.classes), dtype=np.int64)
+    subj_total: dict[str, int] = {}
+    subj_correct: dict[str, int] = {}
+    for item, pred in zip(ordered, predict_labels(model, ordered, features)):
+        confusion[item.label, pred] += 1
+        subj_total[item.subject] = subj_total.get(item.subject, 0) + 1
+        subj_correct[item.subject] = subj_correct.get(item.subject, 0) + int(pred == item.label)
+    per_subject = {s: {"n_utterances": subj_total[s],
+                       "accuracy": subj_correct[s] / subj_total[s]}
+                   for s in sorted(subj_total)}
+    return EvalReport(accuracy=float(np.trace(confusion)) / len(items),
+                      per_subject=per_subject, confusion=confusion,
+                      n_utterances=len(items), split=split, checkpoint=checkpoint)
+
+
 def evaluate(model, utts: list[LoadedUtterance], n_classes: int,
              split: str = "", checkpoint: str = "") -> EvalReport:
-    """Score a model over a split's utterances.
-
-    Utterances are preprocessed and scored chunk by chunk in (length, path)
-    order, so the report does not depend on the order of utts.
-    """
+    """Score a model over a split's utterances, preprocessed chunk by chunk."""
     if not utts:
         raise ValueError("cannot evaluate an empty split")
     kinds = stream_kinds(model)
     if model.classes != n_classes:
         raise ValueError(f"model has {model.classes} classes, dataset has {n_classes}")
     dtype = next(iter(named_params(model).values())).dtype
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    subj_total: dict[str, int] = {}
-    subj_correct: dict[str, int] = {}
-    ordered = sorted(utts, key=lambda u: (u.frames.shape[0], u.path))
-    preds = predict_labels(model, ordered, lambda u: {k: stream_features(u.frames, k, dtype)
-                                                      for k in kinds})
-    for u, pred in zip(ordered, preds):
-        confusion[u.label, pred] += 1
-        subj_total[u.subject] = subj_total.get(u.subject, 0) + 1
-        subj_correct[u.subject] = subj_correct.get(u.subject, 0) + int(pred == u.label)
-    accuracy = float(np.trace(confusion)) / len(utts)
-    per_subject = {s: {"n_utterances": subj_total[s],
-                       "accuracy": subj_correct[s] / subj_total[s]}
-                   for s in sorted(subj_total)}
-    return EvalReport(accuracy=accuracy, per_subject=per_subject,
-                      confusion=confusion, n_utterances=len(utts),
-                      split=split, checkpoint=checkpoint)
+    return score_split(model, utts, lambda u: {k: stream_features(u.frames, k, dtype)
+                                               for k in kinds}, split, checkpoint)
 
 
 def aggregate_runs(accuracies: list[float], seeds: list[int]) -> RunAggregate:

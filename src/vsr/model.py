@@ -447,6 +447,8 @@ def _read_raw(path):
         if size > left:
             raise CheckpointError(f"truncated: tensor {name!r} of shape {shape} needs "
                                   f"{size} bytes, {left} are left")
+        if rank > 2:  # every vsr tensor is a vector or a matrix
+            raise CheckpointError(f"tensor {name!r} has rank {rank}, expected at most 2")
         data = np.frombuffer(reader.take(size), dtype="<f4").reshape(shape).astype(np.float32)
         # a float64 sum of float32 values cannot overflow, so it is finite exactly
         # when every value is; unlike np.isfinite it allocates no tensor-sized mask
@@ -509,12 +511,12 @@ def _read_blstm(tensors, prefix: str, d_in: int) -> Blstm:
 
 
 def _read_delta(meta) -> DeltaWindow:
-    """The delta half-window, a decimal integer >= 1.
+    """The delta half-window, a decimal integer >= 1 of at most 9 digits.
 
     A window wider than every sequence is valid: frame indices clamp to the edges.
     """
-    theta = _meta_value(meta, "theta", lambda v: v.isascii() and v.isdigit() and int(v) >= 1,
-                        "an integer >= 1")
+    theta = _meta_value(meta, "theta", lambda v: v.isascii() and v.isdigit() and len(v) <= 9
+                        and int(v) >= 1, "an integer from 1 to 999999999")
     return DeltaWindow(int(theta))
 
 

@@ -3,21 +3,21 @@
 A batch holds its shuffled samples' own variable-length sequences, one
 label per utterance and the lengths. The model runs each layer once over
 the batch's concatenated frames, the deltas and BLSTMs with the lengths.
-Validation scores through the same chunked path as evaluation. Early
-stopping watches validation utterance accuracy and restores the best
-epoch's weights.
+Validation scores a split as evaluation does, into an EvalReport. Early
+stopping watches its utterance accuracy and restores the best epoch's
+weights, whose report the history keeps.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import LoadedUtterance, stream_features
-from .evaluation import predict_labels
+from .evaluation import EvalReport, score_split
 from .fileio import write_atomic
 from .model import (SingleStreamModel, astype_model, build_fusion, clip_group,
                     fusion_forward_batch, fusion_backward_batch, named_params,
@@ -69,9 +69,12 @@ class TrainHistory:
     best_val_accuracy: float = 0.0
     epochs: list[dict] = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    # the validation report of the weights the fit returns; not in the JSON
+    val_report: EvalReport | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        doc = {k: v for k, v in asdict(self).items() if k != "val_report"}
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def save_history(path, history: TrainHistory) -> None:
@@ -87,6 +90,11 @@ class SeqSample:
     streams: dict[str, np.ndarray]  # kind -> [T, D]
     label: int
     path: str = ""  # the utterance's container; validation orders ties by it
+    subject: str = ""
+
+    @property
+    def n_frames(self) -> int:
+        return next(iter(self.streams.values())).shape[0]
 
 
 @dataclass
@@ -101,7 +109,7 @@ class Batch:
 def samples_from_utterances(utts: list[LoadedUtterance], kinds: tuple[str, ...],
                             dtype=np.float32) -> list[SeqSample]:
     return [SeqSample(streams={k: stream_features(u.frames, k, dtype) for k in kinds},
-                      label=u.label, path=u.path) for u in utts]
+                      label=u.label, path=u.path, subject=u.subject) for u in utts]
 
 
 def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Batch]:
@@ -115,7 +123,7 @@ def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Ba
     batches = []
     for start in range(0, len(samples), batch_utts):
         group = [samples[i] for i in order[start:start + batch_utts]]
-        lengths = [next(iter(s.streams.values())).shape[0] for s in group]
+        lengths = [s.n_frames for s in group]
         mask = (np.arange(max(lengths)) < np.array(lengths)[:, None]).astype(np.float32)
         batches.append(Batch(streams={kind: [s.streams[kind] for s in group]
                                       for kind in group[0].streams},
@@ -169,16 +177,9 @@ def train_epoch(model, batches: list[Batch], opt: Adam, cfg: TrainConfig) -> flo
     return total_loss / total_frames
 
 
-def _validation_accuracy(model, samples: list[SeqSample]) -> float:
-    """Utterance accuracy by per-frame majority vote. Stubbed in some tests.
-
-    Scores through evaluation.predict_labels in evaluate's (length, path)
-    order, so both score a split in the same chunks.
-    """
-    ordered = sorted(samples, key=lambda s: (next(iter(s.streams.values())).shape[0],
-                                             s.path))
-    preds = predict_labels(model, [s.streams for s in ordered])
-    return sum(pred == s.label for pred, s in zip(preds, ordered)) / len(samples)
+def _validation_accuracy(model, samples: list[SeqSample]) -> EvalReport:
+    """The samples' EvalReport, scored as evaluate scores. Stubbed in some tests."""
+    return score_split(model, samples, lambda s: s.streams)
 
 
 def _copy_params(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None:
@@ -190,8 +191,10 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
          cfg: TrainConfig, stage: str):
     """Cast model and samples to cfg's precision, then fit; returns (model, history).
 
-    The history records stage, "stream" or "fusion". The best epoch's
-    weights are copied into one snapshot buffer, allocated once.
+    The history records stage, "stream" or "fusion", and keeps the
+    validation report of the returned weights: the best epoch's, or the
+    initial weights' when no epoch ran. The best epoch's weights are copied
+    into one snapshot buffer, allocated once.
     """
     if not train_samples:
         raise ValueError("training set is empty")
@@ -205,29 +208,29 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
     opt = Adam()
     params = named_params(model)
     history = TrainHistory(stage=stage, seed=cfg.seed, config=asdict(cfg))
-    best_acc = -np.inf
     best = {n: np.empty_like(p) for n, p in params.items()}
     history.stop_reason = "max-epochs"
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
         batches = make_batches(train_samples, cfg.batch_utts, rng)
         mean_loss = train_epoch(model, batches, opt, cfg)
-        val_acc = _validation_accuracy(model, val_samples)
-        record = {"epoch": epoch, "train_loss": mean_loss, "val_accuracy": val_acc,
+        report = _validation_accuracy(model, val_samples)
+        record = {"epoch": epoch, "train_loss": mean_loss, "val_accuracy": report.accuracy,
                   "wall_time": time.perf_counter() - started}
         if cfg.track_train_accuracy:
-            record["train_accuracy"] = _validation_accuracy(model, train_samples)
+            record["train_accuracy"] = _validation_accuracy(model, train_samples).accuracy
         history.epochs.append(record)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            history.best_epoch = epoch
+        if not history.best_epoch or report.accuracy > history.best_val_accuracy:
+            history.best_epoch, history.best_val_accuracy = epoch, report.accuracy
+            history.val_report = report
             _copy_params(best, params)
         if epoch - history.best_epoch > cfg.patience:
             history.stop_reason = "early-stop"
             break
     if history.best_epoch:
         _copy_params(params, best)
-        history.best_val_accuracy = float(best_acc)
+    else:
+        history.val_report = _validation_accuracy(model, val_samples)
     return model, history
 
 
@@ -252,11 +255,6 @@ def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
 
 
 def _cast_samples(samples: list[SeqSample], dtype) -> list[SeqSample]:
-    out = []
-    for s in samples:
-        if all(a.dtype == dtype for a in s.streams.values()):
-            out.append(s)
-        else:
-            out.append(SeqSample(streams={k: a.astype(dtype) for k, a in s.streams.items()},
-                                 label=s.label, path=s.path))
-    return out
+    return [s if all(a.dtype == dtype for a in s.streams.values())
+            else replace(s, streams={k: a.astype(dtype) for k, a in s.streams.items()})
+            for s in samples]

@@ -23,7 +23,7 @@ from test_data import (
     oulu_manifest,
 )
 from vsr.data import LoadedUtterance, load_utterance, make_split, save_utterance
-from vsr.evaluation import aggregate_runs, evaluate, render_report
+from vsr.evaluation import EvalReport, aggregate_runs, evaluate, render_report
 from vsr.gradcheck import CHECKS, run_checks
 from vsr.layers import DeltaWindow, append_deltas, delta_forward, softmax_xent
 from vsr.model import (
@@ -293,7 +293,9 @@ def test_10_early_stopping_restores_the_best_weights(monkeypatch, tmp_path):
     def scripted(model, samples):
         snapshots[len(snapshots) + 1] = {name: value.copy()
                                          for name, value in named_params(model).items()}
-        return queue.pop(0)
+        return EvalReport(accuracy=queue.pop(0), per_subject={},
+                          confusion=np.zeros((3, 3), dtype=np.int64),
+                          n_utterances=len(samples))
 
     monkeypatch.setattr(training, "_validation_accuracy", scripted)
     rng = Rng(4)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -13,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vsr.cli
+import vsr.evaluation
 import vsr.gradcheck
 import vsr.layers
 from vsr.cli import build_parser, main, resolve_config
-from vsr.data import ROI_DIMS, load_manifest
+from vsr.data import ROI_DIMS, load_manifest, load_utterances
+from vsr.evaluation import evaluate, render_report
 from vsr.gradcheck import CHECKS
 from vsr.model import EncoderStack, FusionModel, SingleStreamModel, load_checkpoint
 from vsr.training import TrainConfig
@@ -395,6 +398,84 @@ def test_train_fusion_rejects_a_hidden_width_below_one(dataset, raw_ckpt, diff_c
     assert f"fan_in and fan_out must be >= 1, got 16, {hidden}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_train_fusion_refuses_streams_of_another_class_count(raw_ckpt, diff_ckpt, tmp_path,
+                                                            capsys):
+    other = tmp_path / "two_class"
+    assert main(["synth", "--classes", "2", "--subjects", "3", "--reps", "1",
+                 "--frames", "4", "--height", "8", "--width", "9", "--out", str(other)]) == 0
+    out = tmp_path / "f.ckpt"
+    rc = main(["train-fusion", "--data", str(other), "--protocol", "custom",
+               "--train-subjects", "s00", "--val-subjects", "s01", "--test-subjects", "s02",
+               *FIT_ARGS, "--raw", str(raw_ckpt), "--diff", str(diff_ckpt), "--out", str(out)])
+    assert rc == 2
+    assert "--raw model has 3 classes, dataset has 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the validation report a train command writes
+# ---------------------------------------------------------------------------
+
+def _train_argv(stage, dataset, raw_ckpt, diff_ckpt, out, *flags):
+    inputs = ARCH_ARGS if stage == "stream" else ["--raw", str(raw_ckpt),
+                                                  "--diff", str(diff_ckpt), "--hidden", "4"]
+    return [f"train-{stage}", "--data", str(dataset), *PROTO_ARGS, *inputs,
+            "--batch-utts", "4", "--patience", "5", "--seed", "5", *flags, "--out", str(out)]
+
+
+@pytest.mark.parametrize("stage", ["stream", "fusion"])
+def test_a_k_epoch_fit_scores_the_validation_split_k_times(dataset, raw_ckpt, diff_ckpt,
+                                                           tmp_path, monkeypatch, stage):
+    """The best epoch's own pass gives .val.json: no pass after the fit."""
+    chunks = []
+    real = vsr.evaluation.model_logits
+    monkeypatch.setattr(vsr.evaluation, "model_logits",
+                        lambda model, chunk: chunks.append(len(chunk)) or real(model, chunk))
+    out = tmp_path / "m.ckpt"
+    assert main(_train_argv(stage, dataset, raw_ckpt, diff_ckpt, out,
+                            "--max-epochs", "3")) == 0
+    assert chunks == [6, 6, 6]  # subject s02's 6 utterances, one chunk a pass
+    history = json.loads((tmp_path / "m.ckpt.history.json").read_text())
+    report = json.loads((tmp_path / "m.ckpt.val.json").read_text())
+    assert report["accuracy"] == history["best_val_accuracy"]
+
+
+@pytest.mark.parametrize("stage, precision, epochs", [
+    ("stream", "f32", "2"), ("stream", "f64", "2"), ("fusion", "f32", "2"),
+    ("fusion", "f64", "2"), ("stream", "f32", "0"), ("fusion", "f64", "0")])
+def test_val_report_is_evaluate_of_the_returned_model(dataset, raw_ckpt, diff_ckpt, tmp_path,
+                                                      monkeypatch, stage, precision, epochs):
+    """.val.json holds, byte for byte, what evaluate reports for the in-memory
+    model the fit returned, on the validation split; with no epoch, the
+    initial weights'."""
+    runs = []
+    real = vsr.cli._run_training
+    monkeypatch.setattr(vsr.cli, "_run_training",
+                        lambda *args: runs.append(real(*args)) or runs[-1])
+    out = tmp_path / "m.ckpt"
+    assert main(_train_argv(stage, dataset, raw_ckpt, diff_ckpt, out, "--precision",
+                            precision, "--max-epochs", epochs)) == 0
+    [(model, history, split, manifest)] = runs
+    assert (history.best_epoch == 0) == (epochs == "0")
+    report = evaluate(model, load_utterances(dataset, manifest, split.val),
+                      len(manifest.classes), split="val", checkpoint="m.ckpt")
+    assert (tmp_path / "m.ckpt.val.json").read_text() == render_report(report, "json") + "\n"
+
+
+def test_train_stream_names_a_truncated_container(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    record = next(r for r in load_manifest(data).records if r.subject == "s00")
+    victim = f"{data}/{record.path}"
+    with open(victim, "r+b") as fh:
+        fh.truncate(40)
+    rc = main(["train-stream", "--data", str(data), *PROTO_ARGS, *ARCH_ARGS, *FIT_ARGS,
+               "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: utterance {victim}: payload mismatch: header "
+                                       f"implies {18 + 6 * 8 * 9} bytes, file has 40\n")
 
 
 # a value unlike either fit's default for every TrainConfig field

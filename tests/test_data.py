@@ -84,6 +84,60 @@ def test_container_too_short_for_header(tmp_path):
         load_utterance(path)
 
 
+@pytest.mark.parametrize("blob, named", [
+    (b"VSRU\x01", "too short to hold a header: 5 bytes"),
+    (b"JUNK" + struct.pack("<HIII", 1, 2, 1, 1) + bytes(2), "bad magic b'JUNK'"),
+    (b"VSRU" + struct.pack("<HIII", 9, 2, 1, 1) + bytes(2), "unsupported version 9"),
+    (b"VSRU" + struct.pack("<HIII", 1, 1, 1, 1) + bytes(1), "at least 2 frames"),
+    (b"VSRU" + struct.pack("<HIII", 1, 3, 2, 2) + bytes(11), "header implies 30 bytes"),
+], ids=["header", "magic", "version", "frames", "payload"])
+def test_every_container_error_names_the_file(tmp_path, blob, named):
+    path = tmp_path / "bad.vsru"
+    path.write_bytes(blob)
+    with pytest.raises(ContainerError) as err:
+        load_utterance(path)
+    assert str(err.value).startswith(f"utterance {path}: ")
+    assert named in str(err.value)
+
+
+def test_load_utterance_reads_only_the_header_and_the_declared_payload(tmp_path, monkeypatch):
+    """No read is unbounded: the header's 18 bytes, then the payload it declares."""
+    import vsr.data
+
+    path = tmp_path / "u.vsru"
+    save_utterance(path, np.zeros((3, 4, 5), dtype=np.uint8))
+    sizes = []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def read(self, *args):
+            sizes.append(args[0] if args else None)
+            return self.fh.read(*args)
+
+    monkeypatch.setattr(vsr.data, "open", lambda *a, **k: Recording(open(*a, **k)),
+                        raising=False)
+    assert load_utterance(path).shape == (3, 4, 5)
+    assert sizes == [18, 60]
+
+
+def test_load_utterance_refuses_a_file_that_is_not_regular(tmp_path):
+    with pytest.raises(ContainerError, match="^utterance /dev/null: not a regular file$"):
+        load_utterance("/dev/null")
+    with pytest.raises(IsADirectoryError):
+        load_utterance(tmp_path)
+
+
 def test_container_save_validation(tmp_path):
     with pytest.raises(ContainerError):
         save_utterance(tmp_path / "a.vsru", np.zeros((3, 2, 2), dtype=np.float32))
@@ -118,6 +172,54 @@ def test_manifest_rejects_duplicate_paths(tmp_path):
     save_manifest(tmp_path, m)
     with pytest.raises(ValueError, match="repeats path"):
         load_manifest(tmp_path)
+
+
+def _one_record_manifest(root, record_path):
+    root.mkdir(exist_ok=True)
+    lines = [json.dumps({"classes": ["a"], "height": 2, "width": 2}),
+             json.dumps({"path": record_path, "subject": "s0", "label": 0})]
+    (root / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+
+
+def test_manifest_refuses_an_absolute_record_path(tmp_path):
+    _one_record_manifest(tmp_path, str(tmp_path / "x.vsru"))
+    with pytest.raises(ValueError, match="manifest.jsonl line 2: 'path' must be a relative "
+                                         "path inside the dataset"):
+        load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("record_path", ["../d/x.vsru", "sub/../../d/x.vsru", ".."])
+def test_manifest_refuses_a_record_path_that_leaves_the_dataset(tmp_path, record_path):
+    """A sibling directory's container would otherwise load as the dataset's own."""
+    (tmp_path / "d").mkdir()
+    save_utterance(tmp_path / "d" / "x.vsru", np.zeros((2, 2, 2), dtype=np.uint8))
+    _one_record_manifest(tmp_path / "root", record_path)
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 2: 'path' must be a relative path inside the dataset, "
+            f"got {json.dumps(record_path)}")):
+        load_manifest(tmp_path / "root")
+
+
+@pytest.mark.parametrize("record_path", ["sub/x.vsru", "./sub/x.vsru", "sub/../sub/x.vsru"])
+def test_manifest_loads_a_record_path_in_a_subdirectory(tmp_path, record_path):
+    (tmp_path / "sub").mkdir()
+    save_utterance(tmp_path / "sub" / "x.vsru", np.zeros((2, 2, 2), dtype=np.uint8))
+    _one_record_manifest(tmp_path, record_path)
+    [utt] = load_utterances(tmp_path, load_manifest(tmp_path))
+    assert utt.path == record_path and utt.frames.shape == (2, 2, 2)
+
+
+@pytest.mark.parametrize("body, named", [
+    (b'{"classes": ["a\xff"], "height": 2, "width": 2}\n', "not valid UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000 + b"\n", "line 1: not JSON"),
+    (b'{"classes": ["a"], "height": ' + b"9" * 5000 + b', "width": 2}\n', "line 1: not JSON"),
+], ids=["utf8", "nesting", "long-int"])
+def test_manifest_that_cannot_be_parsed_names_the_file(tmp_path, body, named):
+    (tmp_path / "manifest.jsonl").write_bytes(body)
+    with pytest.raises(ValueError) as err:
+        load_manifest(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path / 'manifest.jsonl'}")
+    assert named in str(err.value)
 
 
 def test_manifest_rejects_bad_label(tmp_path):

@@ -693,9 +693,14 @@ def _edit_entries(meta=None, tensors=None, drop=None, extra=(), unset=None):
      "missing metadata key 'enc2.activation'"),
     (_edit_entries(unset="stream"), None, "missing metadata key 'stream'"),
     (_edit_entries(unset="theta"), None, "missing metadata key 'theta'"),
+    # past Python's 4300-digit limit int() raises a plain ValueError
+    (_edit_entries(meta={"theta": "9" * 5000}), None, "metadata theta is '9999"),
+    (_edit_entries(extra=[("deep.w", np.zeros((1, 1, 1), dtype=np.float32))]), None,
+     "tensor 'deep.w' has rank 3, expected at most 2"),
 ], ids=["trailing", "magic", "version", "truncated", "expect", "kind", "theta",
         "activation", "classes", "missing", "no-encoder", "shape", "non-finite",
-        "repeated", "unknown", "stream", "no-activation", "no-stream", "no-theta"])
+        "repeated", "unknown", "stream", "no-activation", "no-stream", "no-theta",
+        "long-theta", "rank"])
 def test_every_checkpoint_error_names_the_file_once(tmp_path, write, expect, named):
     path = tmp_path / "t.ckpt"
     write(path)
@@ -705,6 +710,16 @@ def test_every_checkpoint_error_names_the_file_once(tmp_path, write, expect, nam
     assert message.startswith(f"checkpoint {path}: ")
     assert message.count(str(path)) == 1
     assert named in message
+
+
+def test_load_refuses_a_rank_numpy_cannot_build(tmp_path):
+    """Past 64 dimensions numpy raises a plain ValueError; the reader refuses first."""
+    name = b"deep.w"
+    blob = (b"VSRM" + struct.pack("<HII", 1, 0, 1) + struct.pack("<I", len(name)) + name
+            + struct.pack("<66I", 65, *[1] * 65) + bytes(4))
+    (tmp_path / "deep.ckpt").write_bytes(blob)
+    with pytest.raises(CheckpointError, match="'deep.w' has rank 65, expected at most 2"):
+        load_checkpoint(tmp_path / "deep.ckpt")
 
 
 def test_load_accepts_a_delta_window_wider_than_any_sequence(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import vsr.model
 import vsr.training as training
+from vsr.evaluation import EvalReport
 from vsr.model import (EncoderStack, build_fusion, build_stream, clip_group,
                        named_params, save_checkpoint)
 from vsr.numerics import Adam, Rng
@@ -271,7 +273,8 @@ def run_stub_fit(trace, max_epochs=50, patience=5, seed=0):
     def scripted(m, s):
         calls["n"] += 1
         snapshots[calls["n"]] = {k: p.copy() for k, p in named_params(m).items()}
-        return trace[calls["n"] - 1]
+        return EvalReport(accuracy=trace[calls["n"] - 1], per_subject={},
+                          confusion=np.zeros((3, 3), dtype=np.int64), n_utterances=len(s))
 
     training._validation_accuracy = scripted
     try:
@@ -329,11 +332,27 @@ def test_history_records_and_json(tmp_path):
     assert history.config["lr"] == 0.001
     out = tmp_path / "h.json"
     save_history(out, history)
-    import json
     doc = json.loads(out.read_text())
     assert doc["stage"] == "stream"
     assert len(doc["epochs"]) == 3
     assert doc["config"]["max_epochs"] == 3
+
+
+def test_history_keeps_the_validation_report_out_of_its_json():
+    cfg = TrainConfig.for_stream(lr=0.001, max_epochs=2, patience=10)
+    _, history = train_stream(tiny_model(), toy_samples(10), toy_samples(5, seed=2), cfg)
+    assert history.val_report.accuracy == history.best_val_accuracy
+    assert history.val_report.n_utterances == 5
+    doc = json.loads(history.to_json())
+    assert sorted(doc) == ["best_epoch", "best_val_accuracy", "config", "epochs", "seed",
+                           "stage", "stop_reason"]
+    assert history.to_json() == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_samples_carry_their_utterance_subject(bench):
+    samples = samples_from_utterances(bench.val[:2], ("raw",), np.float64)
+    assert [s.subject for s in samples] == [u.subject for u in bench.val[:2]]
+    assert [s.subject for s in training._cast_samples(samples, np.float32)] == ["s04", "s04"]
 
 
 def test_train_stream_deterministic():
