@@ -172,8 +172,8 @@ def cmd_pretrain(cfg: dict) -> int:
 
 def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
     """The manifest and the checked model inputs, which no seed changes: a
-    fusion's --raw and --diff streams, or a stream's encoder widths and
-    --encoder weights. repeat reads them once, before its first run.
+    fusion's --raw and --diff streams, or a stream's encoder widths,
+    --encoder weights and --theta. repeat reads them once, before its first run.
     """
     manifest = load_manifest(cfg["data"])
     if stage == "fusion":
@@ -185,7 +185,8 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
                 raise ValueError(f"--{kind} model has {m.classes} classes, "
                                  f"dataset has {len(manifest.classes)}")
         return manifest, streams
-    encoder = {"encoder_sizes": _parse_sizes(cfg["encoder_sizes"]), "encoder_init": None}
+    encoder = {"encoder_sizes": _parse_sizes(cfg["encoder_sizes"]), "encoder_init": None,
+               "theta": DeltaWindow(int(cfg["theta"])).theta}
     if cfg["encoder"]:
         stack = load_checkpoint(cfg["encoder"])
         if not isinstance(stack, EncoderStack):
@@ -223,8 +224,7 @@ def _run_training(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]):
     model = build_stream(input_dim=manifest.frame_dim,
                          classes=len(manifest.classes), hidden=int(cfg["hidden"]),
                          rng=rng, stream_kind=cfg["stream"], **model_inputs,
-                         bottleneck=int(cfg["bottleneck"]), theta=int(cfg["theta"]),
-                         dtype=tcfg.dtype)
+                         bottleneck=int(cfg["bottleneck"]), dtype=tcfg.dtype)
     model, history = train_stream(model, train_samples, val_samples, tcfg)
     return model, history, split, manifest
 

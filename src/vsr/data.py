@@ -17,13 +17,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import stat
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import open_regular, write_atomic
 from .numerics import DEFAULT_DTYPE, Rng
 
 UTT_MAGIC = b"VSRU"
@@ -58,7 +57,6 @@ class DatasetManifest:
     height: int
     width: int
     records: list[UtteranceRecord]
-    protocol: str | None = None
 
     @property
     def frame_dim(self) -> int:
@@ -70,7 +68,6 @@ class ProtocolSplit:
     train: list[str]
     val: list[str]
     test: list[str]
-    protocol: str
 
 
 @dataclass
@@ -124,16 +121,9 @@ def load_utterance(path) -> np.ndarray:
         raise
 
 
-def _open_nonblocking(path, flags):
-    # a FIFO opens at once instead of waiting for a writer, so fstat can refuse it
-    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
-
-
 def _read_utterance(path) -> np.ndarray:
-    with open(path, "rb", opener=_open_nonblocking) as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            raise ContainerError("not a regular file")
+    with open_regular(path, ContainerError) as fh:
+        size = os.fstat(fh.fileno()).st_size
         header = fh.read(UTT_HEADER.size)
         if len(header) < UTT_HEADER.size:
             raise ContainerError(f"file too short to hold a header: {len(header)} bytes")
@@ -145,9 +135,9 @@ def _read_utterance(path) -> np.ndarray:
         if t_len < 2:
             raise ContainerError(f"needs at least 2 frames, header says {t_len}")
         expected = UTT_HEADER.size + t_len * h * w
-        if info.st_size != expected:
+        if size != expected:
             raise ContainerError(f"payload mismatch: header implies {expected} bytes, "
-                                 f"file has {info.st_size}")
+                                 f"file has {size}")
         payload = fh.read(expected - UTT_HEADER.size)
     if len(payload) != expected - UTT_HEADER.size:  # the file shrank since fstat
         raise ContainerError(f"payload mismatch: header implies {expected} bytes, "
@@ -237,13 +227,17 @@ def load_manifest(root) -> DatasetManifest:
 
 def load_utterances(root, manifest: DatasetManifest,
                     paths: list[str] | None = None) -> list[LoadedUtterance]:
-    """Load listed utterances (manifest order); None loads everything."""
+    """Load listed utterances (manifest order); None loads everything.
+    A container that resolves outside the root (a symlink out) is refused."""
     wanted = None if paths is None else set(paths)
+    real_root = os.path.join(os.path.realpath(root), "")
     out = []
     for rec in manifest.records:
         if wanted is not None and rec.path not in wanted:
             continue
         full = os.path.join(root, rec.path)
+        if not os.path.realpath(full).startswith(real_root):
+            raise ContainerError(f"utterance {full}: resolves outside the dataset root")
         frames = load_utterance(full)
         if frames.shape[1:] != (manifest.height, manifest.width):
             raise ContainerError(f"utterance {full}: frames are {frames.shape[1:]}, "
@@ -274,39 +268,25 @@ def _znorm_frames(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _centered(frames: np.ndarray, name: str) -> np.ndarray:
-    """[T, H, W] u8 -> private float64 [T, H*W] minus the utterance mean image."""
+def stream_features(frames: np.ndarray, kind: str, dtype=DEFAULT_DTYPE) -> np.ndarray:
+    """[T, H, W] -> [T, H*W], the frames of the raw or the diff stream.
+
+    Both subtract the utterance's mean image. raw then z-normalizes each
+    frame over its own pixels; diff takes consecutive differences, a zero
+    frame prepended so the length stays T, and z-normalizes those.
+    """
+    if kind not in ("raw", "diff"):
+        raise ValueError(f"unknown stream kind {kind!r}")
     if frames.ndim != 3 or frames.shape[0] < 2:
-        raise ValueError(f"{name} expects [T>=2, H, W], got {frames.shape}")
+        raise ValueError(f"stream_features expects [T>=2, H, W], got {frames.shape}")
     x = frames.reshape(frames.shape[0], -1).astype(np.float64)
     x -= x.mean(axis=0, keepdims=True)  # per-pixel mean over the utterance
-    return x
-
-
-def preprocess_raw(frames: np.ndarray, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """[T, H, W] -> [T, H*W]: subtract the utterance mean image, then
-    z-normalize each frame over its own pixels."""
-    x = _centered(frames, "preprocess_raw")
-    return _znorm_frames(x, np.empty_like(x)).astype(dtype, copy=False)
-
-
-def preprocess_diff(frames: np.ndarray, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """[T, H, W] -> [T, H*W]: consecutive differences of mean-subtracted
-    frames, a zero frame prepended so the length stays T, then per-frame
-    z-normalization."""
-    x = _centered(frames, "preprocess_diff")
+    if kind == "raw":
+        return _znorm_frames(x, np.empty_like(x)).astype(dtype, copy=False)
     d = np.empty_like(x)
     d[0] = 0.0
     np.subtract(x[1:], x[:-1], out=d[1:])
     return _znorm_frames(d, x).astype(dtype, copy=False)
-
-
-def stream_features(frames: np.ndarray, kind: str, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    if kind == "raw":
-        return preprocess_raw(frames, dtype)
-    if kind == "diff":
-        return preprocess_diff(frames, dtype)
-    raise ValueError(f"unknown stream kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +349,7 @@ def make_split(manifest: DatasetManifest, protocol: str, rng: Rng | None = None,
                                  f"subject/letter, {key} has {len(paths)}")
             train += paths[:2]
             test += paths[2:]
-        return ProtocolSplit(train=train, val=[], test=test, protocol=protocol)
+        return ProtocolSplit(train=train, val=[], test=test)
     elif fold:
         k = int(fold.group(1))
         if len(subjects) != 5:
@@ -395,7 +375,7 @@ def make_split(manifest: DatasetManifest, protocol: str, rng: Rng | None = None,
 
     train, val, test = ([r.path for r in manifest.records if r.subject in part]
                         for part in map(set, chosen))
-    return ProtocolSplit(train=train, val=val, test=test, protocol=protocol)
+    return ProtocolSplit(train=train, val=val, test=test)
 
 
 def holdout_validation(split: ProtocolSplit, rng: Rng) -> ProtocolSplit:
@@ -415,8 +395,7 @@ def holdout_validation(split: ProtocolSplit, rng: Rng) -> ProtocolSplit:
     order = rng.permutation(n)
     val = [split.train[i] for i in sorted(order[:n_val])]
     train = [split.train[i] for i in sorted(order[n_val:])]
-    return ProtocolSplit(train=train, val=val, test=list(split.test),
-                         protocol=split.protocol)
+    return ProtocolSplit(train=train, val=val, test=list(split.test))
 
 
 # ---------------------------------------------------------------------------

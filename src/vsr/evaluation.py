@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,21 +72,6 @@ def model_logits(model, chunk: list[dict[str, np.ndarray]]) -> list[np.ndarray]:
     return np.split(logits, np.cumsum(lengths)[:-1])
 
 
-def predict_labels(model, items: list, features=lambda item: item) -> list[int]:
-    """Majority-vote label of each item, as preprocessed by features.
-
-    Items are preprocessed and scored SCORE_CHUNK at a time in the order
-    given, through model_logits, so only one chunk's features and no
-    backward cache are held at once.
-    """
-    labels = []
-    for start in range(0, len(items), SCORE_CHUNK):
-        chunk = [features(item) for item in items[start:start + SCORE_CHUNK]]
-        labels += [predict_label(logits) for logits in model_logits(model, chunk)]
-        del chunk  # gone before the next chunk's features are made
-    return labels
-
-
 def score_split(model, items: list, features, split: str = "",
                 checkpoint: str = "") -> EvalReport:
     """The EvalReport of a split's items (utterances or training samples, each
@@ -94,15 +80,20 @@ def score_split(model, items: list, features, split: str = "",
     Training's validation and evaluate both score here, in (length, path)
     order: a chunk holds items of similar length, and the chunks, which
     decide how BLAS rounds each logit, do not depend on the split's order.
+    Only one chunk's features, and no backward cache, are held at once.
     """
     ordered = sorted(items, key=lambda item: (item.n_frames, item.path))
     confusion = np.zeros((model.classes, model.classes), dtype=np.int64)
-    subj_total: dict[str, int] = {}
-    subj_correct: dict[str, int] = {}
-    for item, pred in zip(ordered, predict_labels(model, ordered, features)):
-        confusion[item.label, pred] += 1
-        subj_total[item.subject] = subj_total.get(item.subject, 0) + 1
-        subj_correct[item.subject] = subj_correct.get(item.subject, 0) + int(pred == item.label)
+    subj_total, subj_correct = Counter(), Counter()
+    for start in range(0, len(ordered), SCORE_CHUNK):
+        part = ordered[start:start + SCORE_CHUNK]
+        chunk = [features(item) for item in part]
+        for item, logits in zip(part, model_logits(model, chunk)):
+            pred = predict_label(logits)
+            confusion[item.label, pred] += 1
+            subj_total[item.subject] += 1
+            subj_correct[item.subject] += int(pred == item.label)
+        del chunk  # gone before the next chunk's features are made
     per_subject = {s: {"n_utterances": subj_total[s],
                        "accuracy": subj_correct[s] / subj_total[s]}
                    for s in sorted(subj_total)}

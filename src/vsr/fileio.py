@@ -1,9 +1,21 @@
-"""Artifact writes that a killed process cannot leave half done."""
+"""Atomic artifact writes, and reads that refuse a non-regular file before reading."""
 
 from __future__ import annotations
 
 import os
+import stat
 import threading
+
+
+def open_regular(path, error: type[Exception]):
+    """path opened for binary reading, or error("not a regular file") raised
+    before a byte is read: the open does not block, so a FIFO is refused
+    rather than waited on, and a device allocates nothing."""
+    fh = open(path, "rb", opener=lambda p, f: os.open(p, f | getattr(os, "O_NONBLOCK", 0)))
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.close()
+        raise error("not a regular file")
+    return fh
 
 
 def write_atomic(path, data: bytes | str | list) -> None:

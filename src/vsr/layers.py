@@ -31,6 +31,7 @@ product, at some shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +124,9 @@ def _batch_lengths(x: np.ndarray, lengths=None) -> np.ndarray:
 # delta / delta-delta temporal regression
 # ---------------------------------------------------------------------------
 
+MAX_THETA = 100  # the widest delta half-window; a delta call makes theta passes
+
+
 @dataclass(frozen=True)
 class DeltaWindow:
     """Regression half-window for delta features; boundaries edge-replicate."""
@@ -130,12 +134,14 @@ class DeltaWindow:
     theta: int = 2
 
     def __post_init__(self):
-        if self.theta < 1:
-            raise ValueError(f"delta window must be >= 1, got {self.theta}")
+        if not 1 <= self.theta <= MAX_THETA:
+            raise ValueError(f"delta window must be from 1 to {MAX_THETA}, got {self.theta}")
 
-    @property
-    def denom(self) -> float:
-        return 2.0 * sum(k * k for k in range(1, self.theta + 1))
+    @cached_property
+    def coeffs(self) -> tuple[float, ...]:
+        """k / (2 * sum_k k^2) for k = 1..theta, computed once per window."""
+        denom = 2.0 * sum(k * k for k in range(1, self.theta + 1))
+        return tuple(k / denom for k in range(1, self.theta + 1))
 
 
 def delta_forward(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray:
@@ -150,9 +156,8 @@ def delta_forward(seq: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndarray
     starts = ends - np.repeat(lengths, lengths)
     rows = np.arange(len(seq))
     out = np.zeros_like(seq)
-    for k in range(1, win.theta + 1):
-        out += (k / win.denom) * (seq[np.minimum(rows + k, ends - 1)]
-                                  - seq[np.maximum(rows - k, starts)])
+    for k, coeff in enumerate(win.coeffs, 1):
+        out += coeff * (seq[np.minimum(rows + k, ends - 1)] - seq[np.maximum(rows - k, starts)])
     return out
 
 
@@ -166,8 +171,7 @@ def delta_backward(d_out: np.ndarray, win: DeltaWindow, lengths=None) -> np.ndar
     # rows; the outer rows all read the edge frame next to them
     pos = np.arange(len(d_out)) + np.repeat(theta * (2 * np.arange(batch) + 1), lengths)
     d_ext = np.zeros((len(d_out) + 2 * theta * batch, d_out.shape[1]), dtype=d_out.dtype)
-    for k in range(1, theta + 1):
-        coeff = k / win.denom
+    for k, coeff in enumerate(win.coeffs, 1):
         d_ext[pos + k] += coeff * d_out
         d_ext[pos - k] -= coeff * d_out
     edge = np.arange(theta)[:, None]
@@ -375,11 +379,14 @@ def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None, keep_cache: bool = T
 
 
 def blstm_backward(bl: Blstm, cache, d_out: np.ndarray):
+    """(d_seq, grads), grads named as in a model: fwd.wx, fwd.wh, fwd.b, then bwd's."""
     cache_f, cache_b = cache
     hidden = bl.hidden
     d_seq_f, grads_f = lstm_backward(bl.fwd, cache_f, d_out[..., :hidden])
     d_seq_b, grads_b = lstm_backward(bl.bwd, cache_b, d_out[..., hidden:])
-    return d_seq_f + d_seq_b, {"fwd": grads_f, "bwd": grads_b}
+    grads = {f"{half}.{name}": g for half, halves in (("fwd", grads_f), ("bwd", grads_b))
+             for name, g in halves.items()}
+    return d_seq_f + d_seq_b, grads
 
 
 # ---------------------------------------------------------------------------

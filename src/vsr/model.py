@@ -17,26 +17,25 @@ lengths; logits come back stacked [sum(T), K] in the order of the input.
 
 `_parts(model)` is the one place that tells the model kinds apart, and
 `_layers(model)` names every parameterised layer of a model or an encoder
-stack in checkpoint order. Parameter names (`named_params`), the
-checkpoint's `*.activation` metadata and the dtype cast (`astype_model`)
-derive from it. Loading checks every tensor's shape along the encoder ->
-BLSTM -> head chain and refuses a tensor the table does not list.
+stack in checkpoint order. Parameter names (`named_params`) and the
+checkpoint's `*.activation` metadata derive from it. Loading, and the dtype
+cast (`astype_model`), check every tensor's shape along the encoder ->
+BLSTM -> head chain and refuse a tensor the table does not list.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import (ACTIVATIONS, Blstm, DeltaWindow, FcLayer, LstmParams,
+from .layers import (ACTIVATIONS, MAX_THETA, Blstm, DeltaWindow, FcLayer, LstmParams,
                      append_deltas, append_deltas_backward, blstm_backward,
                      blstm_forward, blstm_init, fc_backward, fc_forward,
                      fc_init, softmax_rows)
-from .fileio import write_atomic
+from .fileio import open_regular, write_atomic
 from .numerics import DEFAULT_DTYPE, Rng, require_finite
 
 DEFAULT_ENCODER_SIZES = (2000, 1000, 500)
@@ -52,10 +51,6 @@ class StreamNet:
     delta: DeltaWindow
     blstm: Blstm
     stream_kind: str
-
-    @property
-    def bottleneck(self) -> int:
-        return self.encoder[-1].w.shape[0]
 
 
 @dataclass
@@ -240,12 +235,6 @@ def _encoder_backward(layers: list[FcLayer], caches, d_out: np.ndarray,
         grads[f"{prefix}enc{k}.b"] = d_b
 
 
-def _blstm_grads(grads: dict[str, np.ndarray], prefix: str, g) -> None:
-    for half in ("fwd", "bwd"):
-        for name in ("wx", "wh", "b"):
-            grads[f"{prefix}.{half}.{name}"] = g[half][name]
-
-
 def _lengths(seqs: list[np.ndarray]) -> np.ndarray:
     if not seqs:
         raise ValueError("a batch needs at least one sequence")
@@ -304,7 +293,7 @@ def fusion_backward_batch(model, cache, d_logits: np.ndarray):
     grads = {f"{out_name}.w": d_w, f"{out_name}.b": d_b}
     if fusion_blstm is not None:
         d_feats, g = blstm_backward(fusion_blstm, fb_cache, d_feats)
-        _blstm_grads(grads, "fusion_blstm", g)
+        grads.update((f"fusion_blstm.{name}", v) for name, v in g.items())
     return d_feats, grads
 
 
@@ -315,7 +304,7 @@ def stream_backward_batch(model, cache, d_feats: np.ndarray, grads: dict[str, np
     for (prefix, net), (enc_caches, bl_cache) in zip(_parts(model)[0], net_caches):
         width = 2 * net.blstm.hidden
         d_feat, g = blstm_backward(net.blstm, bl_cache, d_feats[:, start:start + width])
-        _blstm_grads(grads, f"{prefix}blstm", g)
+        grads.update((f"{prefix}blstm.{name}", v) for name, v in g.items())
         d_enc = append_deltas_backward(d_feat, net.delta, lengths)
         _encoder_backward(net.encoder, enc_caches, d_enc, grads, prefix)
         del d_feat, d_enc  # gone before the next stream's backward allocates its own
@@ -363,6 +352,17 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
+def _checkpoint_meta(model, extra_meta: dict[str, str] | None = None) -> dict[str, str]:
+    """A model's checkpoint metadata: kind or classes, meta, extra_meta, activations."""
+    meta = ({"kind": "encoder"} if isinstance(model, EncoderStack)
+            else {"classes": str(model.classes)})
+    meta.update(model.meta)
+    meta.update(extra_meta or {})
+    meta.update({f"{name}.activation": layer.activation
+                 for name, layer in _layers(model) if isinstance(layer, FcLayer)})
+    return meta
+
+
 def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> None:
     """Write the model's metadata and tensors; equal inputs give equal bytes.
 
@@ -370,13 +370,7 @@ def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> No
     order. Values are stored as little-endian float32. The file is replaced
     in one step (write_atomic), so a killed run never leaves half of one.
     """
-    layers = _layers(model)
-    meta = ({"kind": "encoder"} if isinstance(model, EncoderStack)
-            else {"classes": str(model.classes)})
-    meta.update(model.meta)
-    meta.update(extra_meta or {})
-    meta.update({f"{name}.activation": layer.activation
-                 for name, layer in layers if isinstance(layer, FcLayer)})
+    meta = _checkpoint_meta(model, extra_meta)
     params = named_params(model)
 
     chunks = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
@@ -424,7 +418,7 @@ class _Reader:
 
 
 def _read_raw(path):
-    with open(path, "rb") as fh:
+    with open_regular(path, CheckpointError) as fh:
         reader = _Reader(fh.read())
     magic = reader.take(4)
     if magic != CHECKPOINT_MAGIC:
@@ -511,12 +505,11 @@ def _read_blstm(tensors, prefix: str, d_in: int) -> Blstm:
 
 
 def _read_delta(meta) -> DeltaWindow:
-    """The delta half-window, a decimal integer >= 1 of at most 9 digits.
-
-    A window wider than every sequence is valid: frame indices clamp to the edges.
-    """
-    theta = _meta_value(meta, "theta", lambda v: v.isascii() and v.isdigit() and len(v) <= 9
-                        and int(v) >= 1, "an integer from 1 to 999999999")
+    """The delta half-window, a decimal integer from 1 to MAX_THETA; one wider
+    than every sequence is valid, as frame indices clamp to the edges."""
+    theta = _meta_value(meta, "theta", lambda v: v.isascii() and v.isdigit()
+                        and len(v) <= len(str(MAX_THETA)) and 1 <= int(v) <= MAX_THETA,
+                        f"an integer from 1 to {MAX_THETA}")
     return DeltaWindow(int(theta))
 
 
@@ -536,20 +529,19 @@ def load_checkpoint(path, expect: dict[str, str] | None = None):
     starts `checkpoint <path>: `.
     """
     try:
-        return _assemble(*_read_raw(path), expect)
+        meta, tensors = _read_raw(path)
+        for key, want in (expect or {}).items():
+            if meta.get(key) != want:
+                raise CheckpointError(f"metadata mismatch: {key} is {meta.get(key)!r}, "
+                                      f"expected {want!r}")
+        return _assemble(meta, tensors)
     except CheckpointError as exc:
         exc.args = (f"checkpoint {path}: {exc}",)
         raise
 
 
-def _assemble(meta: dict[str, str], tensors: dict[str, np.ndarray], expect):
+def _assemble(meta: dict[str, str], tensors: dict[str, np.ndarray]):
     kind = meta.get("kind")
-    if expect:
-        for key, want in expect.items():
-            got = meta.get(key)
-            if got != want:
-                raise CheckpointError(f"metadata mismatch: {key} is {got!r}, "
-                                      f"expected {want!r}")
     if kind == "encoder":
         model = EncoderStack(layers=_read_encoder(meta, tensors), meta=meta)
     elif kind == "stream":
@@ -578,13 +570,8 @@ def _assemble(meta: dict[str, str], tensors: dict[str, np.ndarray], expect):
 
 
 def astype_model(model, dtype):
-    """Deep-copy a model with every parameter cast to dtype (for 64-bit runs).
-
-    Each layer in the table gets its cast arrays rebound on it, so the copy
-    shares no array with the source.
-    """
-    clone = copy.deepcopy(model)
-    for _, layer in _layers(clone):
-        for field in _FIELDS[type(layer)]:
-            setattr(layer, field, getattr(layer, field).astype(dtype, copy=False))
-    return clone
+    """A copy of a model with every parameter cast to dtype (for 64-bit runs),
+    assembled from its checkpoint metadata and cast tensors as a loaded
+    checkpoint is; it shares no array with the source."""
+    return _assemble(_checkpoint_meta(model),
+                     {name: p.astype(dtype) for name, p in named_params(model).items()})

@@ -20,7 +20,7 @@ import vsr.training as training
 from oracles import ref_delta, ref_lstm
 from stages import backward, forward
 from vsr.data import LoadedUtterance
-from vsr.evaluation import evaluate, model_logits, predict_labels, render_report
+from vsr.evaluation import evaluate, model_logits, render_report, score_split
 from vsr.gradcheck import _lstm_error, _random_lstm, _worst_error
 from vsr.layers import (
     Blstm,
@@ -152,17 +152,22 @@ def test_evaluate_report_ignores_split_order(lengths, seed):
 def test_chunked_labels_match_one_utterance_at_a_time(monkeypatch):
     model = tiny_stream(3)
     rng = Rng(4)
-    streams = [{"raw": rng.normal((t_len, 6))} for t_len in (5, 1, 9, 3, 7, 2, 8)]
+    samples = [training.SeqSample({"raw": rng.normal((t_len, 6))}, label=0, path=f"u{i}")
+               for i, t_len in enumerate((5, 1, 9, 3, 7, 2, 8))]
     monkeypatch.setattr(evaluation, "SCORE_CHUNK", 3)
-    calls = []
-    real = evaluation.model_logits
+    calls, got = [], []
+    real_logits, real_label = evaluation.model_logits, evaluation.predict_label
     monkeypatch.setattr(evaluation, "model_logits",
-                        lambda m, chunk: calls.append(len(chunk)) or real(m, chunk))
-    got = predict_labels(model, streams)
+                        lambda m, chunk: calls.append(len(chunk)) or real_logits(m, chunk))
+    monkeypatch.setattr(evaluation, "predict_label",
+                        lambda logits: got.append(real_label(logits)) or got[-1])
+    score_split(model, samples, lambda s: s.streams)
     assert calls == [3, 3, 1]
-    want = [predict_label(forward(model, {"raw": [s["raw"]]})[0]) for s in streams]
+    # score_split labels the samples shortest first
+    ordered = sorted(samples, key=lambda s: s.n_frames)
+    want = [predict_label(forward(model, {"raw": [s.streams["raw"]]})[0]) for s in ordered]
     assert got == want
-    logits = model_logits(model, streams[:2])
+    logits = model_logits(model, [s.streams for s in samples[:2]])
     assert [lg.shape for lg in logits] == [(5, 3), (1, 3)]
 
 
@@ -285,9 +290,7 @@ def test_blstm_gradcheck_on_unsorted_lengths_with_ties():
     d_seq, grads = blstm_backward(bl, cache, proj)
     arrays = {"seq": seq, **{f"{half}.{name}": getattr(getattr(bl, half), name)
                              for half in ("fwd", "bwd") for name in ("wx", "wh", "b")}}
-    analytic = {"seq": d_seq, **{f"{half}.{name}": g for half in ("fwd", "bwd")
-                                 for name, g in grads[half].items()}}
-    err = _worst_error(arrays, analytic,
+    err = _worst_error(arrays, {"seq": d_seq, **grads},
                        lambda: float((blstm_forward(bl, seq, TIED)[0] * proj).sum()))
     assert err < 1e-5
 

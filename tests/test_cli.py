@@ -21,6 +21,7 @@ from vsr.cli import build_parser, main, resolve_config
 from vsr.data import ROI_DIMS, load_manifest, load_utterances
 from vsr.evaluation import evaluate, render_report
 from vsr.gradcheck import CHECKS
+from vsr.layers import MAX_THETA
 from vsr.model import EncoderStack, FusionModel, SingleStreamModel, load_checkpoint
 from vsr.training import TrainConfig
 
@@ -350,6 +351,16 @@ def test_malformed_encoder_sizes_names_the_setting(dataset, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert "--encoder-sizes must be comma-separated integers, not '16,abc'" in err
     assert "Traceback" not in err
+
+
+def test_train_stream_refuses_a_delta_window_past_the_bound(dataset, tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    rc = main(["train-stream", "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS, *FIT_ARGS,
+               "--theta", str(MAX_THETA + 1), "--out", str(out)])
+    assert rc == 2
+    assert (f"error: delta window must be from 1 to {MAX_THETA}, got {MAX_THETA + 1}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_train_stream_missing_flags(capsys):
@@ -701,6 +712,8 @@ def test_repeat_aggregates_and_matches_single_runs(dataset, raw_ckpt, diff_ckpt,
 @pytest.mark.parametrize("stage, flags, named", [
     ("stream", ["--encoder-sizes", "16,abc"],
      "--encoder-sizes must be comma-separated integers, not '16,abc'"),
+    ("stream", ["--theta", str(MAX_THETA + 1)],
+     f"delta window must be from 1 to {MAX_THETA}, got {MAX_THETA + 1}"),
     ("fusion", ["--raw", "{diff}", "--diff", "{diff}"],
      "--raw checkpoint is not a trained raw stream"),
 ])

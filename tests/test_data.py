@@ -16,13 +16,12 @@ from vsr.data import (
     load_utterance,
     load_utterances,
     make_split,
-    preprocess_diff,
-    preprocess_raw,
     save_manifest,
     save_utterance,
     stream_features,
     synth_generate,
 )
+from oracles import ref_preprocess
 from vsr.numerics import Rng
 
 
@@ -102,7 +101,7 @@ def test_every_container_error_names_the_file(tmp_path, blob, named):
 
 def test_load_utterance_reads_only_the_header_and_the_declared_payload(tmp_path, monkeypatch):
     """No read is unbounded: the header's 18 bytes, then the payload it declares."""
-    import vsr.data
+    import vsr.fileio
 
     path = tmp_path / "u.vsru"
     save_utterance(path, np.zeros((3, 4, 5), dtype=np.uint8))
@@ -125,7 +124,7 @@ def test_load_utterance_reads_only_the_header_and_the_declared_payload(tmp_path,
             sizes.append(args[0] if args else None)
             return self.fh.read(*args)
 
-    monkeypatch.setattr(vsr.data, "open", lambda *a, **k: Recording(open(*a, **k)),
+    monkeypatch.setattr(vsr.fileio, "open", lambda *a, **k: Recording(open(*a, **k)),
                         raising=False)
     assert load_utterance(path).shape == (3, 4, 5)
     assert sizes == [18, 60]
@@ -198,6 +197,25 @@ def test_manifest_refuses_a_record_path_that_leaves_the_dataset(tmp_path, record
             f"line 2: 'path' must be a relative path inside the dataset, "
             f"got {json.dumps(record_path)}")):
         load_manifest(tmp_path / "root")
+
+
+def test_a_symlink_cannot_lead_a_container_out_of_the_dataset(tmp_path):
+    save_utterance(tmp_path / "outside.vsru", np.zeros((2, 2, 2), dtype=np.uint8))
+    (tmp_path / "root").mkdir()
+    (tmp_path / "root" / "x.vsru").symlink_to("../outside.vsru")
+    _one_record_manifest(tmp_path / "root", "x.vsru")
+    with pytest.raises(ContainerError, match=re.escape(
+            f"utterance {tmp_path / 'root' / 'x.vsru'}: resolves outside the dataset root")):
+        load_utterances(tmp_path / "root", load_manifest(tmp_path / "root"))
+
+
+def test_a_symlink_to_a_container_inside_the_dataset_loads(tmp_path):
+    (tmp_path / "sub").mkdir()
+    save_utterance(tmp_path / "sub" / "y.vsru", np.full((2, 2, 2), 7, dtype=np.uint8))
+    (tmp_path / "x.vsru").symlink_to("sub/y.vsru")
+    _one_record_manifest(tmp_path, "x.vsru")
+    [utt] = load_utterances(tmp_path, load_manifest(tmp_path))
+    assert utt.path == "x.vsru" and np.all(utt.frames == 7)
 
 
 @pytest.mark.parametrize("record_path", ["sub/x.vsru", "./sub/x.vsru", "sub/../sub/x.vsru"])
@@ -335,72 +353,73 @@ def test_load_utterances_selects_and_validates(tmp_path):
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def test_preprocess_raw_static_video_is_all_zero():
+def test_raw_features_of_a_static_video_are_all_zero():
     frames = np.tile(Rng(0).integers(256, (1, 6, 7)).astype(np.uint8), (5, 1, 1))
-    out = preprocess_raw(frames)
+    out = stream_features(frames, "raw")
     assert out.shape == (5, 42)
     assert np.all(out == 0.0)
 
 
-def test_preprocess_raw_row_statistics():
+def test_raw_features_row_statistics():
     frames = Rng(1).integers(256, (8, 10, 9)).astype(np.uint8)
-    out = preprocess_raw(frames, dtype=np.float64)
+    out = stream_features(frames, "raw", dtype=np.float64)
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-9)
     assert np.allclose(out.std(axis=1), 1.0, atol=1e-9)
 
 
-def test_preprocess_raw_brightness_shift_invariance():
+def test_raw_features_brightness_shift_invariance():
     base = Rng(2).integers(200, (6, 4, 4)).astype(np.float64)
     shifted = base + 17.0
-    a = preprocess_raw(base, dtype=np.float64)
-    b = preprocess_raw(shifted, dtype=np.float64)
+    a = stream_features(base, "raw", dtype=np.float64)
+    b = stream_features(shifted, "raw", dtype=np.float64)
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_preprocess_diff_static_video_is_all_zero():
+def test_diff_features_of_a_static_video_are_all_zero():
     frames = np.tile(Rng(3).integers(256, (1, 5, 5)).astype(np.uint8), (4, 1, 1))
-    assert np.all(preprocess_diff(frames) == 0.0)
+    assert np.all(stream_features(frames, "diff") == 0.0)
 
 
-def test_preprocess_diff_first_frame_zero_and_length_kept():
+def test_diff_features_first_frame_zero_and_length_kept():
     frames = Rng(4).integers(256, (6, 3, 4)).astype(np.uint8)
-    out = preprocess_diff(frames, dtype=np.float64)
+    out = stream_features(frames, "diff", dtype=np.float64)
     assert out.shape == (6, 12)
     assert np.all(out[0] == 0.0)
 
 
-def test_preprocess_diff_constant_velocity_rows_identical():
+def test_diff_features_constant_velocity_rows_identical():
     # frame t = t * pattern: every consecutive difference is the same image,
     # so all difference rows normalize identically.
     pattern = np.abs(Rng(5).normal((4, 4))) + 0.5
     frames = np.stack([t * pattern for t in range(5)])
-    out = preprocess_diff(frames, dtype=np.float64)
+    out = stream_features(frames, "diff", dtype=np.float64)
     for t in range(2, 5):
         assert np.allclose(out[t], out[1], atol=1e-9)
 
 
-def test_preprocess_diff_ignores_static_appearance():
+def test_diff_features_ignore_static_appearance():
     motion = Rng(6).integers(50, (7, 4, 4)).astype(np.float64)
     static = 3.0 * np.arange(16, dtype=np.float64).reshape(4, 4)
-    a = preprocess_diff(motion, dtype=np.float64)
-    b = preprocess_diff(motion + static, dtype=np.float64)
+    a = stream_features(motion, "diff", dtype=np.float64)
+    b = stream_features(motion + static, "diff", dtype=np.float64)
     assert np.allclose(a, b, atol=1e-9)
 
 
 def test_stream_features_dispatch():
     frames = Rng(7).integers(256, (4, 3, 3)).astype(np.uint8)
-    assert np.array_equal(stream_features(frames, "raw"), preprocess_raw(frames))
-    assert np.array_equal(stream_features(frames, "diff"), preprocess_diff(frames))
+    for kind in ("raw", "diff"):
+        want = ref_preprocess(frames, kind, np.float32)
+        assert stream_features(frames, kind).tobytes() == want.tobytes()
+    assert not np.array_equal(stream_features(frames, "raw"), stream_features(frames, "diff"))
     assert stream_features(frames, "raw").dtype == np.float32
     with pytest.raises(ValueError):
         stream_features(frames, "flow")
 
 
 def test_preprocess_rejects_too_short():
-    with pytest.raises(ValueError):
-        preprocess_raw(np.zeros((1, 2, 2), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        preprocess_diff(np.zeros((1, 2, 2), dtype=np.uint8))
+    for kind in ("raw", "diff"):
+        with pytest.raises(ValueError, match=r"expects \[T>=2, H, W\]"):
+            stream_features(np.zeros((1, 2, 2), dtype=np.uint8), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +613,6 @@ def test_each_protocol_keeps_its_exact_lists(case):
     split = make_split(manifest(), protocol, **kwargs)
     lists = json.dumps([split.train, split.val, split.test]).encode()
     assert hashlib.sha256(lists).hexdigest() == SPLIT_DIGESTS[case]
-    assert split.protocol == protocol
 
 
 @pytest.mark.parametrize("seed, val", [(0, ["p02", "p05", "p06", "p30", "p39"]),

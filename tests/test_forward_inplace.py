@@ -1,6 +1,6 @@
 """The in-place forward passes against the allocating code they replaced.
 
-lstm_forward, fc_forward and the stream preprocessors compute in buffers
+lstm_forward, fc_forward and stream_features compute in buffers
 they own, with the same floating-point operations in the same order as
 before, so their results must equal the old formulas (kept in oracles.py)
 byte for byte. The recurrent product is what changed: batches of two or
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import ref_fc, ref_lstm_backward, ref_lstm_steps, ref_preprocess
-from vsr.data import preprocess_diff, preprocess_raw
+from vsr.data import stream_features
 from vsr.layers import FcLayer, LstmParams, fc_forward, lstm_backward, lstm_forward
 from vsr.numerics import Rng
 
@@ -116,11 +116,11 @@ def utterances():
 
 
 @pytest.mark.parametrize("name", sorted(utterances()))
-@pytest.mark.parametrize("kind, fn", [("raw", preprocess_raw), ("diff", preprocess_diff)])
+@pytest.mark.parametrize("kind", ["raw", "diff"])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_preprocess_matches_the_allocating_formulas(name, kind, fn, dtype):
+def test_preprocess_matches_the_allocating_formulas(name, kind, dtype):
     frames = utterances()[name]
-    got = fn(frames, dtype)
+    got = stream_features(frames, kind, dtype)
     want = ref_preprocess(frames, kind, dtype)
     assert got.dtype == want.dtype == dtype
     assert got.tobytes() == want.tobytes()
@@ -142,7 +142,7 @@ def test_forward_passes_do_not_mutate_inputs_or_weights():
         lstm_forward(p, x, reverse=reverse, lengths=[5, 2, 4])
         lstm_forward(p, x, reverse=reverse)
     fc_forward(layer, x)
-    preprocess_raw(frames)
-    preprocess_diff(frames)
+    stream_features(frames, "raw")
+    stream_features(frames, "diff")
     for a, b in zip(arrays, before):
         assert a.tobytes() == b.tobytes()

@@ -4,6 +4,7 @@ import pytest
 from oracles import ref_delta, ref_lstm, ref_sigmoid
 from vsr.gradcheck import max_rel_err, numerical_grad
 from vsr.layers import (
+    MAX_THETA,
     DeltaWindow,
     FcLayer,
     LstmParams,
@@ -172,6 +173,15 @@ def test_append_deltas_backward_is_the_adjoint():
 def test_delta_window_validates_theta():
     with pytest.raises(ValueError):
         DeltaWindow(0)
+    with pytest.raises(ValueError, match=f"from 1 to {MAX_THETA}, got {MAX_THETA + 1}"):
+        DeltaWindow(MAX_THETA + 1)
+    assert len(DeltaWindow(MAX_THETA).coeffs) == MAX_THETA
+
+
+def test_delta_coefficients_are_the_regression_weights_bit_for_bit():
+    for theta in (1, 2, 3, 7):
+        denom = 2.0 * sum(k * k for k in range(1, theta + 1))
+        assert DeltaWindow(theta).coeffs == tuple(k / denom for k in range(1, theta + 1))
 
 
 # ---------------------------------------------------------------------------

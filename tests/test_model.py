@@ -6,7 +6,7 @@ import pytest
 
 from oracles import ref_delta, ref_lstm, ref_softmax
 from stages import backward, forward
-from vsr.layers import DeltaWindow, FcLayer, fc_init
+from vsr.layers import MAX_THETA, DeltaWindow, FcLayer, blstm_backward, blstm_forward, fc_init
 from vsr.model import (
     CheckpointError,
     EncoderStack,
@@ -483,6 +483,18 @@ def test_checkpoint_names_follow_the_layer_table(tmp_path, kind):
                             if isinstance(layer, FcLayer))
 
 
+def test_blstm_backward_names_its_gradients_as_the_model_names_its_blstm():
+    model = tiny_stream()
+    bl = model.net.blstm
+    out, cache = blstm_forward(bl, Rng(20).normal((5, bl.fwd.wx.shape[1])))
+    _, grads = blstm_backward(bl, cache, np.ones_like(out))
+    params = {name[len("blstm."):]: p for name, p in named_params(model).items()
+              if name.startswith("blstm.")}
+    assert list(grads) == list(params) == ["fwd.wx", "fwd.wh", "fwd.b",
+                                           "bwd.wx", "bwd.wh", "bwd.b"]
+    assert all(grads[n].shape == p.shape for n, p in params.items())
+
+
 def test_backward_passes_return_every_named_param():
     rng = Rng(18)
     model = tiny_stream()
@@ -526,6 +538,15 @@ def test_astype_model_shares_no_array_with_its_source(kind, dtype):
     for name, p in named_params(model).items():
         for other, q in named_params(clone).items():
             assert not np.shares_memory(p, q), (name, other)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_cast_to_the_same_dtype_saves_the_same_bytes(tmp_path, kind, dtype):
+    model = astype_model(KINDS[kind](), dtype)
+    save_checkpoint(tmp_path / "m.ckpt", model)
+    save_checkpoint(tmp_path / "cast.ckpt", astype_model(model, dtype))
+    assert (tmp_path / "cast.ckpt").read_bytes() == (tmp_path / "m.ckpt").read_bytes()
 
 
 # SHA-256 of checkpoints of the seeded tiny models, fixed before the layer
@@ -619,7 +640,7 @@ def test_load_refuses_an_unknown_head_activation(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["stream", "fusion"])
-@pytest.mark.parametrize("theta", ["x", "2.5", "0", "-1"])
+@pytest.mark.parametrize("theta", ["x", "2.5", "0", "-1", str(MAX_THETA + 1)])
 def test_load_refuses_a_bad_delta_window(tmp_path, kind, theta):
     with pytest.raises(CheckpointError) as err:
         tampered(tmp_path, kind, meta={"theta": theta})
@@ -710,6 +731,12 @@ def test_every_checkpoint_error_names_the_file_once(tmp_path, write, expect, nam
     assert message.startswith(f"checkpoint {path}: ")
     assert message.count(str(path)) == 1
     assert named in message
+
+
+def test_load_refuses_a_file_that_is_not_regular():
+    """The refusal comes before any read, so a device cannot make it allocate."""
+    with pytest.raises(CheckpointError, match="^checkpoint /dev/null: not a regular file$"):
+        load_checkpoint("/dev/null")
 
 
 def test_load_refuses_a_rank_numpy_cannot_build(tmp_path):
