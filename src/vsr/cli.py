@@ -13,6 +13,7 @@ that command's own parser reads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -27,14 +28,16 @@ from .evaluation import aggregate_runs, evaluate, render_report
 from .fileio import write_atomic
 from .layers import DeltaWindow
 from .model import (DEFAULT_BOTTLENECK, DEFAULT_ENCODER_SIZES, DEFAULT_HIDDEN,
-                    EncoderStack, SingleStreamModel, build_stream, load_checkpoint,
-                    save_checkpoint)
+                    EncoderStack, SingleStreamModel, astype_model, build_stream,
+                    load_checkpoint, save_checkpoint)
 from .numerics import Rng
 from .rbm import PretrainConfig, pretrain_stack
 from .training import (TrainConfig, TrainingDiverged, samples_from_utterances,
                        save_history, train_fusion, train_stream)
 
 BoolFlag = argparse.BooleanOptionalAction
+# --precision's choices, and the dtype in which each builds the model and the samples
+_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 def _canon(obj) -> str:
@@ -58,7 +61,8 @@ def resolve_config(args) -> dict:
     """The command's defaults <- JSON config file <- flags given explicitly.
 
     The file holds one JSON object. Each value has the JSON type of its
-    key's flag, or is null where the default is unset.
+    key's flag and is one of the flag's choices, or is null where the
+    default is unset.
     """
     defaults = args.defaults
     cfg = dict(defaults)
@@ -83,6 +87,9 @@ def resolve_config(args) -> dict:
             if not (fits or value is None and defaults[key] is None):
                 raise ValueError(f"config file {path}: {key} must be {name}, "
                                  f"not {json.dumps(value)}")
+            if flag.choices is not None and value not in flag.choices:
+                raise ValueError(f"config file {path}: {key} must be one of "
+                                 f"{'/'.join(flag.choices)}, not {json.dumps(value)}")
         cfg.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
@@ -172,8 +179,9 @@ def cmd_pretrain(cfg: dict) -> int:
 
 def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
     """The manifest and the checked model inputs, which no seed changes: a
-    fusion's --raw and --diff streams, or a stream's encoder widths,
-    --encoder weights and --theta. repeat reads them once, before its first run.
+    fusion's --raw and --diff streams, cast to --precision, or a stream's
+    encoder widths, --encoder weights and --theta. repeat reads them once,
+    before its first run.
     """
     manifest = load_manifest(cfg["data"])
     if stage == "fusion":
@@ -184,7 +192,8 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
             if m.classes != len(manifest.classes):
                 raise ValueError(f"--{kind} model has {m.classes} classes, "
                                  f"dataset has {len(manifest.classes)}")
-        return manifest, streams
+        dtype = _DTYPES[cfg["precision"]]
+        return manifest, {kind: astype_model(m, dtype) for kind, m in streams.items()}
     encoder = {"encoder_sizes": _parse_sizes(cfg["encoder_sizes"]), "encoder_init": None,
                "theta": DeltaWindow(int(cfg["theta"])).theta}
     if cfg["encoder"]:
@@ -203,20 +212,20 @@ def _run_training(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]):
     """Split, build and fit on _training_inputs' result. Shared by train-stream,
     train-fusion and repeat so reruns match run for run."""
     manifest, model_inputs = inputs
+    dtype = _DTYPES[cfg["precision"]]
     rng = Rng(int(cfg["seed"]))
     split = _split_for(manifest, cfg, rng, need_val=True)
     tcfg = TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
                        patience=int(cfg["patience"]),
                        clip_threshold=float(cfg["clip_threshold"]),
                        max_epochs=int(cfg["max_epochs"]), seed=int(cfg["seed"]),
-                       precision=cfg["precision"],
                        track_train_accuracy=bool(cfg["track_train_accuracy"]),
-                       freeze_streams=stage == "fusion" and bool(cfg["freeze_streams"]))
+                       freeze_streams=bool(cfg.get("freeze_streams")))
     kinds = ("raw", "diff") if stage == "fusion" else (cfg["stream"],)
     train_utts, val_utts = (load_utterances(cfg["data"], manifest, paths)
                             for paths in (split.train, split.val))
-    train_samples = samples_from_utterances(train_utts, kinds, tcfg.dtype)
-    val_samples = samples_from_utterances(val_utts, kinds, tcfg.dtype)
+    train_samples = samples_from_utterances(train_utts, kinds, dtype)
+    val_samples = samples_from_utterances(val_utts, kinds, dtype)
     if stage == "fusion":
         model, history = train_fusion(model_inputs["raw"], model_inputs["diff"],
                                       train_samples, val_samples, tcfg, hidden=cfg["hidden"])
@@ -224,7 +233,7 @@ def _run_training(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]):
     model = build_stream(input_dim=manifest.frame_dim,
                          classes=len(manifest.classes), hidden=int(cfg["hidden"]),
                          rng=rng, stream_kind=cfg["stream"], **model_inputs,
-                         bottleneck=int(cfg["bottleneck"]), dtype=tcfg.dtype)
+                         bottleneck=int(cfg["bottleneck"]), dtype=dtype)
     model, history = train_stream(model, train_samples, val_samples, tcfg)
     return model, history, split, manifest
 
@@ -314,7 +323,7 @@ def cmd_repeat(cfg: dict, train: list[str]) -> int:
     if cfg["out"]:
         echo = {k: v for k, v in train_cfg.items() if k not in _NOT_UNDER_REPEAT}
         payload = {"config": {**echo, "command": command, "runs": runs},
-                   "aggregate": agg.to_dict(), "failures": failures}
+                   "aggregate": dataclasses.asdict(agg), "failures": failures}
         _write(cfg["out"], json.dumps(payload, indent=2, sort_keys=True))
     print(render_report(agg, "text"))
     return 0
@@ -387,7 +396,7 @@ def _add_train(p: argparse.ArgumentParser, fit: TrainConfig) -> None:
     _flag(p, "--patience", fit.patience, type=int)
     _flag(p, "--clip-threshold", fit.clip_threshold, type=float)
     _flag(p, "--max-epochs", fit.max_epochs, type=int)
-    _flag(p, "--precision", fit.precision, choices=("f32", "f64"))
+    _flag(p, "--precision", "f32", choices=tuple(_DTYPES))
     _flag(p, "--track-train-accuracy", action=BoolFlag)
     _flag(p, "--history", help="history JSON path (default <out>.history.json)")
     _flag(p, "--out", help="model checkpoint path")

@@ -430,8 +430,9 @@ def synth_generate(classes: int, subjects: int, reps: int, frames: int,
     phase); subjects differ only in appearance (brightness, contrast, a
     static texture). Same arguments give a byte-identical tree.
     """
-    if min(classes, subjects, reps) < 1 or frames < 2:
-        raise ValueError("synth_generate needs classes/subjects/reps >= 1 and frames >= 2")
+    if min(classes, subjects, reps, height, width) < 1 or frames < 2:
+        raise ValueError("synth_generate needs classes/subjects/reps/height/width >= 1 "
+                         "and frames >= 2")
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(seed)
     looks = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,10 +30,7 @@ class EvalReport:
     checkpoint: str = ""
 
     def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "per_subject": self.per_subject,
-                "confusion": self.confusion.tolist(),
-                "n_utterances": self.n_utterances, "split": self.split,
-                "checkpoint": self.checkpoint}
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 @dataclass
@@ -43,10 +40,6 @@ class RunAggregate:
     mean: float
     std: float
     max: float
-
-    def to_dict(self) -> dict:
-        return {"accuracies": self.accuracies, "seeds": self.seeds,
-                "mean": self.mean, "std": self.std, "max": self.max}
 
 
 # Utterances per forward pass when scoring. A chunk runs as many recurrence

@@ -128,12 +128,13 @@ def build_stream(input_dim: int, classes: int, hidden: int = DEFAULT_HIDDEN,
 
 def build_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
                  hidden: int | None = None, rng: Rng | None = None,
-                 dtype=DEFAULT_DTYPE) -> FusionModel:
+                 dtype=None) -> FusionModel:
     """Fuse two trained streams; their classifier heads are dropped.
 
     The fusion BLSTM is hidden wide, by default as wide as the raw stream's
-    BLSTM. Stream weights are copied in dtype, so the model holds one
-    precision and later fine-tuning leaves the source models untouched.
+    BLSTM. Stream weights are copied in dtype, by default the raw stream's,
+    so the model holds one precision and later fine-tuning leaves the
+    source models untouched.
     """
     if raw.net.stream_kind != "raw" or diff.net.stream_kind != "diff":
         raise ValueError(f"expected a raw and a diff stream, got "
@@ -145,6 +146,7 @@ def build_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
     if rng is None:
         rng = Rng(0)
     hidden = raw.net.blstm.hidden if hidden is None else hidden
+    dtype = raw.head.w.dtype if dtype is None else dtype
     width = 2 * raw.net.blstm.hidden + 2 * diff.net.blstm.hidden
     fusion_blstm = blstm_init(width, hidden, rng, dtype)
     out = fc_init(2 * hidden, raw.classes, rng, "linear", dtype)

@@ -61,9 +61,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def __repr__(self):
-        return f"Rng(seed={self.seed})"
-
 
 def glorot_init(fan_in: int, fan_out: int, rng: Rng, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """Uniform Glorot sheet of shape [fan_out, fan_in].

@@ -36,7 +36,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1 or self.lr < 0 or self.l2 < 0:
+        if not (self.epochs >= 0 and self.batch >= 1 and self.lr >= 0 and self.l2 >= 0):
             raise ValueError(f"bad pretraining config {self}")
 
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import LoadedUtterance, stream_features
 from .evaluation import EvalReport, score_split
 from .fileio import write_atomic
-from .model import (SingleStreamModel, astype_model, build_fusion, clip_group,
+from .model import (SingleStreamModel, build_fusion, clip_group,
                     fusion_forward_batch, fusion_backward_batch, named_params,
                     stream_backward_batch, stream_forward_batch)
 from .numerics import Adam, NonFiniteError, Rng, clip_global_norm
@@ -37,15 +37,14 @@ class TrainConfig:
     clip_threshold: float = 5.0
     max_epochs: int = 200
     seed: int = 0
-    precision: str = "f32"
     track_train_accuracy: bool = False
     freeze_streams: bool = False
 
     def __post_init__(self):
-        if self.lr < 0 or self.batch_utts < 1 or self.patience < 0 or self.max_epochs < 0:
+        # written so that NaN fails every comparison; an infinite clip_threshold never clips
+        if not (self.lr >= 0 and self.batch_utts >= 1 and self.patience >= 0
+                and self.max_epochs >= 0 and self.clip_threshold > 0):
             raise ValueError(f"bad training config {self}")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
 
     @classmethod
     def for_stream(cls, **overrides) -> "TrainConfig":
@@ -54,10 +53,6 @@ class TrainConfig:
     @classmethod
     def for_fusion(cls, **overrides) -> "TrainConfig":
         return cls(**{"lr": 0.0001, **overrides})
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "f64" else np.float32
 
 
 @dataclass
@@ -188,25 +183,28 @@ def _copy_params(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None
 
 
 def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
-         cfg: TrainConfig, stage: str):
-    """Cast model and samples to cfg's precision, then fit; returns (model, history).
+         cfg: TrainConfig):
+    """Fit model in place, in its parameters' dtype; returns (model, history).
 
-    The history records stage, "stream" or "fusion", and keeps the
-    validation report of the returned weights: the best epoch's, or the
-    initial weights' when no epoch ran. The best epoch's weights are copied
-    into one snapshot buffer, allocated once.
+    The history records the model's kind, "stream" or "fusion", as its
+    stage, and keeps the validation report of the returned weights: the
+    best epoch's, or the initial weights' when no epoch ran. The best
+    epoch's weights are copied into one snapshot buffer, allocated once.
     """
     if not train_samples:
         raise ValueError("training set is empty")
     if not val_samples:
         raise ValueError("early stopping needs a non-empty validation set")
-    if any(p.dtype != cfg.dtype for p in named_params(model).values()):
-        model = astype_model(model, cfg.dtype)
-    train_samples = _cast_samples(train_samples, cfg.dtype)
-    val_samples = _cast_samples(val_samples, cfg.dtype)
+    stage = model.meta["kind"]
+    if cfg.freeze_streams and stage != "fusion":
+        raise ValueError("freeze_streams is a fusion setting: a stream fit trains the stream")
+    params = named_params(model)
+    dtype = next(iter(params.values())).dtype
+    wrong = {a.dtype for s in (*train_samples, *val_samples) for a in s.streams.values()} - {dtype}
+    if wrong:
+        raise ValueError(f"a {dtype} model cannot train on {wrong.pop()} samples")
     rng = Rng(cfg.seed)
     opt = Adam()
-    params = named_params(model)
     history = TrainHistory(stage=stage, seed=cfg.seed, config=asdict(cfg))
     best = {n: np.empty_like(p) for n, p in params.items()}
     history.stop_reason = "max-epochs"
@@ -237,9 +235,7 @@ def _fit(model, train_samples: list[SeqSample], val_samples: list[SeqSample],
 def train_stream(model: SingleStreamModel, train_samples: list[SeqSample],
                  val_samples: list[SeqSample], cfg: TrainConfig):
     """Train a single-stream model in place; returns (model, history)."""
-    if cfg.freeze_streams:
-        raise ValueError("freeze_streams is a fusion setting: train_stream trains the stream")
-    return _fit(model, train_samples, val_samples, cfg, "stream")
+    return _fit(model, train_samples, val_samples, cfg)
 
 
 def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
@@ -248,13 +244,8 @@ def train_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
     """Fuse two trained streams and fine-tune; returns (fusion model, history).
 
     The fusion BLSTM and output layer draw fresh Glorot weights from
-    cfg.seed; the copied stream weights fine-tune unless cfg.freeze_streams.
+    cfg.seed, in the streams' dtype; the copied stream weights fine-tune
+    unless cfg.freeze_streams.
     """
-    model = build_fusion(raw, diff, hidden=hidden, rng=Rng(cfg.seed), dtype=cfg.dtype)
-    return _fit(model, train_samples, val_samples, cfg, "fusion")
-
-
-def _cast_samples(samples: list[SeqSample], dtype) -> list[SeqSample]:
-    return [s if all(a.dtype == dtype for a in s.streams.values())
-            else replace(s, streams={k: a.astype(dtype) for k, a in s.streams.items()})
-            for s in samples]
+    model = build_fusion(raw, diff, hidden=hidden, rng=Rng(cfg.seed))
+    return _fit(model, train_samples, val_samples, cfg)

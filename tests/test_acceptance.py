@@ -303,7 +303,7 @@ def test_10_early_stopping_restores_the_best_weights(monkeypatch, tmp_path):
                          label=i % 3) for i in range(6)]
     model = build_stream(input_dim=6, classes=3, hidden=3, rng=Rng(4),
                          encoder_sizes=(5,), bottleneck=2, dtype=np.float64)
-    cfg = TrainConfig.for_stream(lr=0.01, precision="f64", patience=5,
+    cfg = TrainConfig.for_stream(lr=0.01, patience=5,
                                  max_epochs=50, batch_utts=3, seed=4)
     model, history = train_stream(model, samples, samples, cfg)
 

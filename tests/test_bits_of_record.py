@@ -12,7 +12,10 @@ and compares full SHA-256 digests of:
 - the `score-paper` job digest: container reads, preprocessing, the
   forward pass and the report;
 - the checkpoint after one train_epoch over `fusion-paper`'s first seed-1
-  batch, which covers the backward pass, clipping and Adam.
+  batch, which covers the backward pass, clipping and Adam;
+- the whole `stream-bench` and `fusion-paper` job digests: CD-1
+  pretraining, every epoch of the fit, the trained checkpoint, its losses
+  and its report.
 
 The digests hold for one numeric environment, RECORDED. Anywhere else the
 test skips and names the environment it found; it never passes there.
@@ -44,6 +47,8 @@ BITS = {
     "fusion_checkpoint": "eb4f25437325f9f49da6a08f68dd7ddf5a62cf972ba7d6da6373acc44de40e49",
     "score_job": "94311ab15795562e38dbe3cb9e2487217616c870e6b835818bac0ad78a24f48c",
     "one_step_checkpoint": "d7b547129d7221c71dd325b4519c86c9fb172751a137f8aecff058d01587f992",
+    "stream_bench_job": "c468c2131f6366b1eaa02178bf9779f3262f09050ded6642ab420d7cd8aebaf3",
+    "fusion_paper_job": "f728877fe39fa4390fade54bbe44c7095e0ae7c0b703fdf66372a2835d0ec2b7",
 }
 
 
@@ -91,12 +96,21 @@ def bits(work: str) -> dict:
     # the first gradient step of the fusion-paper job, as train_fusion and _fit take it
     cfg = TrainConfig.for_fusion(max_epochs=spec.epochs, patience=spec.epochs,
                                  batch_utts=spec.batch_utts, seed=SEED)
-    model = vsr.model.build_fusion(st.raw, st.diff, rng=Rng(cfg.seed), dtype=cfg.dtype)
+    model = vsr.model.build_fusion(st.raw, st.diff, rng=Rng(cfg.seed))
     first = vsr.training.make_batches(st.train, cfg.batch_utts, Rng(cfg.seed))[0]
     vsr.training.train_epoch(model, [first], Adam(), cfg)
     path = os.path.join(work, "one_step.vsrm")
     vsr.model.save_checkpoint(path, model)
     out["one_step_checkpoint"] = bench._digest(path)
+    del model
+    # the step above trained a copy of the streams, so the job starts from the same setup
+    out["fusion_paper_job"] = _sha256(
+        bench._train_job("fusion-paper", spec, SEED, st)["digest"].encode())
+    del st
+    spec = bench.SPECS[False]["stream-bench"]
+    st = bench.setup("stream-bench", spec, SEED, os.path.join(work, "stream"))
+    out["stream_bench_job"] = _sha256(
+        bench._train_job("stream-bench", spec, SEED, st)["digest"].encode())
     return out
 
 

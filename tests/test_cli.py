@@ -22,8 +22,9 @@ from vsr.data import ROI_DIMS, load_manifest, load_utterances
 from vsr.evaluation import evaluate, render_report
 from vsr.gradcheck import CHECKS
 from vsr.layers import MAX_THETA
-from vsr.model import EncoderStack, FusionModel, SingleStreamModel, load_checkpoint
-from vsr.training import TrainConfig
+from vsr.model import (EncoderStack, FusionModel, SingleStreamModel, load_checkpoint,
+                       named_params)
+from vsr.training import TrainConfig, TrainingDiverged
 
 # Small dataset so every training run stays in the tens-of-milliseconds range:
 # 4 subjects x 3 classes x 2 reps of 6 frames at 8x9 pixels.
@@ -181,6 +182,22 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, doc, named):
     assert err.startswith(f"error: config file {cfg}")
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, value, choices", [
+    ("evaluate", "split", "dev", "train/val/test"),
+    ("evaluate", "format", "xml", "text/json/csv"),
+    ("train-stream", "stream", "audio", "raw/diff"),
+    ("train-stream", "precision", "f16", "f32/f64")])
+def test_config_value_outside_its_flags_choices_exits_2(tmp_path, capsys, command, key, value,
+                                                        choices):
+    """A config file is held to each flag's choices, as the flag is, before any data is read."""
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main([command, "--config", str(cfg), "--data", str(tmp_path / "absent")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: config file {cfg}: {key} must be one of "
+                                       f"{choices}, not \"{value}\"\n")
 
 
 COMMAND_DEFAULTS = {command: build_parser().parse_args([command]).defaults
@@ -491,8 +508,8 @@ def test_train_stream_names_a_truncated_container(dataset, tmp_path, capsys):
 
 # a value unlike either fit's default for every TrainConfig field
 FIT_VALUES = {"lr": 0.002, "batch_utts": 3, "patience": 7, "clip_threshold": 2.5,
-              "max_epochs": 1, "seed": 9, "precision": "f64",
-              "track_train_accuracy": True, "freeze_streams": True}
+              "max_epochs": 1, "seed": 9, "track_train_accuracy": True,
+              "freeze_streams": True}
 
 
 def test_every_fit_setting_has_a_flag_that_reaches_the_history(
@@ -502,13 +519,14 @@ def test_every_fit_setting_has_a_flag_that_reaches_the_history(
         for fit in (TrainConfig.for_stream(), TrainConfig.for_fusion()):
             assert getattr(fit, name) != value, name
     # the config the library records, before the CLI adds its own settings
-    recorded = {}
+    recorded, dtypes = {}, {}
     for stage in ("stream", "fusion"):
         fit = getattr(vsr.cli, f"train_{stage}")
 
         def recording(*args, fit=fit, stage=stage, **kwargs):
             model, history = fit(*args, **kwargs)
             recorded[stage] = dict(history.config)
+            dtypes[stage] = {str(p.dtype) for p in named_params(model).values()}
             return model, history
         monkeypatch.setattr(vsr.cli, f"train_{stage}", recording)
 
@@ -519,7 +537,7 @@ def test_every_fit_setting_has_a_flag_that_reaches_the_history(
         flags = build_parser().parse_args([f"train-{stage}"]).flags
         given = {k: v for k, v in FIT_VALUES.items() if k in flags}
         argv = [f"train-{stage}", "--data", str(dataset), *PROTO_ARGS, *extra,
-                "--out", str(tmp_path / f"{stage}.ckpt")]
+                "--precision", "f64", "--out", str(tmp_path / f"{stage}.ckpt")]
         for name, value in given.items():
             flag = flags[name].option_strings[0]
             argv += [flag] if value is True else [flag, str(value)]
@@ -528,6 +546,8 @@ def test_every_fit_setting_has_a_flag_that_reaches_the_history(
         for name, value in given.items():
             assert recorded[stage][name] == value, (stage, name)
             assert saved["config"][name] == value, (stage, name)
+        # --precision is the CLI's: it builds the model the fit trains in float64
+        assert saved["config"]["precision"] == "f64" and dtypes[stage] == {"float64"}
         covered |= set(given)
     assert covered == set(FIT_VALUES)
 
@@ -725,6 +745,33 @@ def test_repeat_reports_a_setting_every_run_shares_once(dataset, diff_ckpt, caps
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("failing", [{24}, {23, 24}])
+def test_repeat_aggregates_the_runs_that_finish(dataset, tmp_path, capsys, monkeypatch,
+                                                failing):
+    """A run that diverges is reported and left out; if none finishes, repeat exits 2."""
+    real = vsr.cli.train_stream
+
+    def diverging(model, train, val, cfg):
+        if cfg.seed in failing:
+            raise TrainingDiverged("training loss became non-finite in batch 0")
+        return real(model, train, val, cfg)
+    monkeypatch.setattr(vsr.cli, "train_stream", diverging)
+    agg_path = tmp_path / "agg.json"
+    rc = main(["repeat", "--runs", "2", "--out", str(agg_path), "train-stream",
+               "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS, *FIT_ARGS, "--seed", "23"])
+    err = capsys.readouterr().err.splitlines()
+    assert err[:len(failing)] == [f"run with seed {s} failed: training loss became non-finite "
+                                  f"in batch 0" for s in sorted(failing)]
+    if failing == {23, 24}:
+        assert (rc, err[2:], agg_path.exists()) == (2, ["error: all 2 runs failed"], False)
+        return
+    assert (rc, err[1:]) == (0, ["warning: aggregate covers 1 of 2 runs"])
+    payload = json.loads(agg_path.read_text())
+    assert payload["aggregate"]["seeds"] == [23]
+    assert payload["failures"] == [{"seed": 24, "error": "training loss became non-finite "
+                                                         "in batch 0"}]
 
 
 def test_repeat_rejects_zero_runs(dataset, capsys):

@@ -9,6 +9,7 @@ import pytest
 from vsr.data import (
     ContainerError,
     DatasetManifest,
+    ProtocolSplit,
     UtteranceRecord,
     class_motion_params,
     holdout_validation,
@@ -347,6 +348,8 @@ def test_load_utterances_selects_and_validates(tmp_path):
     wrong = DatasetManifest(classes=["a"], height=9, width=5, records=recs[:1])
     with pytest.raises(ValueError):
         load_utterances(tmp_path, wrong, ["u0.vsru"])
+    with pytest.raises(ValueError, match=re.escape("manifest lacks requested paths: ['u9.vsru']")):
+        load_utterances(tmp_path, m, ["u0.vsru", "u9.vsru"])
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +524,18 @@ def test_cuave_split_is_deterministic_without_rng():
     assert make_split(m, "cuave") == make_split(m, "cuave")
 
 
+def test_cuave_rejects_subjects_it_cannot_split_by_parity():
+    m = cuave_manifest()
+    short = DatasetManifest(classes=m.classes, height=2, width=2,
+                            records=[r for r in m.records if r.subject != "s01"])
+    with pytest.raises(ValueError, match="18 odd and 18 even subjects, manifest has 17 odd "
+                                         "and 18 even"):
+        make_split(short, "cuave")
+    m.records.append(UtteranceRecord("anon.vsru", "anon", 0))
+    with pytest.raises(ValueError, match="subject id 'anon' carries no number"):
+        make_split(m, "cuave")
+
+
 def test_avletters_split_counts_and_repetition_rule():
     m = avletters_manifest()
     split = make_split(m, "avletters")
@@ -558,6 +573,10 @@ def test_avletters2_folds():
 def test_avletters2_rejects_bad_fold():
     with pytest.raises(ValueError):
         make_split(avletters2_manifest(), "avletters2-fold-5")
+    m = avletters2_manifest()
+    m.records = [r for r in m.records if r.subject != "s5"]
+    with pytest.raises(ValueError, match="expects 5 subjects, manifest has 4"):
+        make_split(m, "avletters2-fold-0")
 
 
 def test_custom_split_validation():
@@ -640,6 +659,8 @@ def test_holdout_refuses_existing_validation():
     split = make_split(m, "avletters2-fold-0")
     with pytest.raises(ValueError, match="validation"):
         holdout_validation(split, Rng(0))
+    with pytest.raises(ValueError, match="holdout of 1 would empty a training set of 1"):
+        holdout_validation(ProtocolSplit(train=["u0.vsru"], val=[], test=[]), Rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -704,3 +725,8 @@ def test_synth_validates_arguments(tmp_path):
         synth_generate(0, 2, 1, 5, 4, 4, seed=0, out_dir=tmp_path)
     with pytest.raises(ValueError):
         synth_generate(2, 2, 1, 1, 4, 4, seed=0, out_dir=tmp_path)
+    # a frame size that load_manifest would refuse is refused before anything is written
+    for height, width in ((4, 0), (-1, 4)):
+        with pytest.raises(ValueError, match="synth_generate needs .*height/width >= 1"):
+            synth_generate(2, 2, 1, 5, height, width, seed=0, out_dir=tmp_path / "d")
+        assert not (tmp_path / "d").exists()

@@ -149,7 +149,7 @@ def test_render_aggregate_text_row():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_render_aggregate_is_text_only(fmt):
-    # repeat prints the text table and writes its JSON from to_dict
+    # repeat prints the text table and writes its JSON from the aggregate's fields
     with pytest.raises(ValueError, match=f"renders as text, not '{fmt}'"):
         render_report(aggregate_runs([0.5, 0.75], seeds=[7, 8]), fmt)
 

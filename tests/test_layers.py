@@ -49,6 +49,8 @@ def test_fc_rejects_width_mismatch():
     layer = fc_init(4, 3, Rng(0))
     with pytest.raises(ValueError):
         fc_forward(layer, np.zeros(5))
+    with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+        fc_init(4, 3, Rng(0), "tanh")
 
 
 def test_fc_takes_frame_batches_only():
@@ -80,6 +82,9 @@ def test_fc_backward_against_finite_differences():
 
     num_dw = numerical_grad(loss_of_w, layer.w)
     assert max_rel_err(d_w, num_dw) < 1e-6
+    # a transposed gradient would broadcast; the harness refuses it instead
+    with pytest.raises(ValueError, match="gradient shapes disagree"):
+        max_rel_err(d_w.T, num_dw)
 
 
 def test_relu_derivative_zero_at_kink():
@@ -168,6 +173,8 @@ def test_append_deltas_backward_is_the_adjoint():
     lhs = float((v * append_deltas(u, win)).sum())
     rhs = float((append_deltas_backward(v, win) * u).sum())
     assert abs(lhs - rhs) < 1e-12
+    with pytest.raises(ValueError, match="output width 8 not divisible by 3"):
+        append_deltas_backward(v[:, :8], win)
 
 
 def test_delta_window_validates_theta():
@@ -197,6 +204,14 @@ def test_lstm_matches_step_by_step_reference():
         want = ref_lstm(p.wx, p.wh, p.b, seq, reverse=reverse)
         assert h.shape == (7, 4)
         assert np.allclose(h, want, atol=1e-12)
+    # and what it cannot run, it refuses by name
+    for bad, lengths, named in ((seq[None], None, r"concatenated frames \[N, D\]"),
+                                (seq[:0], None, "at least one frame"),
+                                (seq, [3, 3], r"lengths \[3, 3\] do not split 7 frames"),
+                                (seq, [7, 0], "do not split 7 frames"),
+                                (seq[:, :4], None, "input width 4 != weight width 5")):
+        with pytest.raises(ValueError, match=named):
+            lstm_forward(p, bad, lengths=lengths)
 
 
 def test_lstm_zero_weights_zero_output():
@@ -317,6 +332,8 @@ def test_xent_rejects_bad_inputs():
         softmax_xent(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         softmax_xent(logits, np.array([0, 3]))  # label out of range
+    with pytest.raises(ValueError, match="one entry per frame"):
+        softmax_xent(logits, np.array([0, 1, 2]))
 
 
 def test_softmax_rows_normalizes():

@@ -55,6 +55,11 @@ def test_build_stream_reproducible_and_seed_sensitive():
     for name in a:
         assert np.array_equal(a[name], b[name]), name
     assert any(not np.array_equal(a[n], c[n]) for n in a)
+    # an omitted rng draws as Rng(0)
+    omitted = named_params(build_stream(input_dim=6, classes=3, hidden=3,
+                                        encoder_sizes=(5, 4), bottleneck=2, theta=2))
+    seeded = named_params(tiny_stream(seed=0, dtype=np.float32))
+    assert all(np.array_equal(p, seeded[n]) for n, p in omitted.items())
 
 
 def test_build_stream_accepts_matching_pretrained_encoder():
@@ -122,6 +127,10 @@ def test_build_fusion_holds_one_precision(source, dtype):
     logits, _ = forward(fused, {k: [rng.normal((4, 6)).astype(dtype)]
                                 for k in ("raw", "diff")}, keep_cache=False)
     assert logits.dtype == dtype
+    # by default the fusion keeps the streams' dtype and draws from Rng(0)
+    default = named_params(build_fusion(raw, diff, hidden=2))
+    want = named_params(build_fusion(raw, diff, hidden=2, rng=Rng(0), dtype=source))
+    assert all(p.dtype == source and np.array_equal(p, want[n]) for n, p in default.items())
 
 
 def test_named_params_cover_everything_once():

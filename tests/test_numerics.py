@@ -354,6 +354,12 @@ def test_clip_rejects_nonfinite():
         clip_global_norm([np.array([np.nan])], 1.0)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+def test_clip_rejects_a_threshold_that_is_not_positive(threshold):
+    with pytest.raises(ValueError, match=f"clip threshold must be > 0, got {threshold}"):
+        clip_global_norm([np.ones(3)], threshold)
+
+
 def test_require_finite_names_the_tensor():
     with pytest.raises(NonFiniteError, match="stream logits"):
         require_finite(np.array([1.0, np.inf]), "stream logits")

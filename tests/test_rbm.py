@@ -101,6 +101,10 @@ def test_reconstruct_visible():
     got = reconstruct_visible(rbm, np.array([1.0, 2.0]))
     assert np.allclose(got, [1.0 * 1 + 0.5 * 2 + 0.1, 2.0 * 1 - 1.0 * 2 + 0.2])
     assert np.allclose(reconstruct_visible(rbm, np.zeros(2)), rbm.vbias)
+    with pytest.raises(ValueError, match="hidden width 3 != rbm hidden 2"):
+        reconstruct_visible(rbm, np.zeros(3))
+    with pytest.raises(ValueError, match="visible width 3 != rbm visible 2"):
+        hidden_mean(rbm, np.zeros(3))
 
 
 def test_cd1_hand_trace():
@@ -159,6 +163,8 @@ def test_cd1_rejects_empty_batch():
     rbm = tiny_rbm([[0.5]])
     with pytest.raises(ValueError):
         cd1_update(rbm, np.zeros((0, 1)), PretrainConfig(), Rng(0))
+    with pytest.raises(ValueError, match="at least one frame"):
+        train_rbm(rbm, np.zeros((0, 1)), PretrainConfig(), Rng(0))
 
 
 def test_train_rbm_epoch_count_and_error_drop():
@@ -229,6 +235,10 @@ def test_pretrain_config_validation():
         PretrainConfig(batch=0)
     with pytest.raises(ValueError):
         PretrainConfig(lr=-0.1)
+    # NaN fails every bound when the config is built
+    for bad in (dict(lr=float("nan")), dict(l2=float("nan")), dict(l2=-1.0)):
+        with pytest.raises(ValueError, match="bad pretraining config"):
+            PretrainConfig(**bad)
 
 
 def test_pretrain_stack_rejects_bad_frames():
@@ -236,3 +246,5 @@ def test_pretrain_stack_rejects_bad_frames():
         pretrain_stack([5, 3], np.zeros((0, 5), dtype=np.float32), PretrainConfig())
     with pytest.raises(ValueError):
         pretrain_stack([5, 3], np.zeros((4, 6), dtype=np.float32), PretrainConfig())
+    with pytest.raises(ValueError, match="an input width and one hidden width"):
+        pretrain_stack([5], np.zeros((4, 5), dtype=np.float32), PretrainConfig())

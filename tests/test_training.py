@@ -62,15 +62,15 @@ def test_config_stage_defaults():
         assert cfg.patience == 5
         assert cfg.clip_threshold == 5.0
         assert cfg.max_epochs == 200
-        assert cfg.precision == "f32"
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(lr=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.1, precision="f16")
-    assert TrainConfig.for_stream(precision="f64").dtype == np.float64
+    # NaN fails every bound when the config is built, not at the first step
+    for bad in (dict(lr=-0.1), dict(lr=np.nan), dict(clip_threshold=0.0),
+                dict(clip_threshold=-1.0), dict(clip_threshold=np.nan)):
+        with pytest.raises(ValueError, match="bad training config"):
+            TrainConfig(**{"lr": 0.1, **bad})
+    assert TrainConfig(lr=0.1, clip_threshold=np.inf).clip_threshold == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +163,16 @@ def test_train_epoch_clip_threshold_infinite_matches_huge():
         assert np.array_equal(results[0][name], results[1][name]), name
 
 
+def test_train_epoch_refuses_a_non_finite_loss():
+    """Finite f32 logits of +-3e38 overflow the softmax's max shift, so the loss is inf."""
+    model = tiny_model()
+    model.head.b[:2] = [3e38, -3e38]
+    with (np.errstate(over="ignore"),
+          pytest.raises(TrainingDiverged, match="training loss became non-finite in batch 0")):
+        train_epoch(model, make_batches(toy_samples(6), 6, Rng(8)), Adam(),
+                    TrainConfig.for_stream())
+
+
 def test_train_epoch_diverges_loudly():
     model = tiny_model()
     model.head.w[0, 0] = np.nan
@@ -216,13 +226,14 @@ TRAINED = {
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 @pytest.mark.parametrize("kind", ["stream", "fusion"])
 def test_one_epoch_of_training_keeps_its_bits(tmp_path, kind, precision):
-    cfg = TrainConfig.for_stream(lr=0.003, precision=precision)
-    samples = toy_samples(8, dtype=cfg.dtype, t_range=(1, 7), kinds=("raw", "diff"))
-    model = tiny_model(seed=9, dtype=cfg.dtype)
+    dtype = {"f32": np.float32, "f64": np.float64}[precision]
+    cfg = TrainConfig.for_stream(lr=0.003)
+    samples = toy_samples(8, dtype=dtype, t_range=(1, 7), kinds=("raw", "diff"))
+    model = tiny_model(seed=9, dtype=dtype)
     if kind == "fusion":
-        cfg = TrainConfig.for_fusion(lr=0.003, precision=precision)
-        model = build_fusion(model, tiny_model(seed=10, kind="diff", dtype=cfg.dtype),
-                             hidden=2, rng=Rng(11), dtype=cfg.dtype)
+        cfg = TrainConfig.for_fusion(lr=0.003)
+        model = build_fusion(model, tiny_model(seed=10, kind="diff", dtype=dtype),
+                             hidden=2, rng=Rng(11), dtype=dtype)
     batches = make_batches(samples, 3, Rng(12))
     assert all(len(set(b.lengths)) > 1 for b in batches)
     loss = train_epoch(model, batches, Adam(), cfg)
@@ -351,8 +362,7 @@ def test_history_keeps_the_validation_report_out_of_its_json():
 
 def test_samples_carry_their_utterance_subject(bench):
     samples = samples_from_utterances(bench.val[:2], ("raw",), np.float64)
-    assert [s.subject for s in samples] == [u.subject for u in bench.val[:2]]
-    assert [s.subject for s in training._cast_samples(samples, np.float32)] == ["s04", "s04"]
+    assert [s.subject for s in samples] == [u.subject for u in bench.val[:2]] == ["s04", "s04"]
 
 
 def test_train_stream_deterministic():
@@ -380,11 +390,26 @@ def test_train_stream_rejects_empty_sets():
         train_stream(model, toy_samples(4), [], cfg)
 
 
-def test_train_stream_f64_promotes_model():
-    model = tiny_model(dtype=np.float32)
-    cfg = TrainConfig.for_stream(lr=0.001, max_epochs=1, precision="f64")
-    trained, _ = train_stream(model, toy_samples(6), toy_samples(3, seed=5), cfg)
-    assert all(p.dtype == np.float64 for p in named_params(trained).values())
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_fit_trains_the_model_it_is_given(dtype):
+    model = tiny_model(dtype=dtype)
+    arrays = dict(named_params(model))
+    cfg = TrainConfig.for_stream(lr=0.001, max_epochs=1)
+    trained, _ = train_stream(model, toy_samples(6, dtype=dtype),
+                              toy_samples(3, seed=5, dtype=dtype), cfg)
+    assert trained is model
+    assert all(p is arrays[n] and p.dtype == dtype for n, p in named_params(trained).items())
+
+
+@pytest.mark.parametrize("model_dtype, sample_dtype", [(np.float32, np.float64),
+                                                       (np.float64, np.float32)])
+def test_a_fit_refuses_samples_of_another_dtype(model_dtype, sample_dtype):
+    cfg = TrainConfig.for_stream(lr=0.001, max_epochs=1)
+    val = toy_samples(3, seed=5, dtype=model_dtype)
+    val[-1] = toy_samples(1, seed=6, dtype=sample_dtype)[0]
+    with pytest.raises(ValueError, match=f"a {np.dtype(model_dtype)} model cannot train on "
+                                         f"{np.dtype(sample_dtype)} samples"):
+        train_stream(tiny_model(dtype=model_dtype), toy_samples(6, dtype=model_dtype), val, cfg)
 
 
 def two_trained_streams(seed=13):
