@@ -177,12 +177,17 @@ def cmd_pretrain(cfg: dict) -> int:
     return 0
 
 
-def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
-    """The manifest and the checked model inputs, which no seed changes: a
-    fusion's --raw and --diff streams, cast to --precision, or a stream's
-    encoder widths, --encoder weights and --theta. repeat reads them once,
-    before its first run.
-    """
+def _training_inputs(cfg: dict, stage: str) -> tuple[TrainConfig, DatasetManifest, dict]:
+    """The fit settings, the manifest and the checked model inputs, which no
+    seed changes: a fusion's --raw and --diff streams, cast to --precision, or a
+    stream's encoder widths, --encoder weights and --theta. repeat checks them
+    once, before its first run; the fit settings before any file is read."""
+    tcfg = TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
+                       patience=int(cfg["patience"]),
+                       clip_threshold=float(cfg["clip_threshold"]),
+                       max_epochs=int(cfg["max_epochs"]), seed=int(cfg["seed"]),
+                       track_train_accuracy=bool(cfg["track_train_accuracy"]),
+                       freeze_streams=bool(cfg.get("freeze_streams")))
     manifest = load_manifest(cfg["data"])
     if stage == "fusion":
         streams = {kind: load_checkpoint(cfg[kind]) for kind in ("raw", "diff")}
@@ -193,7 +198,7 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
                 raise ValueError(f"--{kind} model has {m.classes} classes, "
                                  f"dataset has {len(manifest.classes)}")
         dtype = _DTYPES[cfg["precision"]]
-        return manifest, {kind: astype_model(m, dtype) for kind, m in streams.items()}
+        return tcfg, manifest, {kind: astype_model(m, dtype) for kind, m in streams.items()}
     encoder = {"encoder_sizes": _parse_sizes(cfg["encoder_sizes"]), "encoder_init": None,
                "theta": DeltaWindow(int(cfg["theta"])).theta}
     if cfg["encoder"]:
@@ -205,22 +210,17 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[DatasetManifest, dict]:
             raise ValueError(f"--encoder checkpoint was pretrained on the {pretrained_on} "
                              f"stream, not the {cfg['stream']} stream that --stream names")
         encoder["encoder_init"] = stack.layers
-    return manifest, encoder
+    return tcfg, manifest, encoder
 
 
-def _run_training(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]):
-    """Split, build and fit on _training_inputs' result. Shared by train-stream,
-    train-fusion and repeat so reruns match run for run."""
-    manifest, model_inputs = inputs
+def _run_training(cfg: dict, stage: str, inputs: tuple[TrainConfig, DatasetManifest, dict]):
+    """Split, build and fit on _training_inputs' result, at cfg's seed. Shared
+    by train-stream, train-fusion and repeat so reruns match run for run."""
+    tcfg, manifest, model_inputs = inputs
+    tcfg = dataclasses.replace(tcfg, seed=int(cfg["seed"]))
     dtype = _DTYPES[cfg["precision"]]
-    rng = Rng(int(cfg["seed"]))
+    rng = Rng(tcfg.seed)
     split = _split_for(manifest, cfg, rng, need_val=True)
-    tcfg = TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
-                       patience=int(cfg["patience"]),
-                       clip_threshold=float(cfg["clip_threshold"]),
-                       max_epochs=int(cfg["max_epochs"]), seed=int(cfg["seed"]),
-                       track_train_accuracy=bool(cfg["track_train_accuracy"]),
-                       freeze_streams=bool(cfg.get("freeze_streams")))
     kinds = ("raw", "diff") if stage == "fusion" else (cfg["stream"],)
     train_utts, val_utts = (load_utterances(cfg["data"], manifest, paths)
                             for paths in (split.train, split.val))
@@ -329,7 +329,7 @@ def cmd_repeat(cfg: dict, train: list[str]) -> int:
     return 0
 
 
-def _repeat_one(cfg: dict, stage: str, inputs: tuple[DatasetManifest, dict]) -> float:
+def _repeat_one(cfg: dict, stage: str, inputs: tuple[TrainConfig, DatasetManifest, dict]) -> float:
     """One training run; returns test-split utterance accuracy."""
     model, _, split, manifest = _run_training(cfg, stage, inputs)
     test_utts = load_utterances(cfg["data"], manifest, split.test)

@@ -25,8 +25,6 @@ BLSTM -> head chain and refuse a tensor the table does not list.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +33,7 @@ from .layers import (ACTIVATIONS, MAX_THETA, Blstm, DeltaWindow, FcLayer, LstmPa
                      append_deltas, append_deltas_backward, blstm_backward,
                      blstm_forward, blstm_init, fc_backward, fc_forward,
                      fc_init, softmax_rows)
-from .fileio import open_regular, write_atomic
+from .fileio import read_tensors, write_tensors
 from .numerics import DEFAULT_DTYPE, Rng, require_finite
 
 DEFAULT_ENCODER_SIZES = (2000, 1000, 500)
@@ -341,17 +339,8 @@ def predict_label(logits: np.ndarray) -> int:
 # checkpoint serialization
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"VSRM"
-CHECKPOINT_VERSION = 1
-
-
 class CheckpointError(ValueError):
     pass
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
 
 
 def _checkpoint_meta(model, extra_meta: dict[str, str] | None = None) -> dict[str, str]:
@@ -366,94 +355,9 @@ def _checkpoint_meta(model, extra_meta: dict[str, str] | None = None) -> dict[st
 
 
 def save_checkpoint(path, model, extra_meta: dict[str, str] | None = None) -> None:
-    """Write the model's metadata and tensors; equal inputs give equal bytes.
-
-    Metadata pairs are written sorted by key; tensors follow named_params
-    order. Values are stored as little-endian float32. The file is replaced
-    in one step (write_atomic), so a killed run never leaves half of one.
-    """
-    meta = _checkpoint_meta(model, extra_meta)
-    params = named_params(model)
-
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
-    chunks.append(struct.pack("<I", len(meta)))
-    for key in sorted(meta):
-        chunks.append(_pack_str(key))
-        chunks.append(_pack_str(str(meta[key])))
-    chunks.append(struct.pack("<I", len(params)))
-    for name, value in params.items():
-        chunks.append(_pack_str(name))
-        chunks.append(struct.pack("<I", value.ndim))
-        chunks.append(struct.pack(f"<{value.ndim}I", *value.shape))
-        chunks.append(np.ascontiguousarray(value, dtype="<f4"))
-    write_atomic(path, chunks)
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(f"truncated: wanted {self.pos + n} bytes, "
-                                  f"file has {len(self.blob)}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def string(self, what: str, key: str | None = None) -> str:
-        """The next length-prefixed UTF-8 string; what (of key) names it in errors."""
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            field = what if key is None else f"{what} {key!r}"
-            raise CheckpointError(f"{field} is not valid UTF-8 "
-                                  f"({exc.reason} at byte {exc.start})") from None
-
-
-def _read_raw(path):
-    with open_regular(path, CheckpointError) as fh:
-        reader = _Reader(fh.read())
-    magic = reader.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    version = reader.u16()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported version {version}, expected {CHECKPOINT_VERSION}")
-    meta = {}
-    for _ in range(reader.u32()):
-        key = reader.string("a metadata key")
-        meta[key] = reader.string("the value of metadata key", key)
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(reader.u32()):
-        name = reader.string("a tensor name")
-        if name in tensors:
-            raise CheckpointError(f"repeats tensor {name!r}")
-        rank = reader.u32()
-        shape = tuple(reader.u32() for _ in range(rank))
-        size, left = 4 * math.prod(shape), len(reader.blob) - reader.pos
-        if size > left:
-            raise CheckpointError(f"truncated: tensor {name!r} of shape {shape} needs "
-                                  f"{size} bytes, {left} are left")
-        if rank > 2:  # every vsr tensor is a vector or a matrix
-            raise CheckpointError(f"tensor {name!r} has rank {rank}, expected at most 2")
-        data = np.frombuffer(reader.take(size), dtype="<f4").reshape(shape).astype(np.float32)
-        # a float64 sum of float32 values cannot overflow, so it is finite exactly
-        # when every value is; unlike np.isfinite it allocates no tensor-sized mask
-        if not np.isfinite(data.sum(dtype=np.float64)):
-            raise CheckpointError(f"tensor {name!r} holds non-finite values")
-        tensors[name] = data
-    if reader.pos != len(reader.blob):
-        raise CheckpointError(f"{len(reader.blob) - reader.pos} trailing bytes after the tensors")
-    return meta, tensors
+    """Write the model's metadata and tensors with fileio.write_tensors, in the
+    model's precision: a float32 model as version 1, a float64 one as version 2."""
+    write_tensors(path, _checkpoint_meta(model, extra_meta), list(named_params(model).items()))
 
 
 def _tensor(tensors: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
@@ -531,7 +435,7 @@ def load_checkpoint(path, expect: dict[str, str] | None = None):
     starts `checkpoint <path>: `.
     """
     try:
-        meta, tensors = _read_raw(path)
+        meta, tensors = read_tensors(path, CheckpointError)
         for key, want in (expect or {}).items():
             if meta.get(key) != want:
                 raise CheckpointError(f"metadata mismatch: {key} is {meta.get(key)!r}, "

@@ -1,8 +1,8 @@
 """Deterministic numeric foundations: RNG, initializers, Adam, clipping.
 
 All tensors are plain numpy arrays (row-major, rank 1-3). Training runs in
-float32; gradient checking switches the whole graph to float64 because
-finite-difference tolerances are unreachable in single precision.
+float32, or float64 under --precision f64; gradient checking runs the whole
+graph in float64: finite-difference tolerances are out of float32's reach.
 
 The Adam update is one in-place kernel applied block by block: every
 tensor is cut into slices of ADAM_BLOCK elements, small enough that a

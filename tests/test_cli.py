@@ -747,6 +747,17 @@ def test_repeat_reports_a_setting_every_run_shares_once(dataset, diff_ckpt, caps
     assert err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("data", ["given", "missing"])
+def test_repeat_refuses_a_bad_fit_setting_once_before_reading_data(dataset, tmp_path, capsys,
+                                                                   data):
+    path = dataset if data == "given" else tmp_path / "nonexistent"
+    rc = main(["repeat", "--runs", "3", "train-stream", "--data", str(path), *PROTO_ARGS,
+               "--lr", "nan"])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: bad training config TrainConfig(lr=nan")
+
+
 @pytest.mark.parametrize("failing", [{24}, {23, 24}])
 def test_repeat_aggregates_the_runs_that_finish(dataset, tmp_path, capsys, monkeypatch,
                                                 failing):

@@ -61,9 +61,10 @@ def test_each_command_resolves_its_pinned_defaults(command):
 # changed nothing (TrainConfig's stage and Adam constants, repeat's
 # --history and --track-train-accuracy), and the two repeat aggregates once
 # more when repeat came to wrap a train command and echo only its settings
-# (the aggregate blocks themselves did not change)
+# (the aggregate blocks themselves did not change); diff.ckpt, a
+# --precision f64 run, again when checkpoints came to keep float64
 PIPELINE = {
-    "diff.ckpt": "3f5edaf2bfd378449a5242e777167be7b4554dbbf346cf6aad05038a7a980101",
+    "diff.ckpt": "cf3de90e4c5d545b8f14576d10165ae49bc2e98c3383f7b8652734c7c918db0c",
     "diff.ckpt.history.json": "392cfb74620c1b04ae555cf61e432f1aac8f3ccb1e24c13188106d213fbec380",
     "diff.ckpt.val.json": "0a1d2ea646c657284b98abc1d29679358d130ffa6bc6030ac8420fa56c16cc34",
     "enc.ckpt": "09cfd405f0ad5c4ac504ec63fd63bed4c223e23fa554d57c0236eb51f5861f7e",

@@ -30,7 +30,8 @@ HUGE = st.sampled_from([2**32 - 1, 2**31, 2**24 + 1, 65537])
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """One well-formed file of each kind, and a path to write mutants to."""
+    """One well-formed file of each kind, a float64 (version 2) stream among
+    the checkpoints, and a path to write mutants to."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = Rng(3)
     save_utterance(root / "u.vsru", rng.integers(256, (3, 4, 5)).astype(np.uint8))
@@ -39,7 +40,9 @@ def files(tmp_path_factory):
     diff = build_stream(6, 3, 2, Rng(2), "diff", **shape)
     for name, model in (("stream", raw), ("fusion", build_fusion(raw, diff, 2, Rng(3))),
                         ("encoder", EncoderStack(layers=raw.net.encoder,
-                                                 meta={"kind": "encoder", "stream": "raw"}))):
+                                                 meta={"kind": "encoder", "stream": "raw"})),
+                        ("stream64", build_stream(6, 3, 2, Rng(1), "raw", **shape,
+                                                  dtype=np.float64))):
         save_checkpoint(root / f"{name}.ckpt", model)
     records = [UtteranceRecord(f"s{i % 2}/u{i}.vsru", f"s{i % 2}", i % 3) for i in range(4)]
     save_manifest(root, DatasetManifest(classes=["a", "b", "c"], height=4, width=5,
@@ -89,7 +92,7 @@ def test_a_mutated_container_loads_or_names_itself(files, data):
 @given(data=st.data())
 def test_a_mutated_checkpoint_loads_or_names_itself(files, data):
     path = files / "mutant.ckpt"
-    kind = data.draw(st.sampled_from(["stream", "fusion", "encoder"]))
+    kind = data.draw(st.sampled_from(["stream", "fusion", "encoder", "stream64"]))
     path.write_bytes(_mutate(data, (files / f"{kind}.ckpt").read_bytes()))
     try:
         load_checkpoint(path)

@@ -6,13 +6,13 @@ import pytest
 
 from oracles import ref_delta, ref_lstm, ref_softmax
 from stages import backward, forward
+from vsr.fileio import read_tensors, write_tensors
 from vsr.layers import MAX_THETA, DeltaWindow, FcLayer, blstm_backward, blstm_forward, fc_init
 from vsr.model import (
     CheckpointError,
     EncoderStack,
     SingleStreamModel,
     _layers,
-    _read_raw,
     astype_model,
     build_fusion,
     build_stream,
@@ -332,8 +332,8 @@ def test_checkpoint_roundtrip_fusion(tmp_path):
     assert again.meta["kind"] == "fusion"
     a, b = named_params(fused), named_params(again)
     for name in a:
-        # tensors are stored as f32; compare after the same cast
-        assert np.array_equal(a[name].astype(np.float32), b[name]), name
+        assert b[name].dtype == np.float64
+        assert np.array_equal(a[name], b[name]), name
 
 
 def test_checkpoint_roundtrip_encoder_stack(tmp_path):
@@ -359,11 +359,13 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_checkpoint_magic_pinned(tmp_path):
+    # the version names the dtype of every tensor in the file
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, tiny_stream())
-    head = path.read_bytes()[:6]
-    assert head[:4] == b"VSRM"
-    assert int.from_bytes(head[4:6], "little") == 1
+    for dtype, version in ((np.float32, 1), (np.float64, 2)):
+        save_checkpoint(path, tiny_stream(dtype=dtype))
+        head = path.read_bytes()[:6]
+        assert head[:4] == b"VSRM"
+        assert int.from_bytes(head[4:6], "little") == version
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -387,17 +389,17 @@ def test_checkpoint_truncation_names_the_file(tmp_path):
 def test_checkpoint_tensor_cut_short_is_named(tmp_path):
     path = tmp_path / "t.ckpt"
     save_checkpoint(path, tiny_stream())
-    path.write_bytes(path.read_bytes()[:-4])  # head.b, the last tensor, loses a value
+    path.write_bytes(path.read_bytes()[:-4])  # head.b, the last tensor, loses half a value
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
-    assert (f"checkpoint {path}: truncated: tensor 'head.b' of shape (3,) needs 12 bytes, "
-            f"8 are left") in str(err.value)
+    assert (f"checkpoint {path}: truncated: tensor 'head.b' of shape (3,) needs 24 bytes, "
+            f"20 are left") in str(err.value)
 
 
 def test_checkpoint_refuses_a_declared_size_past_the_file(tmp_path):
     # 2**31 * 2**31 * 4 elements wrap to 0 in 64-bit integers
     path = tmp_path / "huge.ckpt"
-    write_raw(path, {"kind": "encoder"}, [("enc0.w", np.zeros((2, 2), dtype=np.float32))])
+    write_tensors(path, {"kind": "encoder"}, [("enc0.w", np.zeros((2, 2), dtype=np.float32))])
     shape = struct.pack("<I", 2) + struct.pack("<2I", 2, 2)
     blob = path.read_bytes()
     assert blob.count(shape) == 1
@@ -423,6 +425,14 @@ def test_checkpoint_loads_the_largest_finite_weights(tmp_path):
     weights = np.full((12, 3), np.finfo(np.float32).max, dtype=np.float32)
     weights[::2] *= -1
     model = tampered(tmp_path, "stream", tensors={"blstm.bwd.wh": weights})
+    assert np.array_equal(model.net.blstm.bwd.wh, weights)
+
+
+def test_checkpoint_loads_huge_finite_float64_weights(tmp_path):
+    """A float64 sum of these overflows; every value is finite all the same."""
+    weights = np.full((12, 3), 1e308)
+    model = tampered(tmp_path, "stream", tensors={"blstm.bwd.wh": weights})
+    assert model.net.blstm.bwd.wh.dtype == np.float64
     assert np.array_equal(model.net.blstm.bwd.wh, weights)
 
 
@@ -485,7 +495,7 @@ KINDS = {"stream": tiny_stream, "fusion": tiny_fusion, "encoder": tiny_encoder}
 def test_checkpoint_names_follow_the_layer_table(tmp_path, kind):
     model = KINDS[kind]()
     save_checkpoint(tmp_path / "m.ckpt", model)
-    meta, tensors = _read_raw(tmp_path / "m.ckpt")
+    meta, tensors = read_tensors(tmp_path / "m.ckpt", CheckpointError)
     assert list(tensors) == list(named_params(model))  # file order
     stored = sorted(k[:-len(".activation")] for k in meta if k.endswith(".activation"))
     assert stored == sorted(name for name, layer in _layers(model)
@@ -559,15 +569,22 @@ def test_a_cast_to_the_same_dtype_saves_the_same_bytes(tmp_path, kind, dtype):
 
 
 # SHA-256 of checkpoints of the seeded tiny models, fixed before the layer
-# table replaced the per-kind naming code; no training, so no BLAS rounding
-GOLDEN = {"stream": "6c54fa0635be5e53dd37487428d3fc40ea5885979ede53f17914a4d7c76595b7",
-          "fusion": "02368b78c8560fbbc6434997435ab398d7645bb4812cf28ca739259a11fdc6de",
-          "encoder": "3712ca7d3b4f678e0ad383a044c3ee02e5c16899548b2f1e87dc2bd553388302"}
+# table replaced the per-kind naming code; no training, so no BLAS rounding.
+# The stream and fusion fixtures are float64, pinned again when checkpoints
+# came to keep float64; their float32 casts keep the bytes the float64
+# models had while every checkpoint was stored as float32.
+GOLDEN = {"stream": "7fd2e59385994d909b3399d4dbf242c5ea154255b61817260d0f0e6150961df1",
+          "fusion": "d1be576869c48e95a97f2495731639ba754b1aa4a606d5b78dfaa179f4a41e0e",
+          "encoder": "3712ca7d3b4f678e0ad383a044c3ee02e5c16899548b2f1e87dc2bd553388302",
+          "stream-f32": "6c54fa0635be5e53dd37487428d3fc40ea5885979ede53f17914a4d7c76595b7",
+          "fusion-f32": "02368b78c8560fbbc6434997435ab398d7645bb4812cf28ca739259a11fdc6de"}
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_checkpoint_bytes_are_pinned(tmp_path, kind):
-    save_checkpoint(tmp_path / "m.ckpt", KINDS[kind]())
+    base, _, f32 = kind.partition("-")
+    model = KINDS[base]()
+    save_checkpoint(tmp_path / "m.ckpt", astype_model(model, np.float32) if f32 else model)
     assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == GOLDEN[kind]
 
 
@@ -575,30 +592,13 @@ def test_checkpoint_bytes_are_pinned(tmp_path, kind):
 # load-time shape checks
 # ---------------------------------------------------------------------------
 
-def write_raw(path, meta, tensors):
-    """Write a checkpoint from metadata and (name, array) pairs, unchecked."""
-    def pack(text):
-        raw = text.encode("utf-8")
-        return struct.pack("<I", len(raw)) + raw
-
-    chunks = [b"VSRM", struct.pack("<H", 1), struct.pack("<I", len(meta))]
-    for key in sorted(meta):
-        chunks += [pack(key), pack(meta[key])]
-    chunks.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors:
-        chunks += [pack(name), struct.pack("<I", arr.ndim),
-                   struct.pack(f"<{arr.ndim}I", *arr.shape),
-                   np.ascontiguousarray(arr, dtype="<f4").tobytes()]
-    path.write_bytes(b"".join(chunks))
-
-
 def tampered(tmp_path, kind, tensors=None, meta=None, extra=()):
     """Save a tiny model of kind, swap in the given tensors/metadata, and reload."""
     save_checkpoint(tmp_path / "m.ckpt", KINDS[kind]())
-    stored_meta, stored = _read_raw(tmp_path / "m.ckpt")
+    stored_meta, stored = read_tensors(tmp_path / "m.ckpt", CheckpointError)
     stored.update(tensors or {})
     stored_meta.update(meta or {})
-    write_raw(tmp_path / "t.ckpt", stored_meta, [*stored.items(), *extra])
+    write_tensors(tmp_path / "t.ckpt", stored_meta, [*stored.items(), *extra])
     return load_checkpoint(tmp_path / "t.ckpt")
 
 
@@ -687,19 +687,19 @@ def _edit_entries(meta=None, tensors=None, drop=None, extra=(), unset=None):
     drop names a tensor to leave out, unset a metadata key."""
     def write(path):
         save_checkpoint(path, tiny_stream())
-        stored_meta, stored = _read_raw(path)
+        stored_meta, stored = read_tensors(path, CheckpointError)
         stored.update(tensors or {})
         stored.pop(drop, None)
         stored_meta.pop(unset, None)
-        write_raw(path, {**stored_meta, **(meta or {})}, [*stored.items(), *extra])
+        write_tensors(path, {**stored_meta, **(meta or {})}, [*stored.items(), *extra])
     return write
 
 
 @pytest.mark.parametrize("write, expect, named", [
     (_edit_bytes(lambda b: b + b"xx"), None, "2 trailing bytes"),
     (_edit_bytes(lambda b: b"XXXX" + b[4:]), None, "bad magic b'XXXX'"),
-    (_edit_bytes(lambda b: b[:4] + struct.pack("<H", 2) + b[6:]), None,
-     "unsupported version 2, expected 1"),
+    (_edit_bytes(lambda b: b[:4] + struct.pack("<H", 3) + b[6:]), None,
+     "unsupported version 3, expected 1 or 2"),
     (_edit_bytes(lambda b: b[:12]), None, "truncated: wanted"),
     (_edit_bytes(lambda b: b), {"classes": "26"}, "metadata mismatch: classes is '3'"),
     (_edit_entries(meta={"kind": "rnn"}), None, "kind 'rnn' is not one of"),
@@ -727,10 +727,13 @@ def _edit_entries(meta=None, tensors=None, drop=None, extra=(), unset=None):
     (_edit_entries(meta={"theta": "9" * 5000}), None, "metadata theta is '9999"),
     (_edit_entries(extra=[("deep.w", np.zeros((1, 1, 1), dtype=np.float32))]), None,
      "tensor 'deep.w' has rank 3, expected at most 2"),
+    # numpy's min and max raise a plain ValueError on an empty array
+    (_edit_entries(tensors={"head.b": np.zeros(0)}), None,
+     "tensor 'head.b' of shape (0,) holds no values"),
 ], ids=["trailing", "magic", "version", "truncated", "expect", "kind", "theta",
         "activation", "classes", "missing", "no-encoder", "shape", "non-finite",
         "repeated", "unknown", "stream", "no-activation", "no-stream", "no-theta",
-        "long-theta", "rank"])
+        "long-theta", "rank", "empty"])
 def test_every_checkpoint_error_names_the_file_once(tmp_path, write, expect, named):
     path = tmp_path / "t.ckpt"
     write(path)

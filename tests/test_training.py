@@ -9,7 +9,7 @@ import vsr.model
 import vsr.training as training
 from vsr.evaluation import EvalReport
 from vsr.model import (EncoderStack, build_fusion, build_stream, clip_group,
-                       named_params, save_checkpoint)
+                       load_checkpoint, named_params, save_checkpoint)
 from vsr.numerics import Adam, Rng
 from vsr.training import (
     SeqSample,
@@ -209,16 +209,17 @@ def test_train_epoch_non_finite_gradient_names_the_batch(monkeypatch, clipped):
 
 # SHA-256 of the checkpoint and the epoch's mean loss after one epoch of
 # mixed-length batches, recorded before the sequence layers ran on
-# concatenated frames; every product here is small enough for OpenBLAS's
-# single-threaded path, so the bits do not depend on the thread count
+# concatenated frames, the f64 digests again when checkpoints came to keep
+# float64 (the losses held); every product here is small enough for
+# OpenBLAS's single-threaded path, so the bits do not depend on the thread count
 TRAINED = {
     ("stream", "f32"): ("0c045b9406162d57e6998ac0c4d51dedaa01bd0adee96d6d298e3f90bd755e53",
                         "0x1.0d801c4444444p+0"),
-    ("stream", "f64"): ("3e77a736d7e7ad12c41adc0eb10d3d1dd00a09fe953b04cf1f2a15bab589e7ae",
+    ("stream", "f64"): ("28dfc8e7dd801d0f9b689c306bd685360285c370399d937accbdd800a49ceaa1",
                         "0x1.0d801b6a3734ep+0"),
     ("fusion", "f32"): ("8697751e6b6b25b434124ab8bc6b3760fca6d916baa6d19cb3d2fb38d370133a",
                         "0x1.152c73bbbbbbcp+0"),
-    ("fusion", "f64"): ("21ae8cd561c0e91916f121b494174607b10fdc4d8650dcf258dc1f0547530a27",
+    ("fusion", "f64"): ("ca06e73ab27bcda81b94b047978a92dc12ce214a84e4fda109a824732e6cdd81",
                         "0x1.152c737531187p+0"),
 }
 
@@ -240,6 +241,22 @@ def test_one_epoch_of_training_keeps_its_bits(tmp_path, kind, precision):
     save_checkpoint(tmp_path / "m.ckpt", model)
     digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
     assert (digest, loss.hex()) == TRAINED[kind, precision]
+
+
+def test_a_float64_stream_keeps_its_trained_bits_through_its_checkpoint(tmp_path):
+    """The stream checkpoint carries the first stage's weights to the fusion
+    stage; a float64 fit reloads as the float64 weights it trained to."""
+    model = tiny_model(seed=9, dtype=np.float64)
+    samples = toy_samples(9, dtype=np.float64)
+    train_stream(model, samples[:6], samples[6:], TrainConfig.for_stream(max_epochs=2))
+    save_checkpoint(tmp_path / "a.ckpt", model)
+    again = load_checkpoint(tmp_path / "a.ckpt")
+    save_checkpoint(tmp_path / "b.ckpt", again)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    loaded = named_params(again)
+    for name, p in named_params(model).items():
+        assert loaded[name].dtype == np.float64, name
+        assert np.array_equal(loaded[name], p), name
 
 
 def test_gradients_flow_only_through_valid_frames():
