@@ -25,7 +25,7 @@ from . import gradcheck as gc
 from .data import (ROI_DIMS, DatasetManifest, holdout_validation, load_manifest,
                    load_utterances, make_split, stream_features, synth_generate)
 from .evaluation import aggregate_runs, evaluate, render_report
-from .fileio import write_atomic
+from .fileio import open_regular, write_atomic
 from .layers import DeltaWindow
 from .model import (DEFAULT_BOTTLENECK, DEFAULT_ENCODER_SIZES, DEFAULT_HIDDEN,
                     EncoderStack, SingleStreamModel, astype_model, build_stream,
@@ -68,11 +68,14 @@ def resolve_config(args) -> dict:
     cfg = dict(defaults)
     path = args.config
     if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"config file {path} nests too deeply") from None
+        with open_regular(path, lambda what: ValueError(f"config file {path}: {what}")) as fh:
+            blob = fh.read()
+        try:
+            file_cfg = json.loads(blob.decode("utf-8"))
+        except RecursionError:
+            raise ValueError(f"config file {path} nests too deeply") from None
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+            raise ValueError(f"config file {path}: not JSON ({exc})") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {path} does not hold a JSON object")
         unknown = set(file_cfg) - set(defaults)

@@ -193,7 +193,7 @@ def _manifest_object(path, lineno: int, line: str, keys: dict) -> dict:
 
 def load_manifest(root) -> DatasetManifest:
     path = os.path.join(root, MANIFEST_NAME)
-    with open(path, "rb") as fh:
+    with open_regular(path, lambda what: ValueError(f"{path}: {what}")) as fh:
         blob = fh.read()
     try:
         text = blob.decode("utf-8")

@@ -7,14 +7,16 @@ import os
 import stat
 import struct
 import threading
+from typing import Callable
 
 import numpy as np
 
 
-def open_regular(path, error: type[Exception]):
+def open_regular(path, error: Callable[[str], Exception]):
     """path opened for binary reading, or error("not a regular file") raised
     before a byte is read: the open does not block, so a FIFO is refused
-    rather than waited on, and a device allocates nothing."""
+    rather than waited on, and a device allocates nothing. error is an
+    exception type or any function of the message that returns one."""
     fh = open(path, "rb", opener=lambda p, f: os.open(p, f | getattr(os, "O_NONBLOCK", 0)))
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         fh.close()

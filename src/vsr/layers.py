@@ -2,8 +2,11 @@
 
 Every forward returns (output, cache); the matching backward consumes the
 cache plus the upstream gradient and returns exact input and parameter
-gradients. Layers never mutate their inputs, so concurrent evaluation on
-distinct sequences is safe.
+gradients. A cache serves one backward, which consumes it: blstm_backward
+empties its BLSTM cache, dropping each direction's as soon as that
+direction's backward has run, so a backward pass holds no forward state it
+has finished with. Layers never mutate their inputs, so concurrent
+evaluation on distinct sequences is safe.
 
 Shapes follow the conventions: frame batches are [N, D] with one row per
 frame, weight sheets are [out, in]. Sequence layers (deltas, LSTM, BLSTM)
@@ -296,11 +299,12 @@ def lstm_forward(p: LstmParams, seq: np.ndarray, reverse: bool = False, lengths=
     return out, (rows, gates, c_seq, tc_seq, h_seq, offsets, frames)
 
 
-def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
+def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray, input_grad: bool = True):
     """Full backpropagation through time over the batch.
 
     d_h_seq has the forward output's shape. Returns (d_seq, grads) with
-    grads = {"wx", "wh", "b"} summed over the batch.
+    grads = {"wx", "wh", "b"} summed over the batch; d_seq is None when
+    input_grad is False.
     """
     rows, gates, c_seq, tc_seq, h_seq, offsets, frames = cache
     hidden = p.hidden
@@ -341,9 +345,11 @@ def lstm_backward(p: LstmParams, cache, d_h_seq: np.ndarray):
     d_wh = dz_seq[offsets[1]:].T @ h_seq[prev]
     d_wx = dz_seq.T @ rows
     d_b = dz_seq.sum(axis=0)
-    d_rows = dz_seq @ p.wx
-    d_x = np.empty_like(d_rows)
-    d_x[frames] = d_rows
+    d_x = None
+    if input_grad:
+        d_rows = dz_seq @ p.wx
+        d_x = np.empty_like(d_rows)
+        d_x[frames] = d_rows
     return d_x, {"wx": d_wx, "wh": d_wh, "b": d_b}
 
 
@@ -366,8 +372,9 @@ def blstm_init(input_dim: int, hidden: int, rng: Rng, dtype=DEFAULT_DTYPE) -> Bl
 def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None, keep_cache: bool = True):
     """[N, D] -> [N, 2H]: forward-time and reverse-time states concatenated.
 
-    Without keep_cache both directions' caches are None, each dropped as
-    soon as its direction has run.
+    The cache is the list [forward cache, reverse cache], which
+    blstm_backward empties. Without keep_cache both are None, each dropped
+    as soon as its direction has run.
     """
     h_f, cache_f = lstm_forward(bl.fwd, seq, lengths=lengths)
     if not keep_cache:
@@ -375,18 +382,24 @@ def blstm_forward(bl: Blstm, seq: np.ndarray, lengths=None, keep_cache: bool = T
     h_b, cache_b = lstm_forward(bl.bwd, seq, reverse=True, lengths=lengths)
     if not keep_cache:
         cache_b = None
-    return np.concatenate([h_f, h_b], axis=-1), (cache_f, cache_b)
+    return np.concatenate([h_f, h_b], axis=-1), [cache_f, cache_b]
 
 
-def blstm_backward(bl: Blstm, cache, d_out: np.ndarray):
-    """(d_seq, grads), grads named as in a model: fwd.wx, fwd.wh, fwd.b, then bwd's."""
-    cache_f, cache_b = cache
+def blstm_backward(bl: Blstm, cache: list, d_out: np.ndarray, input_grad: bool = True):
+    """(d_seq, grads), grads named as in a model: fwd.wx, fwd.wh, fwd.b, then bwd's.
+
+    Consumes cache: each direction's cache leaves the list as its backward
+    starts and is freed when it returns. d_seq is None when input_grad is
+    False.
+    """
     hidden = bl.hidden
-    d_seq_f, grads_f = lstm_backward(bl.fwd, cache_f, d_out[..., :hidden])
-    d_seq_b, grads_b = lstm_backward(bl.bwd, cache_b, d_out[..., hidden:])
+    d_seq, grads_f = lstm_backward(bl.fwd, cache.pop(0), d_out[..., :hidden], input_grad)
+    d_seq_b, grads_b = lstm_backward(bl.bwd, cache.pop(), d_out[..., hidden:], input_grad)
+    if input_grad:
+        d_seq += d_seq_b
     grads = {f"{half}.{name}": g for half, halves in (("fwd", grads_f), ("bwd", grads_b))
              for name, g in halves.items()}
-    return d_seq_f + d_seq_b, grads
+    return d_seq, grads
 
 
 # ---------------------------------------------------------------------------

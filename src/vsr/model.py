@@ -11,7 +11,11 @@ stream net over its own kind's sequences and concatenates their outputs,
 `fusion_forward_batch` the fusion BLSTM, if any, and the output layer.
 `fusion_backward_batch` returns the gradient of the stream outputs, and
 `stream_backward_batch` adds the stream nets' gradients; a fit that
-freezes the streams skips it. Each layer runs once over a batch's frames
+freezes the streams skips it, and the fusion stage then forms no input
+gradient. A cache serves one backward, which consumes it: the stream
+backward takes each net's caches out of the stream cache, and each
+layer's cache is freed once its backward has run, so the gradients form
+as the forward state goes. Each layer runs once over a batch's frames
 concatenated [sum(T), D], the deltas and BLSTMs with the per-sequence
 lengths; logits come back stacked [sum(T), K] in the order of the input.
 
@@ -225,12 +229,13 @@ def _encoder_forward(layers: list[FcLayer], x: np.ndarray, keep_cache: bool = Tr
     return x, caches
 
 
-def _encoder_backward(layers: list[FcLayer], caches, d_out: np.ndarray,
+def _encoder_backward(layers: list[FcLayer], caches: list, d_out: np.ndarray,
                       grads: dict[str, np.ndarray], prefix: str) -> None:
+    """Consumes caches, popping each layer's (x, y) as its backward runs."""
     d = d_out
     for k in range(len(layers) - 1, -1, -1):
         # nothing consumes the gradient of the input frames
-        d, d_w, d_b = fc_backward(layers[k], caches[k], d, input_grad=k > 0)
+        d, d_w, d_b = fc_backward(layers[k], caches.pop(), d, input_grad=k > 0)
         grads[f"{prefix}enc{k}.w"] = d_w
         grads[f"{prefix}enc{k}.b"] = d_b
 
@@ -285,23 +290,32 @@ def fusion_forward_batch(model, feats: np.ndarray, lengths, keep_cache: bool = T
     return logits, (fb_cache, out_cache) if keep_cache else None
 
 
-def fusion_backward_batch(model, cache, d_logits: np.ndarray):
-    """(d_feats, grads): the stream outputs' gradient, and the fusion stage's by name."""
+def fusion_backward_batch(model, cache, d_logits: np.ndarray, input_grad: bool = True):
+    """(d_feats, grads): the stream outputs' gradient, and the fusion stage's by name.
+
+    Without input_grad, d_feats is None: a fit whose streams are frozen
+    has no use for it.
+    """
     _, fusion_blstm, (out_name, out) = _parts(model)
     fb_cache, out_cache = cache
-    d_feats, d_w, d_b = fc_backward(out, out_cache, d_logits)
+    d_feats, d_w, d_b = fc_backward(out, out_cache, d_logits,
+                                    input_grad=input_grad or fusion_blstm is not None)
     grads = {f"{out_name}.w": d_w, f"{out_name}.b": d_b}
     if fusion_blstm is not None:
-        d_feats, g = blstm_backward(fusion_blstm, fb_cache, d_feats)
+        d_feats, g = blstm_backward(fusion_blstm, fb_cache, d_feats, input_grad)
         grads.update((f"fusion_blstm.{name}", v) for name, v in g.items())
     return d_feats, grads
 
 
 def stream_backward_batch(model, cache, d_feats: np.ndarray, grads: dict[str, np.ndarray]):
-    """Add each stream net's parameter gradients to grads, from its columns of d_feats."""
+    """Add each stream net's parameter gradients to grads, from its columns of d_feats.
+
+    Consumes cache: each net's caches leave it as that net's backward starts.
+    """
     lengths, net_caches = cache
     start = 0
-    for (prefix, net), (enc_caches, bl_cache) in zip(_parts(model)[0], net_caches):
+    for prefix, net in _parts(model)[0]:
+        enc_caches, bl_cache = net_caches.pop(0)
         width = 2 * net.blstm.hidden
         d_feat, g = blstm_backward(net.blstm, bl_cache, d_feats[:, start:start + width])
         grads.update((f"{prefix}blstm.{name}", v) for name, v in g.items())

@@ -132,14 +132,21 @@ def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Ba
 # ---------------------------------------------------------------------------
 
 def _forward_backward(model, batch: Batch, freeze_streams: bool):
-    """(loss, grads, frames) of a batch; frozen streams keep no cache and get no grads."""
+    """(loss, grads, frames) of a batch; frozen streams keep no cache and get no grads.
+
+    Each stage's forward state is dropped once its backward has run, so the
+    stream backward, where the gradient set grows, holds no fusion state.
+    """
     labels = np.repeat(batch.labels, batch.lengths)
     feats, stream_cache = stream_forward_batch(model, batch.streams,
                                                keep_cache=not freeze_streams)
     logits, cache = fusion_forward_batch(model, feats, batch.lengths)
     del feats  # the fusion stage's cache keeps what its backward needs
     loss, d_logits = softmax_xent(logits, labels)
-    d_feats, grads = fusion_backward_batch(model, cache, d_logits)
+    del logits  # the output layer's cache holds it until that is dropped
+    d_feats, grads = fusion_backward_batch(model, cache, d_logits,
+                                           input_grad=not freeze_streams)
+    del cache, d_logits
     if not freeze_streams:
         stream_backward_batch(model, stream_cache, d_feats, grads)
     return loss, grads, len(labels)

@@ -38,7 +38,7 @@ from vsr.layers import (
     lstm_forward,
     lstm_init,
 )
-from vsr.model import build_fusion, build_stream, predict_label
+from vsr.model import build_fusion, build_stream, fusion_backward_batch, predict_label
 from vsr.numerics import Rng
 
 LENGTHS = st.lists(st.integers(1, 9), min_size=1, max_size=6)
@@ -272,6 +272,29 @@ def test_fc_backward_can_skip_the_input_gradient():
     none, d_w2, d_b2 = fc_backward(layer, cache, d_out, input_grad=False)
     assert d_x.shape == (5, 4) and none is None
     assert np.array_equal(d_w, d_w2) and np.array_equal(d_b, d_b2)
+
+
+def test_blstm_and_the_fusion_stage_can_skip_the_input_gradient():
+    """The parameter gradients keep their bits; each backward consumes a
+    cache of its own, so the forward runs once per backward."""
+    rng = Rng(15)
+    bl = blstm_init(3, 4, rng, dtype=np.float64)
+    seq, d_out = concatenated(rng, TIED, 3), concatenated(rng, TIED, 8)
+    d_seq, grads = blstm_backward(bl, blstm_forward(bl, seq, TIED)[1], d_out)
+    none, grads2 = blstm_backward(bl, blstm_forward(bl, seq, TIED)[1], d_out, input_grad=False)
+    assert d_seq.shape == seq.shape and none is None
+    assert list(grads2) == list(grads)
+    assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
+
+    fused = build_fusion(tiny_stream(8), tiny_stream(9, "diff"), hidden=2, rng=Rng(10))
+    seqs = {k: [rng.normal((t_len, 6)) for t_len in TIED] for k in ("raw", "diff")}
+    d_logits = rng.normal((sum(TIED), 3))
+    stage = [fusion_backward_batch(fused, forward(fused, seqs)[1][1], d_logits, input_grad=g)
+             for g in (True, False)]
+    (d_feats, grads), (none, grads2) = stage
+    assert d_feats.shape == (sum(TIED), 12) and none is None
+    assert list(grads2) == list(grads)
+    assert all(np.array_equal(grads[n], grads2[n]) for n in grads)
 
 
 # unsorted, with ties: the packed recurrence runs the columns in order 1, 2, 4, 0, 3

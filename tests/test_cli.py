@@ -6,6 +6,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import vsr.evaluation
 import vsr.gradcheck
 import vsr.layers
 from vsr.cli import build_parser, main, resolve_config
-from vsr.data import ROI_DIMS, load_manifest, load_utterances
+from vsr.data import MANIFEST_NAME, ROI_DIMS, load_manifest, load_utterances
 from vsr.evaluation import evaluate, render_report
 from vsr.gradcheck import CHECKS
 from vsr.layers import MAX_THETA
@@ -172,16 +174,42 @@ def test_config_file_with_unknown_keys(tmp_path, capsys):
     ('{"protocol": 5}', "protocol must be a string, not 5"),
     ('{"hidden": 2.5}', "hidden must be an integer, not 2.5"),
     pytest.param("[" * 100_000 + "]" * 100_000, "nests too deeply", id="deep"),
+    ('{"seed": 1,', ": not JSON (Expecting property name enclosed in double quotes"),
+    (b"\xff", ": not JSON ('utf-8' codec can't decode byte 0xff in position 0"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, capsys, doc, named):
     cfg = tmp_path / "f.json"
-    cfg.write_text(doc)
+    cfg.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     rc = main(["train-stream", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: config file {cfg}")
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("node", ["fifo", "device"])
+@pytest.mark.parametrize("target", ["manifest", "config"])
+def test_a_non_regular_manifest_or_config_file_exits_2(tmp_path, node, target):
+    """Neither waits on a FIFO nor reads a device. The CLI runs in a child
+    process, so an open that blocks fails the test at the timeout instead
+    of hanging the suite."""
+    data = tmp_path / "data"
+    data.mkdir()
+    path = tmp_path / "f.json" if target == "config" else data / MANIFEST_NAME
+    if node == "fifo":
+        os.mkfifo(path)
+    else:
+        path.symlink_to(os.devnull)
+    argv = ["evaluate", "--model", str(tmp_path / "m.ckpt"), "--data", str(data),
+            "--protocol", "oulu", *(["--config", str(path)] if target == "config" else [])]
+    src = str(Path(vsr.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "vsr.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    named = f"config file {path}" if target == "config" else str(path)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {named}: not a regular file\n")
 
 
 @pytest.mark.parametrize("command, key, value, choices", [
@@ -874,8 +902,8 @@ def test_gradcheck_flags_a_broken_gradient(monkeypatch, capsys):
 def test_gradcheck_flags_a_broken_recurrent_gradient(monkeypatch, capsys):
     true_backward = vsr.layers.lstm_backward
 
-    def skewed(p, cache, d_h):
-        d_seq, grads = true_backward(p, cache, d_h)
+    def skewed(p, cache, d_h, *input_grad):
+        d_seq, grads = true_backward(p, cache, d_h, *input_grad)
         return d_seq, {**grads, "wh": grads["wh"] * 1.001}
 
     # the lstm checks call it directly, the blstm and the models through layers

@@ -505,16 +505,26 @@ def test_frozen_fusion_clips_only_the_gradients_it_applies(monkeypatch):
 def test_a_frozen_fusion_fit_runs_no_stream_backward(monkeypatch, frozen):
     """With freeze_streams the backward pass stops at the stream outputs:
     no stream net's delta backward runs, against one per net in a one-batch
-    fit that trains them."""
+    fit that trains them, and the fusion BLSTM forms no input gradient."""
     raw, diff = two_trained_streams(seed=20)
-    calls = []
+    calls, d_feats = [], []
     real = vsr.model.append_deltas_backward
     monkeypatch.setattr(vsr.model, "append_deltas_backward",
                         lambda *a, **k: calls.append(None) or real(*a, **k))
+    real_blstm_backward = vsr.model.blstm_backward
+
+    def blstm_backward(*args, **kwargs):
+        out = real_blstm_backward(*args, **kwargs)
+        d_feats.append(out[0])
+        return out
+
+    monkeypatch.setattr(vsr.model, "blstm_backward", blstm_backward)
     cfg = TrainConfig.for_fusion(lr=0.01, max_epochs=1, seed=9, freeze_streams=frozen)
     train_fusion(raw, diff, toy_samples(8, kinds=("raw", "diff")),
                  toy_samples(4, kinds=("raw", "diff"), seed=10), cfg)
     assert len(calls) == (0 if frozen else 2)
+    # the fusion BLSTM's backward runs first, then each stream's
+    assert [d is None for d in d_feats] == ([True] if frozen else [False] * 3)
 
 
 def test_train_stream_refuses_freeze_streams():
