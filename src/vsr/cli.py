@@ -74,7 +74,7 @@ def resolve_config(args) -> dict:
             file_cfg = json.loads(blob.decode("utf-8"))
         except RecursionError:
             raise ValueError(f"config file {path} nests too deeply") from None
-        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+        except ValueError as exc:  # a JSONDecodeError, UnicodeDecodeError or over-long int
             raise ValueError(f"config file {path}: not JSON ({exc})") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {path} does not hold a JSON object")

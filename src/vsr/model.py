@@ -293,13 +293,12 @@ def fusion_forward_batch(model, feats: np.ndarray, lengths, keep_cache: bool = T
 def fusion_backward_batch(model, cache, d_logits: np.ndarray, input_grad: bool = True):
     """(d_feats, grads): the stream outputs' gradient, and the fusion stage's by name.
 
-    Without input_grad, d_feats is None: a fit whose streams are frozen
-    has no use for it.
+    Without input_grad a fusion model's d_feats is None: a fit whose
+    streams are frozen has no use for it.
     """
     _, fusion_blstm, (out_name, out) = _parts(model)
     fb_cache, out_cache = cache
-    d_feats, d_w, d_b = fc_backward(out, out_cache, d_logits,
-                                    input_grad=input_grad or fusion_blstm is not None)
+    d_feats, d_w, d_b = fc_backward(out, out_cache, d_logits)
     grads = {f"{out_name}.w": d_w, f"{out_name}.b": d_b}
     if fusion_blstm is not None:
         d_feats, g = blstm_backward(fusion_blstm, fb_cache, d_feats, input_grad)

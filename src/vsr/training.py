@@ -132,11 +132,7 @@ def make_batches(samples: list[SeqSample], batch_utts: int, rng: Rng) -> list[Ba
 # ---------------------------------------------------------------------------
 
 def _forward_backward(model, batch: Batch, freeze_streams: bool):
-    """(loss, grads, frames) of a batch; frozen streams keep no cache and get no grads.
-
-    Each stage's forward state is dropped once its backward has run, so the
-    stream backward, where the gradient set grows, holds no fusion state.
-    """
+    """(loss, grads, frames) of a batch; frozen streams keep no cache and get no grads."""
     labels = np.repeat(batch.labels, batch.lengths)
     feats, stream_cache = stream_forward_batch(model, batch.streams,
                                                keep_cache=not freeze_streams)
@@ -146,7 +142,7 @@ def _forward_backward(model, batch: Batch, freeze_streams: bool):
     del logits  # the output layer's cache holds it until that is dropped
     d_feats, grads = fusion_backward_batch(model, cache, d_logits,
                                            input_grad=not freeze_streams)
-    del cache, d_logits
+    del cache, d_logits  # the stream backward, where the gradients peak, holds no fusion state
     if not freeze_streams:
         stream_backward_batch(model, stream_cache, d_feats, grads)
     return loss, grads, len(labels)

@@ -266,10 +266,9 @@ def test_batched_stream_gradients_match_per_sequence_sums():
 def test_fc_backward_can_skip_the_input_gradient():
     rng = Rng(11)
     layer = fc_init(4, 3, rng, "relu", dtype=np.float64)
-    _, cache = fc_forward(layer, rng.normal((5, 4)))
-    d_out = rng.normal((5, 3))
-    d_x, d_w, d_b = fc_backward(layer, cache, d_out)
-    none, d_w2, d_b2 = fc_backward(layer, cache, d_out, input_grad=False)
+    x, d_out = rng.normal((5, 4)), rng.normal((5, 3))
+    d_x, d_w, d_b = fc_backward(layer, fc_forward(layer, x)[1], d_out)
+    none, d_w2, d_b2 = fc_backward(layer, fc_forward(layer, x)[1], d_out, input_grad=False)
     assert d_x.shape == (5, 4) and none is None
     assert np.array_equal(d_w, d_w2) and np.array_equal(d_b, d_b2)
 
