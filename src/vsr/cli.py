@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .evaluation import aggregate_runs, evaluate, render_report
 from .fileio import open_regular, write_atomic
 from .layers import DeltaWindow
 from .model import (DEFAULT_BOTTLENECK, DEFAULT_ENCODER_SIZES, DEFAULT_HIDDEN,
-                    EncoderStack, SingleStreamModel, astype_model, build_stream,
+                    EncoderStack, astype_model, build_stream,
                     load_checkpoint, save_checkpoint)
 from .numerics import Rng
 from .rbm import PretrainConfig, pretrain_stack
@@ -180,11 +181,14 @@ def cmd_pretrain(cfg: dict) -> int:
     return 0
 
 
-def _training_inputs(cfg: dict, stage: str) -> tuple[TrainConfig, DatasetManifest, dict]:
-    """The fit settings, the manifest and the checked model inputs, which no
-    seed changes: a fusion's --raw and --diff streams, cast to --precision, or a
-    stream's encoder widths, --encoder weights and --theta. repeat checks them
-    once, before its first run; the fit settings before any file is read."""
+def _training_inputs(cfg: dict, stage: str) -> tuple[TrainConfig, DatasetManifest,
+                                                     tuple[str, ...], Callable]:
+    """The fit settings, the manifest, the run's stream kinds and its fit, which
+    no seed changes. fit(train, val, tcfg, rng) builds the model and trains it:
+    a stream from --encoder-sizes, --encoder weights and --theta, or a fusion
+    of the --raw and --diff streams, cast to --precision. Every checkpoint is
+    checked through its metadata. repeat calls this once, before its first run;
+    the fit settings are checked before any file is read."""
     tcfg = TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
                        patience=int(cfg["patience"]),
                        clip_threshold=float(cfg["clip_threshold"]),
@@ -192,52 +196,44 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[TrainConfig, DatasetManifes
                        track_train_accuracy=bool(cfg["track_train_accuracy"]),
                        freeze_streams=bool(cfg.get("freeze_streams")))
     manifest = load_manifest(cfg["data"])
+    classes = len(manifest.classes)
+    dtype = _DTYPES[cfg["precision"]]
     if stage == "fusion":
-        streams = {kind: load_checkpoint(cfg[kind]) for kind in ("raw", "diff")}
-        for kind, m in streams.items():
-            if not isinstance(m, SingleStreamModel) or m.net.stream_kind != kind:
-                raise ValueError(f"--{kind} checkpoint is not a trained {kind} stream")
-            if m.classes != len(manifest.classes):
-                raise ValueError(f"--{kind} model has {m.classes} classes, "
-                                 f"dataset has {len(manifest.classes)}")
-        dtype = _DTYPES[cfg["precision"]]
-        return tcfg, manifest, {kind: astype_model(m, dtype) for kind, m in streams.items()}
-    encoder = {"encoder_sizes": _parse_sizes(cfg["encoder_sizes"]), "encoder_init": None,
-               "theta": DeltaWindow(int(cfg["theta"])).theta}
+        raw, diff = (astype_model(load_checkpoint(cfg[kind], expect={
+            "kind": "stream", "stream": kind, "classes": str(classes)}), dtype)
+            for kind in ("raw", "diff"))
+
+        def fit(train, val, tcfg, rng):
+            return train_fusion(raw, diff, train, val, tcfg, hidden=cfg["hidden"])
+        return tcfg, manifest, ("raw", "diff"), fit
+    sizes, theta = _parse_sizes(cfg["encoder_sizes"]), DeltaWindow(int(cfg["theta"])).theta
+    encoder_init = None
     if cfg["encoder"]:
-        stack = load_checkpoint(cfg["encoder"])
-        if not isinstance(stack, EncoderStack):
-            raise ValueError(f"{cfg['encoder']} is not an encoder checkpoint")
-        pretrained_on = stack.meta.get("stream", cfg["stream"])
-        if pretrained_on != cfg["stream"]:
-            raise ValueError(f"--encoder checkpoint was pretrained on the {pretrained_on} "
-                             f"stream, not the {cfg['stream']} stream that --stream names")
-        encoder["encoder_init"] = stack.layers
-    return tcfg, manifest, encoder
+        encoder_init = load_checkpoint(cfg["encoder"], expect={
+            "kind": "encoder", "stream": cfg["stream"]}).layers
+
+    def fit(train, val, tcfg, rng):
+        model = build_stream(input_dim=manifest.frame_dim, classes=classes,
+                             hidden=int(cfg["hidden"]), rng=rng, stream_kind=cfg["stream"],
+                             encoder_init=encoder_init, encoder_sizes=sizes,
+                             bottleneck=int(cfg["bottleneck"]), theta=theta, dtype=dtype)
+        return train_stream(model, train, val, tcfg)
+    return tcfg, manifest, (cfg["stream"],), fit
 
 
-def _run_training(cfg: dict, stage: str, inputs: tuple[TrainConfig, DatasetManifest, dict]):
-    """Split, build and fit on _training_inputs' result, at cfg's seed. Shared
-    by train-stream, train-fusion and repeat so reruns match run for run."""
-    tcfg, manifest, model_inputs = inputs
+def _run_training(cfg: dict, inputs: tuple):
+    """Split and fit on _training_inputs' result, at cfg's seed. Shared by
+    train-stream, train-fusion and repeat so reruns match run for run."""
+    tcfg, manifest, kinds, fit = inputs
     tcfg = dataclasses.replace(tcfg, seed=int(cfg["seed"]))
     dtype = _DTYPES[cfg["precision"]]
     rng = Rng(tcfg.seed)
     split = _split_for(manifest, cfg, rng, need_val=True)
-    kinds = ("raw", "diff") if stage == "fusion" else (cfg["stream"],)
     train_utts, val_utts = (load_utterances(cfg["data"], manifest, paths)
                             for paths in (split.train, split.val))
     train_samples = samples_from_utterances(train_utts, kinds, dtype)
     val_samples = samples_from_utterances(val_utts, kinds, dtype)
-    if stage == "fusion":
-        model, history = train_fusion(model_inputs["raw"], model_inputs["diff"],
-                                      train_samples, val_samples, tcfg, hidden=cfg["hidden"])
-        return model, history, split, manifest
-    model = build_stream(input_dim=manifest.frame_dim,
-                         classes=len(manifest.classes), hidden=int(cfg["hidden"]),
-                         rng=rng, stream_kind=cfg["stream"], **model_inputs,
-                         bottleneck=int(cfg["bottleneck"]), dtype=dtype)
-    model, history = train_stream(model, train_samples, val_samples, tcfg)
+    model, history = fit(train_samples, val_samples, tcfg, rng)
     return model, history, split, manifest
 
 
@@ -248,7 +244,7 @@ _TRAIN_INPUTS = {"stream": ["data", "protocol"], "fusion": ["data", "protocol", 
 def cmd_train(cfg: dict, stage: str) -> int:
     """train-stream or train-fusion, as stage says."""
     _require(cfg, [*_TRAIN_INPUTS[stage], "out"], f"train-{stage}")
-    model, history, _, _ = _run_training(cfg, stage, _training_inputs(cfg, stage))
+    model, history, _, _ = _run_training(cfg, _training_inputs(cfg, stage))
     history.config.update(cfg)
     save_checkpoint(cfg["out"], model,
                     extra_meta={"config": _canon(cfg), "seed": str(cfg["seed"])})
@@ -311,7 +307,7 @@ def cmd_repeat(cfg: dict, train: list[str]) -> int:
     results, failures = [], []
     for i in range(runs):
         try:
-            acc = _repeat_one(dict(train_cfg, seed=base + i), stage, inputs)
+            acc = _repeat_one(dict(train_cfg, seed=base + i), inputs)
             results.append((base + i, acc))
         except (ValueError, TrainingDiverged, OSError) as exc:
             failures.append({"seed": base + i, "error": str(exc)})
@@ -332,9 +328,9 @@ def cmd_repeat(cfg: dict, train: list[str]) -> int:
     return 0
 
 
-def _repeat_one(cfg: dict, stage: str, inputs: tuple[TrainConfig, DatasetManifest, dict]) -> float:
+def _repeat_one(cfg: dict, inputs: tuple) -> float:
     """One training run; returns test-split utterance accuracy."""
-    model, _, split, manifest = _run_training(cfg, stage, inputs)
+    model, _, split, manifest = _run_training(cfg, inputs)
     test_utts = load_utterances(cfg["data"], manifest, split.test)
     report = evaluate(model, test_utts, len(manifest.classes), split="test")
     return report.accuracy

@@ -24,8 +24,9 @@ from vsr.data import MANIFEST_NAME, ROI_DIMS, load_manifest, load_utterances
 from vsr.evaluation import evaluate, render_report
 from vsr.gradcheck import CHECKS
 from vsr.layers import MAX_THETA
-from vsr.model import (EncoderStack, FusionModel, SingleStreamModel, load_checkpoint,
-                       named_params)
+from vsr.model import (EncoderStack, FusionModel, SingleStreamModel, build_fusion,
+                       load_checkpoint, named_params, save_checkpoint)
+from vsr.numerics import Rng
 from vsr.training import TrainConfig, TrainingDiverged
 
 # Small dataset so every training run stays in the tens-of-milliseconds range:
@@ -359,28 +360,6 @@ def test_train_stream_accepts_a_pretrained_encoder(dataset, tmp_path):
     assert (tmp_path / "h.json").exists()
 
 
-def test_train_stream_rejects_a_model_as_encoder(dataset, raw_ckpt, tmp_path, capsys):
-    rc = main(["train-stream", "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS,
-               *FIT_ARGS, "--encoder", str(raw_ckpt), "--out",
-               str(tmp_path / "m.ckpt")])
-    assert rc == 2
-    assert "not an encoder checkpoint" in capsys.readouterr().err
-
-
-def test_train_stream_rejects_an_encoder_of_the_other_stream(dataset, tmp_path, capsys):
-    enc = tmp_path / "enc.ckpt"
-    assert main(["pretrain", "--data", str(dataset), *PROTO_ARGS, "--stream", "diff",
-                 "--encoder-sizes", "16,8", "--bottleneck", "4",
-                 "--epochs", "1", "--out", str(enc)]) == 0
-    out = tmp_path / "m.ckpt"
-    rc = main(["train-stream", "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS,
-               *FIT_ARGS, "--stream", "raw", "--encoder", str(enc), "--out", str(out)])
-    assert rc == 2
-    assert ("--encoder checkpoint was pretrained on the diff stream, not the raw stream"
-            in capsys.readouterr().err)
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["pretrain", "train-stream"])
 @pytest.mark.parametrize("in_file", [False, True], ids=["flag", "config"])
 def test_malformed_encoder_sizes_names_the_setting(dataset, tmp_path, capsys, command,
@@ -434,14 +413,6 @@ def test_train_fusion_end_to_end(dataset, raw_ckpt, diff_ckpt, tmp_path, capsys)
     assert 0.0 <= report["accuracy"] <= 1.0
 
 
-def test_train_fusion_rejects_wrong_stream_kind(dataset, diff_ckpt, tmp_path, capsys):
-    rc = main(["train-fusion", "--data", str(dataset), *PROTO_ARGS, *FIT_ARGS,
-               "--raw", str(diff_ckpt), "--diff", str(diff_ckpt),
-               "--out", str(tmp_path / "f.ckpt")])
-    assert rc == 2
-    assert "--raw checkpoint is not a trained raw stream" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("hidden", ["0", "-2"])
 def test_train_fusion_rejects_a_hidden_width_below_one(dataset, raw_ckpt, diff_ckpt,
                                                        tmp_path, capsys, hidden):
@@ -456,17 +427,61 @@ def test_train_fusion_rejects_a_hidden_width_below_one(dataset, raw_ckpt, diff_c
     assert not out.exists()
 
 
-def test_train_fusion_refuses_streams_of_another_class_count(raw_ckpt, diff_ckpt, tmp_path,
-                                                            capsys):
+def _misfit_checkpoint(case, dataset, raw_ckpt, diff_ckpt, tmp_path):
+    """(a train command's argv, the checkpoint in it that does not fit) for each case
+    of the test below."""
+    stream = ["train-stream", "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS, *FIT_ARGS,
+              "--stream", "raw", "--encoder"]
+    fusion = ["train-fusion", "--data", str(dataset), *PROTO_ARGS, *FIT_ARGS]
+    if case == "stream-model-as-encoder":
+        return [*stream, str(raw_ckpt)], raw_ckpt
+    if case.startswith("encoder-"):
+        enc = tmp_path / "enc.ckpt"
+        pretrained_on = "diff" if case == "encoder-of-the-other-stream" else "raw"
+        assert main(["pretrain", "--data", str(dataset), *PROTO_ARGS, "--stream",
+                     pretrained_on, "--encoder-sizes", "16,8", "--bottleneck", "4",
+                     "--epochs", "1", "--out", str(enc)]) == 0
+        if case == "encoder-with-no-stream":
+            stack = load_checkpoint(enc)
+            del stack.meta["stream"]
+            save_checkpoint(enc, stack)
+        return [*stream, str(enc)], enc
+    if case == "diff-stream-as-raw":
+        return [*fusion, "--raw", str(diff_ckpt), "--diff", str(diff_ckpt)], diff_ckpt
+    if case == "fusion-model-as-raw":
+        fused = tmp_path / "fused.ckpt"
+        save_checkpoint(fused, build_fusion(load_checkpoint(raw_ckpt),
+                                            load_checkpoint(diff_ckpt), rng=Rng(0)))
+        return [*fusion, "--raw", str(fused), "--diff", str(diff_ckpt)], fused
+    assert case == "streams-of-another-class-count"
     other = tmp_path / "two_class"
     assert main(["synth", "--classes", "2", "--subjects", "3", "--reps", "1",
                  "--frames", "4", "--height", "8", "--width", "9", "--out", str(other)]) == 0
-    out = tmp_path / "f.ckpt"
-    rc = main(["train-fusion", "--data", str(other), "--protocol", "custom",
-               "--train-subjects", "s00", "--val-subjects", "s01", "--test-subjects", "s02",
-               *FIT_ARGS, "--raw", str(raw_ckpt), "--diff", str(diff_ckpt), "--out", str(out)])
-    assert rc == 2
-    assert "--raw model has 3 classes, dataset has 2" in capsys.readouterr().err
+    return ["train-fusion", "--data", str(other), "--protocol", "custom",
+            "--train-subjects", "s00", "--val-subjects", "s01", "--test-subjects", "s02",
+            *FIT_ARGS, "--raw", str(raw_ckpt), "--diff", str(diff_ckpt)], raw_ckpt
+
+
+# each case of the test below, with the mismatch its refusal names
+MISFITS = {"stream-model-as-encoder": "kind is 'stream', expected 'encoder'",
+           "encoder-of-the-other-stream": "stream is 'diff', expected 'raw'",
+           "encoder-with-no-stream": "stream is None, expected 'raw'",
+           "diff-stream-as-raw": "stream is 'diff', expected 'raw'",
+           "fusion-model-as-raw": "kind is 'fusion', expected 'stream'",
+           "streams-of-another-class-count": "classes is '3', expected '2'"}
+
+
+@pytest.mark.parametrize("case", MISFITS)
+def test_train_refuses_a_misfit_checkpoint(dataset, raw_ckpt, diff_ckpt, tmp_path, capsys,
+                                           case):
+    """A --raw, --diff or --encoder checkpoint is checked through its metadata: its
+    kind, its stream and, for a stream, the dataset's class count."""
+    argv, misfit = _misfit_checkpoint(case, dataset, raw_ckpt, diff_ckpt, tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: checkpoint {misfit}: metadata mismatch: "
+                                       f"{MISFITS[case]}\n")
     assert not out.exists()
 
 
@@ -763,7 +778,7 @@ def test_repeat_aggregates_and_matches_single_runs(dataset, raw_ckpt, diff_ckpt,
     ("stream", ["--theta", str(MAX_THETA + 1)],
      f"delta window must be from 1 to {MAX_THETA}, got {MAX_THETA + 1}"),
     ("fusion", ["--raw", "{diff}", "--diff", "{diff}"],
-     "--raw checkpoint is not a trained raw stream"),
+     "checkpoint {diff}: metadata mismatch: stream is 'diff', expected 'raw'"),
 ])
 def test_repeat_reports_a_setting_every_run_shares_once(dataset, diff_ckpt, capsys, stage,
                                                         flags, named):
@@ -772,7 +787,7 @@ def test_repeat_reports_a_setting_every_run_shares_once(dataset, diff_ckpt, caps
                *PROTO_ARGS, *flags])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"error: {named}\n"
+    assert err == f"error: {named.format(diff=diff_ckpt)}\n"
 
 
 @pytest.mark.parametrize("data", ["given", "missing"])
