@@ -185,10 +185,10 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[TrainConfig, DatasetManifes
                                                      tuple[str, ...], Callable]:
     """The fit settings, the manifest, the run's stream kinds and its fit, which
     no seed changes. fit(train, val, tcfg, rng) builds the model and trains it:
-    a stream from --encoder-sizes, --encoder weights and --theta, or a fusion
-    of the --raw and --diff streams, cast to --precision. Every checkpoint is
-    checked through its metadata. repeat calls this once, before its first run;
-    the fit settings are checked before any file is read."""
+    a stream from --encoder-sizes, its own copy of the --encoder weights and
+    --theta, or a fusion of the --raw and --diff streams, cast to --precision.
+    Every checkpoint is checked through its metadata. repeat calls this once,
+    before its first run; the fit settings are checked before any file is read."""
     tcfg = TrainConfig(lr=float(cfg["lr"]), batch_utts=int(cfg["batch_utts"]),
                        patience=int(cfg["patience"]),
                        clip_threshold=float(cfg["clip_threshold"]),
@@ -207,12 +207,14 @@ def _training_inputs(cfg: dict, stage: str) -> tuple[TrainConfig, DatasetManifes
             return train_fusion(raw, diff, train, val, tcfg, hidden=cfg["hidden"])
         return tcfg, manifest, ("raw", "diff"), fit
     sizes, theta = _parse_sizes(cfg["encoder_sizes"]), DeltaWindow(int(cfg["theta"])).theta
-    encoder_init = None
+    stack = None
     if cfg["encoder"]:
-        encoder_init = load_checkpoint(cfg["encoder"], expect={
-            "kind": "encoder", "stream": cfg["stream"]}).layers
+        stack = load_checkpoint(cfg["encoder"], expect={
+            "kind": "encoder", "stream": cfg["stream"]})
 
     def fit(train, val, tcfg, rng):
+        # the model trains the encoder it is given in place, so each run gets its own copy
+        encoder_init = None if stack is None else astype_model(stack, dtype).layers
         model = build_stream(input_dim=manifest.frame_dim, classes=classes,
                              hidden=int(cfg["hidden"]), rng=rng, stream_kind=cfg["stream"],
                              encoder_init=encoder_init, encoder_sizes=sizes,

@@ -101,7 +101,11 @@ def build_stream(input_dim: int, classes: int, hidden: int = DEFAULT_HIDDEN,
 
     Draw order from rng is fixed: encoder layers front to back, then the
     BLSTM (forward half first), then the head, so equal seeds give equal
-    parameters.
+    parameters. The model adopts encoder_init's layers, arrays and all, so
+    an in-process pretrained encoder is held once and training updates it
+    in place; they must already be in dtype (a ValueError names both
+    dtypes). A caller that builds several models from one encoder passes
+    each its own copy.
     """
     if stream_kind not in STREAM_KINDS:
         raise ValueError(f"unknown stream kind {stream_kind!r}")
@@ -113,8 +117,11 @@ def build_stream(input_dim: int, classes: int, hidden: int = DEFAULT_HIDDEN,
         got = [layer.w.shape for layer in encoder_init]
         if got != expected:
             raise ValueError(f"pretrained encoder shapes {got} do not match {expected}")
-        encoder = [FcLayer(layer.w.astype(dtype), layer.b.astype(dtype),
-                           layer.activation) for layer in encoder_init]
+        dtypes = {p.dtype for layer in encoder_init for p in (layer.w, layer.b)}
+        if dtypes != {np.dtype(dtype)}:
+            raise ValueError(f"pretrained encoder dtype {', '.join(sorted(map(str, dtypes)))} "
+                             f"is not the model's {np.dtype(dtype)}")
+        encoder = list(encoder_init)
     else:
         encoder = []
         for k in range(len(widths) - 1):
@@ -135,8 +142,9 @@ def build_fusion(raw: SingleStreamModel, diff: SingleStreamModel,
 
     The fusion BLSTM is hidden wide, by default as wide as the raw stream's
     BLSTM. Stream weights are copied in dtype, by default the raw stream's,
-    so the model holds one precision and later fine-tuning leaves the
-    source models untouched.
+    so the model holds one precision. They are copied in their own dtype
+    too, because callers reuse their trained streams (a benchmark across
+    jobs, repeat across runs), which fine-tuning must leave untouched.
     """
     if raw.net.stream_kind != "raw" or diff.net.stream_kind != "diff":
         raise ValueError(f"expected a raw and a diff stream, got "

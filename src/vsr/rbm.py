@@ -160,7 +160,7 @@ def pretrain_stack(layer_sizes: list[int], frames: np.ndarray, cfg: PretrainConf
     if frames.shape[1] != layer_sizes[0]:
         raise ValueError(f"frame width {frames.shape[1]} != layer_sizes[0] {layer_sizes[0]}")
     rng = Rng(cfg.seed)
-    data = frames.astype(DEFAULT_DTYPE)
+    data = frames.astype(DEFAULT_DTYPE, copy=False)  # nothing writes into data: float32 frames go uncopied
     layers: list[FcLayer] = []
     history: list[list[float]] = []
     last = len(layer_sizes) - 2

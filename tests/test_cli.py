@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,6 +359,24 @@ def test_train_stream_accepts_a_pretrained_encoder(dataset, tmp_path):
     assert rc == 0
     assert isinstance(load_checkpoint(out), SingleStreamModel)
     assert (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_each_run_trains_its_own_copy_of_the_encoder(dataset, tmp_path, precision):
+    """repeat fits every run from one _training_inputs result, and a model
+    trains its encoder in place: a second run at the same seed must start
+    from the pretrained weights, not from the first run's trained ones."""
+    enc = tmp_path / "enc.ckpt"
+    assert main(["pretrain", "--data", str(dataset), *PROTO_ARGS, "--encoder-sizes", "16,8",
+                 "--bottleneck", "4", "--epochs", "1", "--out", str(enc)]) == 0
+    cfg = resolve_config(build_parser().parse_args([
+        "train-stream", "--data", str(dataset), *PROTO_ARGS, *ARCH_ARGS, *FIT_ARGS,
+        "--encoder", str(enc), "--precision", precision]))
+    inputs = vsr.cli._training_inputs(cfg, "stream")
+    first, second = ({name: p.copy() for name, p in
+                      named_params(vsr.cli._run_training(cfg, inputs)[0]).items()}
+                     for _ in range(2))
+    assert all(np.array_equal(first[name], second[name]) for name in first)
 
 
 @pytest.mark.parametrize("command", ["pretrain", "train-stream"])

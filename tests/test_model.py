@@ -70,10 +70,9 @@ def test_build_stream_accepts_matching_pretrained_encoder():
     model = build_stream(input_dim=6, classes=3, hidden=3, rng=Rng(2),
                          stream_kind="raw", encoder_init=enc,
                          encoder_sizes=(5, 4), bottleneck=2, dtype=np.float64)
-    assert np.array_equal(model.net.encoder[0].w, enc[0].w)
-    # the model owns a copy: mutating it leaves the source untouched
-    model.net.encoder[0].w[0, 0] += 1.0
-    assert model.net.encoder[0].w[0, 0] != enc[0].w[0, 0]
+    # the model holds the given arrays, so a pretrained encoder is held once
+    assert all(mine.w is given.w and mine.b is given.b
+               for mine, given in zip(model.net.encoder, enc))
 
 
 def test_build_stream_rejects_mismatched_encoder():
@@ -81,6 +80,10 @@ def test_build_stream_rejects_mismatched_encoder():
     with pytest.raises(ValueError, match="shapes"):
         build_stream(input_dim=6, classes=3, rng=Rng(0), encoder_init=enc,
                      encoder_sizes=(5,), bottleneck=2)
+    enc = [fc_init(6, 5, Rng(0), "relu", np.float32), fc_init(5, 2, Rng(0), "linear", np.float32)]
+    with pytest.raises(ValueError, match="dtype float32 is not the model's float64"):
+        build_stream(input_dim=6, classes=3, rng=Rng(0), encoder_init=enc,
+                     encoder_sizes=(5,), bottleneck=2, dtype=np.float64)
 
 
 def test_build_fusion_checks_streams():

@@ -220,6 +220,13 @@ def test_pretrain_stack_greedy_layers_do_not_reach_back():
     assert np.array_equal(shallow[0].b, deep[0].b)
 
 
+def test_pretrain_stack_leaves_its_frames_unchanged():
+    frames = Rng(24).normal((40, 7)).astype(np.float32)
+    before = frames.copy()
+    pretrain_stack([7, 5, 3], frames, PretrainConfig(epochs=2, batch=16))
+    assert np.array_equal(frames, before)
+
+
 def test_pretrain_stack_history_lengths():
     frames = Rng(23).normal((40, 7)).astype(np.float32)
     cfg = PretrainConfig(epochs=3, batch=16)
